@@ -268,8 +268,7 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             if isinstance(x, SparseTensor2D):
                 g_out = adj.pop(out, out.values.shape)
                 g_in = np.zeros_like(x.values)
-                for c in range(x.channels):
-                    np.add.at(g_in[:, c], winners[:, c], g_out[:, c])
+                np.add.at(g_in, (winners, np.arange(x.channels)), g_out)
                 adj.add(x, g_in)
             else:
                 g_out = adj.pop(out, out.shape)

@@ -48,7 +48,7 @@ from .training import (
 )
 
 __all__ = ["main", "parse_config", "serialize_config", "config_hash",
-           "ConfigError"]
+           "ConfigError", "InputError"]
 
 
 class ConfigError(ValueError):
@@ -57,6 +57,10 @@ class ConfigError(ValueError):
     def __init__(self, problems):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class InputError(ValueError):
+    """An input file exists but cannot be used (exit code 2)."""
 
 
 def _bool(s):
@@ -235,14 +239,18 @@ def load_dataset(cfg, workers):
             raise FileNotFoundError(f"no index.csv under {d['path']!r}")
         splits = {"train": [], "test": []}
         with open(index) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.startswith("file,"):
                     continue
-                name, label, split = line.split(",")
+                try:
+                    name, label, split = line.split(",")
+                    label, pairs = int(label), splits[split]
+                except (ValueError, KeyError):
+                    raise InputError(f"{index} line {lineno}: expected "
+                                     f"file,label,train|test, got {line!r}") from None
                 stream = parse_portable_events(os.path.join(d["path"], name))
-                grid = build_voxel_grid(stream, dt_us, t_bins)
-                splits[split].append((grid, int(label)))
+                pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
         return splits["train"], splits["test"]
     if d["kind"] == "dvs128":
         cache = os.path.join(d["path"], ".voxcache") if d["path"] else None
@@ -336,7 +344,10 @@ def _load_model_and_data(args, need_checkpoint=True):
     if need_checkpoint:
         if not os.path.exists(args.checkpoint):
             raise FileNotFoundError(f"no checkpoint {args.checkpoint}")
-        model = load_checkpoint(args.checkpoint)
+        try:
+            model = load_checkpoint(args.checkpoint)
+        except (ValueError, KeyError) as e:
+            raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
     else:
         model = None
     dataset = load_dataset(cfg, args.workers)
@@ -478,7 +489,7 @@ def main(argv=None) -> int:
         for problem in e.problems:
             print(f"  {problem}", file=sys.stderr)
         return 3
-    except FileNotFoundError as e:
+    except (FileNotFoundError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (event_io.FormatError, event_io.EventParseError) as e:

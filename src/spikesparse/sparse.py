@@ -8,7 +8,9 @@ stride ``s``, site ``(b, x, y)`` contributes the output site
 ``(b, x // s, y // s)``.  This is what makes a stride-1 sparse convolution
 differ from its dense counterpart: output sites whose receptive field
 touches a nonzero but which are not themselves in the coordinate map stay
-empty, so spatial sparsity never grows through a convolution.
+empty, so spatial sparsity never grows through a convolution.  Each call
+builds one kernel map (the "rulebook" of every (tap, output, input) match)
+in a single gather; backward rebuilds it rather than storing it.
 
 Dense reference routines (``dense_conv2d``, ``dense_max_pool2d``) share the
 tap conventions of the sparse path and back the dense execution mode of the
@@ -222,26 +224,33 @@ def out_coords(coords, stride):
     return out[order]
 
 
-def _tap_matches(out_c, in_keys, height, width, dx, dy, stride, pad):
-    """Row indices (into out_c / the key array) matched by one kernel tap."""
-    ix = stride * out_c[:, 1] + dx - pad
-    iy = stride * out_c[:, 2] + dy - pad
-    valid = (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
-    if not valid.any():
-        return None
-    q = (out_c[valid, 0] * height + iy[valid]) * width + ix[valid]
-    pos = np.searchsorted(in_keys, q)
-    pos_c = np.minimum(pos, len(in_keys) - 1) if len(in_keys) else pos
-    hit = (pos < len(in_keys)) & (in_keys[pos_c] == q) if len(in_keys) else np.zeros(len(q), bool)
-    if not hit.any():
-        return None
-    return np.flatnonzero(valid)[hit], pos[hit]
+def _kernel_map(out_c, x: SparseTensor2D, k, stride):
+    """Rulebook of a ``k x k`` convolution from the sites of ``x`` to ``out_c``.
+
+    Returns ``(dx, dy, rows_out, rows_in)`` for each tap with a match, taps in
+    ``dx, dy`` order: ``rows_out`` (ascending rows of ``out_c``) read the
+    ``x`` rows ``rows_in``.  All taps are looked up in one gather through a
+    dense site->row index of ``x``, padded by ``k // 2`` so that out-of-grid
+    taps read the -1 of an absent site.
+    """
+    pad = k // 2
+    hp, wp = x.height + 2 * pad, x.width + 2 * pad
+    site_row = np.full((x.batch_size, hp, wp), -1, np.int32)
+    site_row[x.coords[:, 0], x.coords[:, 2] + pad, x.coords[:, 1] + pad] = \
+        np.arange(x.n_sites, dtype=np.int32)
+    # padded flat index of tap (0, 0); tap (dx, dy) adds dy * wp + dx
+    corner = (out_c[:, 0] * hp + stride * out_c[:, 2]) * wp + stride * out_c[:, 1]
+    taps = (np.arange(k)[:, None] + wp * np.arange(k)).reshape(-1, 1)
+    rows = site_row.ravel()[taps + corner]
+    tap, rows_out = np.nonzero(rows >= 0)
+    cuts = np.searchsorted(tap, np.arange(1, k * k))
+    return [(t // k, t % k, o, i) for t, (o, i) in enumerate(zip(
+        np.split(rows_out, cuts), np.split(rows[tap, rows_out], cuts))) if len(o)]
 
 
 def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D):
     """Unpruned convolution at the coordinate map: (out coords, out values, extent)."""
     s, k = kernel.stride, kernel.k
-    pad = k // 2
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
     if x.n_sites == 0:
         return (np.empty((0, 3), np.int64), np.empty((0, kernel.out_channels)),
@@ -252,16 +261,10 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D):
     oy = (okeys // w_out) % h_out
     ob = okeys // (w_out * h_out)
     out_c = np.stack([ob, ox, oy], axis=1)
-    in_keys = x.keys()
     w = kernel.weights
     out_v = np.zeros((len(okeys), kernel.out_channels))
-    for dx in range(k):
-        for dy in range(k):
-            m = _tap_matches(out_c, in_keys, x.height, x.width, dx, dy, s, pad)
-            if m is None:
-                continue
-            rows_out, rows_in = m
-            out_v[rows_out] += x.values[rows_in] @ w[:, :, dx, dy].T
+    for dx, dy, rows_out, rows_in in _kernel_map(out_c, x, k, s):
+        out_v[rows_out] += x.values[rows_in] @ w[:, :, dx, dy].T
     return out_c, out_v, h_out, w_out
 
 
@@ -269,26 +272,20 @@ def _conv_sites_grads(x: SparseTensor2D, kernel: ConvKernel2D, out_c, g_out,
                       need_input_grad=True):
     """Adjoints of `_conv_sites`: gradient w.r.t. kernel weights and input values.
 
-    ``g_out`` is aligned to the rows of ``out_c``.  Tap matches are recomputed
-    rather than saved; the match structure is deterministic.
+    ``g_out`` is aligned to the rows of ``out_c``.  The kernel map is rebuilt
+    rather than saved: it is deterministic, and keeping it for every conv of
+    the unrolling would cost more memory than the rebuild costs time.
     """
-    s, k = kernel.stride, kernel.k
-    pad = k // 2
     w = kernel.weights
     g_w = np.zeros_like(w)
     g_in = np.zeros_like(x.values) if need_input_grad else None
     if x.n_sites == 0 or len(out_c) == 0:
         return g_w, g_in
-    in_keys = x.keys()
-    for dx in range(k):
-        for dy in range(k):
-            m = _tap_matches(out_c, in_keys, x.height, x.width, dx, dy, s, pad)
-            if m is None:
-                continue
-            rows_out, rows_in = m
-            g_w[:, :, dx, dy] += g_out[rows_out].T @ x.values[rows_in]
-            if need_input_grad:
-                g_in[rows_in] += g_out[rows_out] @ w[:, :, dx, dy]
+    for dx, dy, rows_out, rows_in in _kernel_map(out_c, x, kernel.k, kernel.stride):
+        g_rows = g_out[rows_out]
+        g_w[:, :, dx, dy] += g_rows.T @ x.values[rows_in]
+        if need_input_grad:
+            g_in[rows_in] += g_rows @ w[:, :, dx, dy]
     return g_w, g_in
 
 
@@ -324,10 +321,8 @@ def _pool_sites(x: SparseTensor2D):
     out_v = np.full((m, x.channels), -np.inf)
     np.maximum.at(out_v, inv, x.values)
     winners = np.full((m, x.channels), x.n_sites, np.int64)
-    rows = np.arange(x.n_sites)
-    for c in range(x.channels):
-        is_max = x.values[:, c] == out_v[inv, c]
-        np.minimum.at(winners[:, c], inv[is_max], rows[is_max])
+    rows, cols = np.nonzero(x.values == out_v[inv])
+    np.minimum.at(winners, (inv[rows], cols), rows)
     ox = okeys % w_out
     oy = (okeys // w_out) % h_out
     ob = okeys // (w_out * h_out)

@@ -24,8 +24,9 @@ Execution modes
 ``sparse``  currents exist only on the coordinate map of the incoming spikes;
             during inference, neurons that receive no current simply decay,
             which is applied lazily (see :func:`lazy_decay_advance`) -- a
-            silent neuron below threshold can never spike while decaying, so
-            skipping it is exact.
+            silent neuron below a positive threshold can never spike while
+            decaying, so skipping it is exact.  At ``b <= 0`` a neuron at
+            rest spikes, so such layers take the non-lazy step.
 
 During training both modes keep potentials dense so gradients can flow
 through non-spiking sites; the lazy path is used for inference only.
@@ -567,7 +568,8 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder, lazy):
 
     if run_sparse:
         out_c, out_v, h_out, w_out = _conv_sites(x, kernel)
-        if lazy and recorder is None:
+        # at b <= 0 a silent site at V = 0 spikes, so no site may be skipped
+        if lazy and recorder is None and b > 0:
             spikes = _lif_step_lazy(state, out_c, out_v,
                                     LIFParams(beta, b, alpha), kernel.wnorm2)
             count = int(np.count_nonzero(spikes.values))

@@ -420,7 +420,7 @@ def stride_vs_pool_study(config: TrainConfig, dataset, log=None):
 
 def history_to_csv(history) -> str:
     cols = ["epoch", "lr", "train_loss", "train_acc", "test_acc",
-            "epoch_seconds"]
+            "epoch_seconds", "spikes"]
     lines = [",".join(cols)]
     for row in history:
         lines.append(",".join(repr(row[c]) if isinstance(row[c], float)

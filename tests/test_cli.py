@@ -176,6 +176,32 @@ class TestTrainEvalPipeline:
         assert main(["eval", "--config", tiny_cfg, "--checkpoint",
                      str(tmp_path / "none.ckpt")]) == 2
 
+    @pytest.mark.parametrize("blob", [b"not a checkpoint",
+                                      b"SPKCKPT1arch=2sc3-2\n",
+                                      b"SPKCKPT1\xff\xfe\n"])
+    def test_corrupt_checkpoint_is_exit_2(self, tiny_cfg, tmp_path, capsys, blob):
+        ckpt = tmp_path / "bad.ckpt"
+        ckpt.write_bytes(blob)
+        assert main(["eval", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0]
+
+    @pytest.mark.parametrize("row", ["a.events,0", "a.events,zero,train",
+                                     "a.events,0,validation"])
+    def test_malformed_index_is_exit_2(self, tiny_cfg, tmp_path, capsys, row):
+        data_dir = tmp_path / "files"
+        data_dir.mkdir()
+        (data_dir / "index.csv").write_text(f"file,label,split\n{row}\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(data_dir / "index.csv") in err[0] and "line 2" in err[0]
+
     def test_bad_config_is_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
         bad.write_text("[train]\nlearning_rate = 5\n")

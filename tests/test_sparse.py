@@ -1,11 +1,18 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_oracle, coord_map_mask, random_sparse
 from spikesparse.sparse import (
     ConvKernel2D,
     ShapeError,
     SparseTensor2D,
+    _conv_sites,
+    _conv_sites_grads,
+    _pool_sites,
     count_nonzero,
     dense_conv2d,
     dense_max_pool2d,
@@ -233,3 +240,133 @@ class TestDensePath:
         assert gx.shape == xd.shape
         np.testing.assert_allclose(gx.sum(), g.sum())
         assert np.count_nonzero(gx) <= g.size
+
+
+# ---------------------------------------------------------------------------
+# kernel map vs the per-tap searchsorted loop it replaced (bit-identical)
+
+def _loop_tap_matches(out_c, in_keys, height, width, dx, dy, stride, pad):
+    ix = stride * out_c[:, 1] + dx - pad
+    iy = stride * out_c[:, 2] + dy - pad
+    valid = (ix >= 0) & (ix < width) & (iy >= 0) & (iy < height)
+    if not valid.any():
+        return None
+    q = (out_c[valid, 0] * height + iy[valid]) * width + ix[valid]
+    pos = np.searchsorted(in_keys, q)
+    pos_c = np.minimum(pos, len(in_keys) - 1) if len(in_keys) else pos
+    hit = (pos < len(in_keys)) & (in_keys[pos_c] == q) if len(in_keys) else np.zeros(len(q), bool)
+    if not hit.any():
+        return None
+    return np.flatnonzero(valid)[hit], pos[hit]
+
+
+def _loop_conv_values(x, kernel, out_c):
+    k, s = kernel.k, kernel.stride
+    w = kernel.weights
+    out_v = np.zeros((len(out_c), kernel.out_channels))
+    for dx in range(k):
+        for dy in range(k):
+            m = _loop_tap_matches(out_c, x.keys(), x.height, x.width, dx, dy, s, k // 2)
+            if m is not None:
+                out_v[m[0]] += x.values[m[1]] @ w[:, :, dx, dy].T
+    return out_v
+
+
+def _loop_conv_grads(x, kernel, out_c, g_out):
+    k, s = kernel.k, kernel.stride
+    w = kernel.weights
+    g_w, g_in = np.zeros_like(w), np.zeros_like(x.values)
+    for dx in range(k):
+        for dy in range(k):
+            m = _loop_tap_matches(out_c, x.keys(), x.height, x.width, dx, dy, s, k // 2)
+            if m is not None:
+                g_w[:, :, dx, dy] += g_out[m[0]].T @ x.values[m[1]]
+                g_in[m[1]] += g_out[m[0]] @ w[:, :, dx, dy]
+    return g_w, g_in
+
+
+def _loop_pool_winners(x, out_v):
+    okeys_all = (x.coords[:, 0] * -(-x.height // 2) + x.coords[:, 2] // 2) \
+        * -(-x.width // 2) + x.coords[:, 1] // 2
+    _, inv = np.unique(okeys_all, return_inverse=True)
+    winners = np.full(out_v.shape, x.n_sites, np.int64)
+    rows = np.arange(x.n_sites)
+    for c in range(x.channels):
+        is_max = x.values[:, c] == out_v[inv, c]
+        np.minimum.at(winners[:, c], inv[is_max], rows[is_max])
+    return winners
+
+
+def _loop_pool_grad(x, winners, g_out):
+    g_in = np.zeros_like(x.values)
+    for c in range(x.channels):
+        np.add.at(g_in[:, c], winners[:, c], g_out[:, c])
+    return g_in
+
+
+@st.composite
+def _sparse_inputs(draw, values):
+    batch = draw(st.integers(1, 3))
+    height, width = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    channels = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    border = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((batch, height, width)) < density
+    if border:
+        mask[:, [0, -1], :] = True
+        mask[:, :, [0, -1]] = True
+    b, y, x = np.nonzero(mask)
+    if values == "normal":
+        vals = rng.standard_normal((len(b), channels))
+    else:  # few distinct levels, so pooling windows tie
+        vals = rng.integers(0, 3, (len(b), channels)).astype(np.float64)
+    return SparseTensor2D(np.stack([b, x, y], axis=1), vals, batch, height, width,
+                          channels), rng
+
+
+class TestKernelMapMatchesTapLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_inputs("normal"), st.sampled_from([1, 3, 5]),
+           st.sampled_from([1, 2]), st.integers(1, 4))
+    def test_conv_values_and_grads_bit_identical(self, drawn, k, stride, c_out):
+        x, rng = drawn
+        kernel = ConvKernel2D(rng.standard_normal((c_out, x.channels, k, k)), stride)
+        out_c, out_v, h_out, w_out = _conv_sites(x, kernel)
+        assert np.array_equal(out_c, out_coords(x.coords, stride))
+        assert (h_out, w_out) == (-(-x.height // stride), -(-x.width // stride))
+        assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
+        g_out = rng.standard_normal(out_v.shape)
+        g_w, g_in = _conv_sites_grads(x, kernel, out_c, g_out)
+        ref_w, ref_in = _loop_conv_grads(x, kernel, out_c, g_out)
+        assert np.array_equal(g_w, ref_w) and np.array_equal(g_in, ref_in)
+        g_w_only, no_in = _conv_sites_grads(x, kernel, out_c, g_out,
+                                            need_input_grad=False)
+        assert np.array_equal(g_w_only, ref_w) and no_in is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_sparse_inputs("levels"))
+    def test_pool_winners_and_grads_bit_identical(self, drawn):
+        from spikesparse import autograd
+        x, rng = drawn
+        out_c, out_v, winners, _, _ = _pool_sites(x)
+        assert np.array_equal(winners, _loop_pool_winners(x, out_v))
+        # the pool branch of backward, observed through its adjoint store
+        out = SparseTensor2D(out_c, out_v, x.batch_size, -(-x.height // 2),
+                             -(-x.width // 2), x.channels, validate=False,
+                             canonical=True, prune=False)
+        g_out = rng.standard_normal(out_v.shape)
+        seen = {}
+
+        class Store(autograd._AdjointStore):
+            def add(self, obj, g):
+                if obj is x:
+                    seen["g_in"] = np.array(g)
+                super().add(obj, g)
+
+        tape = autograd.GradientTape()
+        tape.record_pool(x, out, winners, None)
+        tape.record_seed(out, g_out)
+        with patch.object(autograd, "_AdjointStore", Store):
+            autograd.backward(tape)
+        assert np.array_equal(seen["g_in"], _loop_pool_grad(x, winners, g_out))

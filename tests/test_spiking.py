@@ -310,6 +310,22 @@ class TestNetworkForward:
             assert np.array_equal(lazy_logits, dense_logits)
             assert np.array_equal(lazy_counts, dense_counts)
 
+    def test_lazy_matches_non_lazy_at_zero_threshold(self):
+        # project_params lets b reach 0; then a silent site at V = 0 spikes,
+        # so lazy execution may not skip it
+        from spikesparse.event_io import synth_dataset
+        from spikesparse.training import build_model
+        model = build_model("2sc3-4sc3-4", (32, 32))
+        for layer in model.layers:
+            layer.b.value[...] = 0.0
+        grids = [g for g, _ in synth_dataset(4, 1, 32, 32, 20, 10_000, seed=0)[0]]
+        model.reset_state(len(grids))
+        lazy_logits, _, lazy_counts = run_timesteps(model, grids, 20, lazy=True)
+        model.reset_state(len(grids))
+        ref_logits, _, ref_counts = run_timesteps(model, grids, 20, lazy=False)
+        assert np.array_equal(lazy_counts, ref_counts)
+        assert np.array_equal(lazy_logits, ref_logits)
+
     def test_spiking_outputs_are_binary(self):
         rng = np.random.default_rng(14)
         model = make_model(rng, (8, 8), [(2, "sparse", 3)], 3, b=0.01,

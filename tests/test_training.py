@@ -250,7 +250,7 @@ class TestTrainLoop:
             assert np.isfinite(row["train_loss"])
         csv = history_to_csv(history)
         assert csv.splitlines()[0] == ("epoch,lr,train_loss,train_acc,"
-                                       "test_acc,epoch_seconds")
+                                       "test_acc,epoch_seconds,spikes")
         assert len(csv.splitlines()) == 3
 
     def test_higher_initial_threshold_spikes_less_in_first_epoch(self):
