@@ -188,7 +188,8 @@ def softmax_xent(logits, labels):
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    nll = -np.log(probs[np.arange(len(labels)), labels])
+    with np.errstate(divide="ignore"):   # a zero probability: infinite loss
+        nll = -np.log(probs[np.arange(len(labels)), labels])
     return float(nll.mean()), probs
 
 

@@ -12,7 +12,8 @@ ran under (``# config_hash=...`` comment line in CSVs, a ``config_hash`` key
 in JSON), so results remain attributable.
 
 Exit codes: 0 success, 2 missing or unreadable input, 3 config validation
-failure.
+failure or a training run whose loss or gradient stopped being finite.
+Errors print one line to stderr.
 """
 
 from __future__ import annotations
@@ -211,21 +212,24 @@ def load_config(path, environ=None, seed_override=None) -> dict:
 
 def train_config_from(cfg) -> TrainConfig:
     t, m, d = cfg["train"], cfg["model"], cfg["data"]
-    return TrainConfig(
-        arch=m["arch"], in_height=d["height"], in_width=d["width"],
-        t_train=t["t_train"], dt_us=t["dt_us"], lr0=t["lr0"],
-        weight_decay=t["weight_decay"], batch_size=t["batch_size"],
-        schedule=t["schedule"], step_factor=t["step_factor"],
-        step_every=t["step_every"], cosine_period=t["cosine_period"],
-        grad_clip_norm=t["grad_clip_norm"], alpha=t["alpha"],
-        beta_init=t["beta_init"], b_init=t["b_init"],
-        dropout_p=t["dropout_p"], seed=t["seed"],
-        max_epochs=t["max_epochs"], variant=m["variant"],
-        readout_bias=m["readout_bias"], detach_norm=t["detach_norm"],
-        truncate_bptt=t["truncate_bptt"])
+    try:
+        return TrainConfig(
+            arch=m["arch"], in_height=d["height"], in_width=d["width"],
+            t_train=t["t_train"], dt_us=t["dt_us"], lr0=t["lr0"],
+            weight_decay=t["weight_decay"], batch_size=t["batch_size"],
+            schedule=t["schedule"], step_factor=t["step_factor"],
+            step_every=t["step_every"], cosine_period=t["cosine_period"],
+            grad_clip_norm=t["grad_clip_norm"], alpha=t["alpha"],
+            beta_init=t["beta_init"], b_init=t["b_init"],
+            dropout_p=t["dropout_p"], seed=t["seed"],
+            max_epochs=t["max_epochs"], variant=m["variant"],
+            readout_bias=m["readout_bias"], detach_norm=t["detach_norm"],
+            truncate_bptt=t["truncate_bptt"])
+    except ValueError as e:
+        raise ConfigError([str(e)]) from None
 
 
-def load_dataset(cfg, workers):
+def load_dataset(cfg):
     """(train, test) pairs per the [data] section."""
     d = cfg["data"]
     t_bins, dt_us = cfg["train"]["t_train"], cfg["train"]["dt_us"]
@@ -326,7 +330,7 @@ def cmd_synth(args):
 def cmd_train(args):
     cfg = load_config(args.config, seed_override=args.seed)
     tc = train_config_from(cfg)
-    dataset = load_dataset(cfg, args.workers)
+    dataset = load_dataset(cfg)
     ckpt = os.path.join(args.out, "model.ckpt")
     os.makedirs(args.out, exist_ok=True)
     model, history = train(tc, dataset, checkpoint_path=ckpt, log=print)
@@ -350,7 +354,7 @@ def _load_model_and_data(args, need_checkpoint=True):
             raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
     else:
         model = None
-    dataset = load_dataset(cfg, args.workers)
+    dataset = load_dataset(cfg)
     return cfg, model, dataset
 
 
@@ -395,7 +399,7 @@ def cmd_anytime(args):
 def cmd_study_stride(args):
     cfg = load_config(args.config, seed_override=args.seed)
     tc = train_config_from(cfg)
-    dataset = load_dataset(cfg, args.workers)
+    dataset = load_dataset(cfg)
     rows = stride_vs_pool_study(tc, dataset, log=print)
     lines = [f"# config_hash={config_hash(cfg)}",
              "variant,accuracy,total_spikes,epochs"]
@@ -422,7 +426,7 @@ def _build_parser():
         prog="spikesparse",
         description="Sparse spiking convolutional networks on event data")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="parallel width for evaluation batching")
+                   help="evaluation batch size when [eval] batch = 0")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, checkpoint=False, tlist=False):
@@ -485,9 +489,10 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except ConfigError as e:
-        print("config error:", file=sys.stderr)
-        for problem in e.problems:
-            print(f"  {problem}", file=sys.stderr)
+        print(f"config error: {e}", file=sys.stderr)
+        return 3
+    except FloatingPointError as e:
+        print(f"error: {e}", file=sys.stderr)
         return 3
     except (FileNotFoundError, InputError) as e:
         print(f"error: {e}", file=sys.stderr)

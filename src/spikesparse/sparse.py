@@ -354,8 +354,9 @@ def sparsify(dense) -> SparseTensor2D:
     b, y, x = np.nonzero(np.any(dense != 0.0, axis=1))
     coords = np.stack([b, x, y], axis=1)
     values = dense[b, :, y, x]
+    # np.nonzero yields (b, y, x) order and only the rows with a nonzero
     return SparseTensor2D(coords, values, batch, height, width, channels,
-                          validate=False)
+                          validate=False, canonical=True, prune=False)
 
 
 def count_nonzero(x: SparseTensor2D):

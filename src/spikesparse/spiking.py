@@ -21,21 +21,22 @@ Execution modes
 ---------------
 ``dense``   potentials *and* currents live in dense arrays; convolution is
             evaluated everywhere.
-``sparse``  currents exist only on the coordinate map of the incoming spikes;
-            during inference, neurons that receive no current simply decay,
-            which is applied lazily (see :func:`lazy_decay_advance`) -- a
-            silent neuron below a positive threshold can never spike while
-            decaying, so skipping it is exact.  At ``b <= 0`` a neuron at
-            rest spikes, so such layers take the non-lazy step.
+``sparse``  currents exist only on the coordinate map of the incoming spikes.
+            Without a gradient tape, only the sites that receive current or
+            spiked on the previous step (reset pending) get the full update;
+            every other neuron only decays, and all of them decay together
+            in one dense multiply by ``beta``, bit-identical to the full
+            update at ``I = 0``.  A silent neuron below a positive threshold
+            can never spike while decaying, so this is exact.  At ``b <= 0``
+            a neuron at rest spikes, so such layers update every site.
 
-During training both modes keep potentials dense so gradients can flow
-through non-spiking sites; the lazy path is used for inference only.
+Potentials are always dense.  Taped (training) forwards update every site
+so gradients can flow through non-spiking sites.
 """
 
 from __future__ import annotations
 
 import re
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,7 @@ from .sparse import (
     dense_conv2d,
     dense_max_pool2d,
     densify,
+    sparsify,
 )
 
 __all__ = [
@@ -64,9 +66,6 @@ __all__ = [
     "surrogate_grad",
     "lif_step",
     "lazy_decay_advance",
-    "spiking_conv_forward",
-    "dropout_per_timestep",
-    "readout_forward",
     "run_timesteps",
     "network_forward",
     "parse_architecture",
@@ -143,10 +142,11 @@ class LIFLayerState:
     """Membrane potentials and last-step spikes for one layer.
 
     ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes_dense`` mirrors
-    the last emitted spikes (real-valued in soft-forward mode).  For the lazy
-    inference path, ``last_touch[b, y, x]`` records the step at which a
-    site's potentials were last brought current and ``step`` the index of the
-    last computed timestep.
+    the last emitted spikes (real-valued in soft-forward mode) and
+    ``prev_spike_coords`` their sites.  ``step`` is the index of the last
+    computed timestep, and ``last_touch[b, y, x]`` the last step at which a
+    site got the full update: in the sparse step only the sites that took
+    input or a reset, in the dense step every site.
     """
 
     __slots__ = ("potentials", "prev_spikes_dense", "prev_spike_coords",
@@ -171,13 +171,55 @@ class LIFLayerState:
         self.step = -1
 
 
-def _binary_spike_tensor(s_dense) -> SparseTensor2D:
-    batch, channels, height, width = s_dense.shape
-    b, y, x = np.nonzero(np.any(s_dense != 0.0, axis=1))
-    coords = np.stack([b, x, y], axis=1)
-    values = s_dense[b, :, y, x]
-    return SparseTensor2D(coords, values, batch, height, width, channels,
-                          validate=False, canonical=True, prune=False)
+def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
+                soft_alpha=None, sparse_out=True):
+    """The one LIF update: recurrence, spike decision and state commit.
+
+    With ``rows=None`` every site updates from the dense ``[B, C, H, W]``
+    ``current``.  With ``rows = (bi, ys, xs)`` only those sites get the full
+    update, each from its ``[C]`` row of ``current``; every other site must
+    have neither input nor a pending reset (``I = 0``, ``S_own = 0``), so its
+    update is exactly ``beta * V`` and is applied as one dense multiply.
+    ``soft_alpha`` replaces the hard step by ``sigmoid(soft_alpha * u)``.
+
+    Returns ``(spikes, v_prev, s_prev)``: the emitted spikes as a sparse
+    tensor (``None`` for soft spikes or ``sparse_out=False``) and the
+    previous potentials and spikes, which a tape records beside the new ones
+    (``state.potentials``, ``state.prev_spikes_dense``).
+    """
+    if rows is None:
+        v_prev, s_prev = state.potentials, state.prev_spikes_dense
+    else:
+        bi, ys, xs = rows
+        v_prev = state.potentials[bi, :, ys, xs]
+        s_prev = state.prev_spikes_dense[bi, :, ys, xs]
+    thr = b * w2e
+    v_new = beta * (v_prev - thr * s_prev) + (1.0 - beta) * current
+    u = v_new / w2e - b
+    if soft_alpha is None:
+        s_new = (u >= 0).astype(np.float64)
+    else:
+        s_new = _sigmoid(soft_alpha * u)
+    step = state.step + 1
+    if rows is None:
+        spikes = sparsify(s_new) if sparse_out and soft_alpha is None else None
+        state.potentials, state.prev_spikes_dense = v_new, s_new
+        state.last_touch.fill(step)
+    else:
+        batch, channels, height, width = state.shape
+        spikes = SparseTensor2D(np.stack([bi, xs, ys], axis=1), s_new, batch,
+                                height, width, channels, validate=False,
+                                canonical=True)
+        # out of place: a tape may still hold the old potentials
+        state.potentials = state.potentials * beta
+        state.potentials[bi, :, ys, xs] = v_new
+        # the last spikes sit on touched rows, so this overwrites them all
+        state.prev_spikes_dense[bi, :, ys, xs] = s_new
+        state.last_touch[bi, ys, xs] = step
+    state.prev_spike_coords = (spikes.coords if spikes is not None
+                               else np.empty((0, 3), np.int64))
+    state.step = step
+    return spikes, v_prev, s_prev
 
 
 def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
@@ -194,17 +236,8 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
         i_dense = np.asarray(current, dtype=np.float64)
     if i_dense.shape != state.shape:
         raise ShapeError(f"current shape {i_dense.shape} != state {state.shape}")
-    w2e = wnorm2 + params.eps
-    thr = params.b * w2e
-    v_new = params.beta * (state.potentials - thr * state.prev_spikes_dense) \
-        + (1.0 - params.beta) * i_dense
-    s_dense = ((v_new / w2e - params.b) >= 0).astype(np.float64)
-    spikes = _binary_spike_tensor(s_dense)
-    state.potentials = v_new
-    state.prev_spikes_dense = s_dense
-    state.prev_spike_coords = spikes.coords
-    state.step += 1
-    state.last_touch.fill(state.step)
+    spikes, _, _ = _lif_update(state, i_dense, params.beta, params.b,
+                               wnorm2 + params.eps)
     return spikes, state
 
 
@@ -224,61 +257,30 @@ def lazy_decay_advance(state: LIFLayerState, gap: int, params: LIFParams,
     for _ in range(gap):
         state.potentials = state.potentials * params.beta
     state.step += gap
-    if gap:
-        state.last_touch.fill(state.step)
     return state
 
 
 def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
-    """Sparse-execution LIF update: touch only sites that can change.
+    """Sparse-execution LIF update: the full update only where it can matter.
 
-    A site needs work this step iff it receives input current or spiked last
-    step (its reset is pending); every other site decays lazily.  Returns the
-    new spikes as a pruned binary sparse tensor.
+    A site needs it iff it receives input current or spiked last step (its
+    reset is pending); every other site only decays, which with ``b > 0``
+    can never make it spike.  Returns the new spikes as a pruned binary
+    sparse tensor.
     """
-    n = state.step + 1
     batch, channels, height, width = state.shape
-    w2e = wnorm2 + params.eps
-    thr = params.b * w2e
 
     def keys_of(c):
         return (c[:, 0] * height + c[:, 2]) * width + c[:, 1]
 
-    touched_keys = np.union1d(keys_of(cur_coords), keys_of(state.prev_spike_coords))
-    if len(touched_keys) == 0:
-        state.step = n
-        return SparseTensor2D.empty(batch, height, width, channels)
-    tx = touched_keys % width
-    ty = (touched_keys // width) % height
-    tb = touched_keys // (width * height)
-
-    v_rows = state.potentials[tb, :, ty, tx]
-    gaps = n - state.last_touch[tb, ty, tx] - 1
-    max_gap = int(gaps.max(initial=0))
-    for g in range(1, max_gap + 1):
-        lagging = gaps >= g
-        v_rows[lagging] = v_rows[lagging] * params.beta
-
-    i_rows = np.zeros_like(v_rows)
+    touched = np.union1d(keys_of(cur_coords), keys_of(state.prev_spike_coords))
+    rows = (touched // (width * height), (touched // width) % height,
+            touched % width)
+    current = np.zeros((len(touched), channels))
     if len(cur_coords):
-        pos = np.searchsorted(touched_keys, keys_of(cur_coords))
-        i_rows[pos] = cur_vals
-    s_prev_rows = state.prev_spikes_dense[tb, :, ty, tx]
-    v_rows = params.beta * (v_rows - thr * s_prev_rows) + (1.0 - params.beta) * i_rows
-    s_rows = ((v_rows / w2e - params.b) >= 0).astype(np.float64)
-
-    state.potentials[tb, :, ty, tx] = v_rows
-    if len(state.prev_spike_coords):
-        pc = state.prev_spike_coords
-        state.prev_spikes_dense[pc[:, 0], :, pc[:, 2], pc[:, 1]] = 0.0
-    state.prev_spikes_dense[tb, :, ty, tx] = s_rows
-    state.last_touch[tb, ty, tx] = n
-    state.step = n
-
-    spikes = SparseTensor2D(np.stack([tb, tx, ty], axis=1), s_rows, batch,
-                            height, width, channels, validate=False,
-                            canonical=True)
-    state.prev_spike_coords = spikes.coords
+        current[np.searchsorted(touched, keys_of(cur_coords))] = cur_vals
+    spikes, _, _ = _lif_update(state, current, params.beta, params.b,
+                               wnorm2 + params.eps, rows)
     return spikes
 
 
@@ -345,36 +347,6 @@ class ReadoutLayer:
         return self.weight.value.shape[1]
 
 
-def spiking_conv_forward(layer: SpikingConvLayer, s_in: SparseTensor2D):
-    """Sparse conv followed by the LIF update: one layer, one timestep."""
-    out_c, out_v, h_out, w_out = _conv_sites(s_in, layer.kernel)
-    current = SparseTensor2D(out_c, out_v, s_in.batch_size, h_out, w_out,
-                             layer.kernel.out_channels, validate=False,
-                             canonical=True, prune=False)
-    spikes, _ = lif_step(layer.state, current, layer.lif_params(),
-                         layer.kernel.wnorm2)
-    return spikes
-
-
-def dropout_per_timestep(x, p, rng, training):
-    """Inverted dropout over every scalar; identity when not training.
-
-    A fresh mask is drawn on every call, i.e. per timestep.
-    """
-    if not 0 <= p < 1:
-        raise ValueError("p must be in [0, 1)")
-    if not training or p == 0.0:
-        return x
-    scale = 1.0 / (1.0 - p)
-    if isinstance(x, SparseTensor2D):
-        mask = rng.random(x.values.shape) >= p
-        return SparseTensor2D(x.coords, x.values * mask * scale, x.batch_size,
-                              x.height, x.width, x.channels, validate=False,
-                              canonical=True)
-    mask = rng.random(x.shape) >= p
-    return x * mask * scale
-
-
 def _flat_indices(x: SparseTensor2D):
     """Flat feature index of every scalar of a sparse tensor, shape (N, C).
 
@@ -386,38 +358,31 @@ def _flat_indices(x: SparseTensor2D):
             + x.coords[:, 1:2])
 
 
-def _readout_batch(readout: ReadoutLayer, x, batch_size=None):
+def _readout_batch(readout: ReadoutLayer, x):
+    """Logits ``[B, num_classes]`` of one timestep's spike map.
+
+    ``x`` is a sparse tensor, whose nonzero scalars each add one weight
+    column, or a dense ``[B, C, H, W]`` array; ``C * H * W`` must equal the
+    readout's input size.
+    """
     w = readout.weight.value
-    if isinstance(x, SparseTensor2D):
+    sparse = isinstance(x, SparseTensor2D)
+    features = (x.channels * x.height * x.width if sparse
+                else int(np.prod(x.shape[1:])))
+    if features != readout.in_features:
+        raise ShapeError(
+            f"{features} features, readout expects {readout.in_features}")
+    if sparse:
         logits = np.zeros((x.batch_size, readout.num_classes))
         if x.n_sites:
             flat = _flat_indices(x)
             contrib = w[:, flat.ravel()].T * x.values.reshape(-1, 1)
             np.add.at(logits, np.repeat(x.coords[:, 0], x.channels), contrib)
     else:
-        flat = x.reshape(x.shape[0], -1)
-        if flat.shape[1] != readout.in_features:
-            raise ShapeError(
-                f"{flat.shape[1]} features, readout expects {readout.in_features}")
-        logits = flat @ w.T
+        logits = x.reshape(x.shape[0], -1) @ w.T
     if readout.bias is not None:
         logits = logits + readout.bias.value
     return logits
-
-
-def readout_forward(readout: ReadoutLayer, spikes_t) -> np.ndarray:
-    """Logits for one timestep; accumulates only the weight columns at
-    nonzero positions when the input is sparse.  Returns ``[num_classes]``
-    for a single-sample input, else ``[B, num_classes]``."""
-    if isinstance(spikes_t, SparseTensor2D):
-        if spikes_t.n_sites:
-            flat = _flat_indices(spikes_t)
-            if flat.size and flat.max() >= readout.in_features:
-                raise ShapeError("spike map larger than readout input")
-        logits = _readout_batch(readout, spikes_t)
-        return logits[0] if spikes_t.batch_size == 1 else logits
-    logits = _readout_batch(readout, np.asarray(spikes_t, dtype=np.float64))
-    return logits[0] if logits.shape[0] == 1 else logits
 
 
 # ---------------------------------------------------------------------------
@@ -556,67 +521,44 @@ def _batch_slice(grids, t) -> SparseTensor2D:
                           canonical=True, prune=False)
 
 
-def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder, lazy):
+def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
     """Conv + LIF (+ optional pool) for one timestep.  Returns
-    (next layer input, nonzero scalar count of the emitted spikes)."""
+    (next layer input, nonzero scalar count of the emitted spikes).
+
+    Untaped hard-threshold sparse layers with ``b > 0`` take the sparse step
+    (:func:`_lif_step_lazy`); at ``b <= 0`` a silent site at rest spikes, so
+    every site must be updated.
+    """
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
     w2e = kernel.wnorm2 + EPSILON
-    thr = b * w2e
-    run_sparse = layer.mode == "sparse" and isinstance(x, SparseTensor2D) and not soft
-
-    if run_sparse:
-        out_c, out_v, h_out, w_out = _conv_sites(x, kernel)
-        # at b <= 0 a silent site at V = 0 spikes, so no site may be skipped
-        if lazy and recorder is None and b > 0:
-            spikes = _lif_step_lazy(state, out_c, out_v,
-                                    LIFParams(beta, b, alpha), kernel.wnorm2)
-            count = int(np.count_nonzero(spikes.values))
-            out = spikes
-            if layer.pool:
-                pc, pv, _, ph, pw = _pool_sites(spikes)
-                out = SparseTensor2D(pc, pv, spikes.batch_size, ph, pw,
-                                     spikes.channels, validate=False,
-                                     canonical=True)
-            return out, count
-        i_dense = np.zeros(state.shape)
-        if len(out_c):
-            i_dense[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]] = out_v
-        conv_ctx = ("sparse", x, out_c, out_v)
+    conv_ctx = None
+    if layer.mode == "sparse" and isinstance(x, SparseTensor2D) and not soft:
+        out_c, out_v, _, _ = _conv_sites(x, kernel)
+        if recorder is None and b > 0:
+            spikes = _lif_step_lazy(state, out_c, out_v, layer.lif_params(),
+                                    kernel.wnorm2)
+        else:
+            i_dense = np.zeros(state.shape)
+            if len(out_c):
+                i_dense[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]] = out_v
+            conv_ctx = ("sparse", x, out_c, out_v)
     else:
         xd = densify(x) if isinstance(x, SparseTensor2D) else x
         i_dense = dense_conv2d(xd, kernel.weights, kernel.stride)
         conv_ctx = ("dense", x, None, i_dense)
-
-    v_prev = state.potentials
-    s_prev = state.prev_spikes_dense
-    v_new = beta * (v_prev - thr * s_prev) + (1.0 - beta) * i_dense
-    u = v_new / w2e - b
-    if soft:
-        s_dense = _sigmoid(alpha * u)
-    else:
-        s_dense = (u >= 0).astype(np.float64)
-    count = int(np.count_nonzero(s_dense))
-
-    spikes_sparse = None
-    if layer.mode == "sparse" and not soft:
-        spikes_sparse = _binary_spike_tensor(s_dense)
-        out = spikes_sparse
-    else:
-        out = s_dense
-
-    state.potentials = v_new
-    state.prev_spikes_dense = s_dense
-    state.prev_spike_coords = (spikes_sparse.coords if spikes_sparse is not None
-                               else np.empty((0, 3), np.int64))
-    state.step += 1
-    state.last_touch.fill(state.step)
-
-    if recorder is not None:
-        recorder.record_conv(layer, conv_ctx)
-        recorder.record_lif(layer, v_prev, v_new, s_prev, s_dense,
-                            spikes_sparse, conv_ctx, w2e, soft)
+    if conv_ctx is not None:
+        spikes, v_prev, s_prev = _lif_update(
+            state, i_dense, beta, b, w2e, soft_alpha=alpha if soft else None,
+            sparse_out=layer.mode == "sparse")
+        if recorder is not None:
+            recorder.record_conv(layer, conv_ctx)
+            recorder.record_lif(layer, v_prev, state.potentials, s_prev,
+                                state.prev_spikes_dense, spikes, conv_ctx,
+                                w2e, soft)
+    out = state.prev_spikes_dense if spikes is None else spikes
+    count = int(np.count_nonzero(out if spikes is None else spikes.values))
 
     if layer.pool:
         if isinstance(out, SparseTensor2D):
@@ -624,25 +566,26 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder, lazy):
             pooled = SparseTensor2D(pc, pv, out.batch_size, ph, pw,
                                     out.channels, validate=False, canonical=True,
                                     prune=False)
-            if recorder is not None:
-                recorder.record_pool(out, pooled, winners, None)
-            out = pooled
+            in_hw = None
         else:
             pooled, winners = dense_max_pool2d(out)
-            if recorder is not None:
-                recorder.record_pool(out, pooled, winners,
-                                     (out.shape[2], out.shape[3]))
-            out = pooled
+            in_hw = (out.shape[2], out.shape[3])
+        if recorder is not None:
+            recorder.record_pool(out, pooled, winners, in_hw)
+        out = pooled
     return out, count
 
 
 def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
-                  rng=None, recorder=None, lazy=None):
+                  rng=None, recorder=None):
     """Drive a batch of voxel grids through ``t_eval`` timesteps.
 
     States are *not* reset here, so consecutive calls continue a run.  With
     ``training=True`` a fresh dropout mask is drawn per timestep from ``rng``.
-    Returns ``(per-timestep logits [T, B, classes], per-layer spike counts)``.
+    Every layer keeps dense potentials; without a ``recorder`` the sparse
+    layers update only the sites that can change (see the module docstring).
+    Returns ``(per-timestep logits [T, B, classes], mean logits, per-layer
+    spike counts)``.
     """
     if t_eval < 1:
         raise ValueError("t_eval must be >= 1")
@@ -651,9 +594,6 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
             raise ValueError(
                 f"need {start + t_eval} timesteps but grid has {grid.n_timesteps}; "
                 "regenerate the grid with more bins")
-    if lazy is None:
-        lazy = not training and recorder is None
-    batch = len(grids)
     counts = np.zeros(len(model.layers), dtype=np.int64)
     logits_seq = []
     dropout_on = training and model.dropout_p > 0.0
@@ -664,8 +604,7 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
         if model.soft:
             x = densify(x)
         for li, layer in enumerate(model.layers):
-            x, c = _layer_forward(layer, x, model.soft, model.alpha, recorder,
-                                  lazy)
+            x, c = _layer_forward(layer, x, model.soft, model.alpha, recorder)
             counts[li] += c
         if dropout_on:
             x = _dropout_recorded(x, model.dropout_p, rng, recorder)
@@ -681,6 +620,9 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
 
 
 def _dropout_recorded(x, p, rng, recorder):
+    """Inverted dropout with a fresh mask per call (i.e. per timestep) over
+    every scalar of ``x``, kept by probability ``1 - p`` with ``0 <= p < 1``
+    and scaled by ``1 / (1 - p)``; the mask goes on the tape when there is one."""
     scale = 1.0 / (1.0 - p)
     if isinstance(x, SparseTensor2D):
         mask = rng.random(x.values.shape) >= p

@@ -91,6 +91,9 @@ class TrainConfig:
         for name in ("t_train", "dt_us", "batch_size", "max_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.dropout_p < 1:
+            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p!r}")
+        parse_architecture(self.arch)
 
 
 def loss_mean_logits(per_timestep_logits, label) -> float:
@@ -246,6 +249,8 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
     Returns ``(best_model, history)``: the checkpointed model from the epoch
     with the best test accuracy, and one history row per epoch with keys
     epoch, lr, train_loss, train_acc, test_acc, epoch_seconds, spikes.
+    Raises ``FloatingPointError`` naming the epoch and batch as soon as a
+    batch's loss or global gradient norm is not finite.
     """
     train_pairs, test_pairs = dataset
     if len(train_pairs) == 0:
@@ -265,7 +270,8 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
         lr = schedule_lr(config, epoch)
         order = shuffle_rng.permutation(len(train_pairs))
         total_loss, correct, spikes = 0.0, 0, 0
-        for idx in _batches(len(train_pairs), config.batch_size, order):
+        for bi, idx in enumerate(_batches(len(train_pairs), config.batch_size,
+                                          order)):
             grids = [train_pairs[i][0] for i in idx]
             labels = np.array([train_pairs[i][1] for i in idx])
             tape = GradientTape()
@@ -276,6 +282,11 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
             loss, probs = softmax_xent(mean, labels)
             tape.record_loss(probs, labels, mean)
             grads = backward(tape, truncate=config.truncate_bptt)
+            norm = grads.global_norm(params)
+            if not (math.isfinite(loss) and math.isfinite(norm)):
+                raise FloatingPointError(
+                    f"epoch {epoch}, batch {bi}: non-finite training loss "
+                    f"{loss!r} or gradient norm {norm!r}")
             clip_grad_norm(grads, config.grad_clip_norm)
             radam_step(params, grads, opt, lr, config.weight_decay)
             project_params(model)

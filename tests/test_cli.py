@@ -210,6 +210,28 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err
         assert "train.learning_rate" in err
 
+    @pytest.mark.parametrize("extra, key", [
+        ("[train]\nschedule = foo\n", "schedule"),
+        ("[model]\narch = 4xx5-4\n", "4xx5"),
+        ("[train]\ndropout_p = 1.0\n", "dropout_p"),
+    ])
+    def test_invalid_training_config_is_exit_3(self, tmp_path, capsys, extra, key):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(TINY + extra)
+        assert main(["train", "--config", str(bad), "--out",
+                     str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert key in err[0]
+
+    def test_non_finite_loss_is_exit_3(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(TINY + "lr0 = 1e8\n")
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "x")]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: epoch 0, batch 1: ")
+
     def test_train_on_synth_files_dataset(self, tiny_cfg, tmp_path):
         data_dir = tmp_path / "files"
         assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model, random_sparse, simulate_reference
+from spikesparse.autograd import GradientTape
 from spikesparse.event_io import EventStream, build_voxel_grid
 from spikesparse.sparse import ConvKernel2D, ShapeError, SparseTensor2D, densify
 from spikesparse.spiking import (
@@ -11,15 +14,15 @@ from spikesparse.spiking import (
     LIFLayerState,
     LIFParams,
     ReadoutLayer,
-    dropout_per_timestep,
+    _dropout_recorded,
+    _layer_forward,
+    _readout_batch,
     heaviside_spike,
     lazy_decay_advance,
     lif_step,
     network_forward,
     parse_architecture,
-    readout_forward,
     run_timesteps,
-    spiking_conv_forward,
     surrogate_grad,
 )
 
@@ -160,6 +163,9 @@ class TestLazyDecay:
 
 
 class TestSpikingConvForward:
+    """One sparse layer step, untaped (sparse LIF step) and taped (every
+    site updated)."""
+
     def make_layer(self, rng, mode="sparse", b=0.3):
         from spikesparse.spiking import SpikingConvLayer
         kern = ConvKernel2D(np.full((1, 1, 3, 3), 0.5), stride=1)
@@ -168,40 +174,51 @@ class TestSpikingConvForward:
         return layer
 
     def test_empty_input_empty_output(self):
-        layer = self.make_layer(np.random.default_rng(0))
-        out = spiking_conv_forward(layer, SparseTensor2D.empty(1, 6, 6, 1))
-        assert out.n_sites == 0
+        for recorder in (None, GradientTape()):
+            layer = self.make_layer(np.random.default_rng(0))
+            out, count = _layer_forward(layer, SparseTensor2D.empty(1, 6, 6, 1),
+                                        False, 3.0, recorder)
+            assert out.n_sites == 0 and count == 0
 
     def test_supra_threshold_input_spikes_once(self):
-        layer = self.make_layer(np.random.default_rng(0), b=0.1)
         # wnorm2 = 9 * 0.25 = 2.25; a lone +30 at the centre tap gives
         # V = 0.3 * 0.5 * 30 = 4.5, u = 4.5/2.25 - 0.1 > 0 -> spike at (2,2)
         x = SparseTensor2D(np.array([[0, 2, 2]]), np.array([[30.0]]), 1, 6, 6, 1)
-        out = spiking_conv_forward(layer, x)
-        assert out.coords.tolist() == [[0, 2, 2]]
-        assert out.values.tolist() == [[1.0]]
+        for recorder in (None, GradientTape()):
+            layer = self.make_layer(np.random.default_rng(0), b=0.1)
+            out, count = _layer_forward(layer, x, False, 3.0, recorder)
+            assert out.coords.tolist() == [[0, 2, 2]]
+            assert out.values.tolist() == [[1.0]] and count == 1
 
     def test_integration_across_steps(self):
-        layer = self.make_layer(np.random.default_rng(0), b=0.8)
-        x = SparseTensor2D(np.array([[0, 2, 2]]), np.array([[10.0]]), 1, 6, 6, 1)
-        first = spiking_conv_forward(layer, x)
-        second = spiking_conv_forward(layer, x)
         # V after one step: 0.3*5 = 1.5 (u = 1.5/2.25 - 0.8 < 0); after two:
         # 0.7*1.5 + 1.5 = 2.55 (u = 2.55/2.25 - 0.8 > 0)
-        assert first.n_sites == 0 and second.n_sites == 1
+        x = SparseTensor2D(np.array([[0, 2, 2]]), np.array([[10.0]]), 1, 6, 6, 1)
+        for recorder in (None, GradientTape()):
+            layer = self.make_layer(np.random.default_rng(0), b=0.8)
+            first, _ = _layer_forward(layer, x, False, 3.0, recorder)
+            second, _ = _layer_forward(layer, x, False, 3.0, recorder)
+            assert first.n_sites == 0 and second.n_sites == 1
 
 
 class TestDropout:
     def test_p_zero_and_eval_are_identity(self):
         rng = np.random.default_rng(0)
-        x = random_sparse(rng, 1, 6, 6, 2, density=0.4)
-        assert dropout_per_timestep(x, 0.0, rng, training=True) is x
-        assert dropout_per_timestep(x, 0.5, rng, training=False) is x
+        model = make_model(rng, (8, 8), [(2, "sparse", 3)], 3, b=0.05,
+                           weight_scale=0.8, dropout_p=0.5)
+        grid = random_grid(rng, 8, 8, t_bins=4, density=0.3)
+        model.reset_state(1)
+        evaluated, _, counts = run_timesteps(model, [grid], 4)
+        assert counts.sum() > 0
+        model.dropout_p = 0.0
+        model.reset_state(1)
+        trained, _, _ = run_timesteps(model, [grid], 4, training=True)
+        assert np.array_equal(trained, evaluated)
 
     def test_kept_fraction(self):
         rng = np.random.default_rng(1)
         x = np.ones((1, 10, 100, 100))
-        out = dropout_per_timestep(x, 0.5, rng, training=True)
+        out = _dropout_recorded(x, 0.5, rng, None)
         kept = np.count_nonzero(out) / out.size
         assert abs(kept - 0.5) < 0.01
         assert set(np.unique(out)) <= {0.0, 2.0}
@@ -209,7 +226,7 @@ class TestDropout:
     def test_sparse_masking(self):
         rng = np.random.default_rng(2)
         x = random_sparse(rng, 1, 32, 32, 4, density=0.5)
-        out = dropout_per_timestep(x, 0.5, rng, training=True)
+        out = _dropout_recorded(x, 0.5, rng, None)
         assert out.n_sites <= x.n_sites
         dense_in, dense_out = densify(x), densify(out)
         changed = dense_out != 0
@@ -219,8 +236,8 @@ class TestDropout:
 class TestReadout:
     def test_empty_spikes_give_bias(self):
         readout = ReadoutLayer(np.ones((3, 16)), np.array([1.0, 2.0, 3.0]))
-        out = readout_forward(readout, SparseTensor2D.empty(1, 4, 4, 1))
-        assert out.tolist() == [1.0, 2.0, 3.0]
+        out = _readout_batch(readout, SparseTensor2D.empty(1, 4, 4, 1))
+        assert out.tolist() == [[1.0, 2.0, 3.0]]
 
     def test_single_spike_selects_column(self):
         rng = np.random.default_rng(3)
@@ -229,7 +246,7 @@ class TestReadout:
         readout = ReadoutLayer(w, bias)
         # spike at (x=3, y=1), channel 1 -> flat index (1*4 + 1)*4 + 3 = 23
         x = SparseTensor2D(np.array([[0, 3, 1]]), np.array([[0.0, 1.0]]), 1, 4, 4, 2)
-        np.testing.assert_allclose(readout_forward(readout, x), bias + w[:, 23])
+        np.testing.assert_allclose(_readout_batch(readout, x)[0], bias + w[:, 23])
 
     def test_matches_dense_matvec(self):
         rng = np.random.default_rng(4)
@@ -237,9 +254,19 @@ class TestReadout:
         w = rng.standard_normal((7, 3 * 5 * 6))
         bias = rng.standard_normal(7)
         readout = ReadoutLayer(w, bias)
-        got = readout_forward(readout, x)
+        got = _readout_batch(readout, x)
         want = densify(x).reshape(2, -1) @ w.T + bias
         np.testing.assert_allclose(got, want, atol=1e-6)
+        np.testing.assert_allclose(_readout_batch(readout, densify(x)), want,
+                                   atol=1e-6)
+
+    def test_geometry_mismatch(self):
+        readout = ReadoutLayer(np.ones((3, 16)))
+        for x in (SparseTensor2D.empty(1, 4, 2, 1),
+                  SparseTensor2D(np.array([[0, 4, 0]]), np.ones((1, 1)), 1, 2, 5, 1),
+                  np.zeros((1, 1, 4, 2)), np.zeros((2, 2, 4, 4))):
+            with pytest.raises(ShapeError):
+                _readout_batch(readout, x)
 
 
 class TestNetworkForward:
@@ -304,9 +331,10 @@ class TestNetworkForward:
                                4, b=0.05, weight_scale=0.8)
             grid = random_grid(rng, 10, 10, t_bins=6, density=0.15)
             model.reset_state(1)
-            lazy_logits, _, lazy_counts = run_timesteps(model, [grid], 6, lazy=True)
+            lazy_logits, _, lazy_counts = run_timesteps(model, [grid], 6)
             model.reset_state(1)
-            dense_logits, _, dense_counts = run_timesteps(model, [grid], 6, lazy=False)
+            dense_logits, _, dense_counts = run_timesteps(
+                model, [grid], 6, recorder=GradientTape())
             assert np.array_equal(lazy_logits, dense_logits)
             assert np.array_equal(lazy_counts, dense_counts)
 
@@ -320,9 +348,10 @@ class TestNetworkForward:
             layer.b.value[...] = 0.0
         grids = [g for g, _ in synth_dataset(4, 1, 32, 32, 20, 10_000, seed=0)[0]]
         model.reset_state(len(grids))
-        lazy_logits, _, lazy_counts = run_timesteps(model, grids, 20, lazy=True)
+        lazy_logits, _, lazy_counts = run_timesteps(model, grids, 20)
         model.reset_state(len(grids))
-        ref_logits, _, ref_counts = run_timesteps(model, grids, 20, lazy=False)
+        ref_logits, _, ref_counts = run_timesteps(model, grids, 20,
+                                                  recorder=GradientTape())
         assert np.array_equal(lazy_counts, ref_counts)
         assert np.array_equal(lazy_logits, ref_logits)
 
@@ -333,12 +362,54 @@ class TestNetworkForward:
         grid = random_grid(rng, 8, 8, t_bins=4, density=0.3)
         model.reset_state(1)
         x = None
-        from spikesparse.spiking import _batch_slice, _layer_forward
+        from spikesparse.spiking import _batch_slice
         for t in range(4):
             x = _batch_slice([grid], t)
-            x, _ = _layer_forward(model.layers[0], x, False, 3.0, None, False)
+            x, _ = _layer_forward(model.layers[0], x, False, 3.0, None)
             if x.n_sites:
                 assert set(np.unique(x.values)) <= {0.0, 1.0}
+
+
+edge_beta = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))
+edge_b = st.one_of(st.just(0.0), st.floats(1e-3, 0.5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       variant=st.sampled_from(["stride", "pool"]),
+       active=st.lists(st.booleans(), min_size=6, max_size=6),
+       batch=st.integers(1, 2))
+def test_untaped_forward_equals_taped(data, seed, variant, active, batch):
+    """The untaped forward (sparse LIF step wherever b > 0) ends in exactly
+    the logits, spikes and potentials of the taped forward, which updates
+    every site, at the leak and threshold values the projection can reach
+    and across silent timesteps."""
+    rng = np.random.default_rng(seed)
+    specs = [(data.draw(st.integers(1, 3)), "sparse",
+              data.draw(st.sampled_from([1, 3, 5])))
+             for _ in range(data.draw(st.integers(2, 3)))]
+    model = make_model(rng, (12, 12), specs, 3, variant=variant, weight_scale=0.8)
+    for layer in model.layers:
+        layer.beta.value[...] = data.draw(edge_beta)
+        layer.b.value[...] = data.draw(edge_b)
+    bins = np.flatnonzero(active)
+    grids = []
+    for _ in range(batch):
+        n = 40 if len(bins) else 0
+        ts = np.sort(rng.choice(bins, n) * 1000 + rng.integers(0, 1000, n))
+        stream = EventStream(ts, rng.integers(0, 12, n), rng.integers(0, 12, n),
+                             rng.integers(0, 2, n), 12, 12)
+        grids.append(build_voxel_grid(stream, 1000, 6))
+    model.reset_state(batch)
+    got_logits, _, got_counts = run_timesteps(model, grids, 6)
+    got_v = [layer.state.potentials for layer in model.layers]
+    model.reset_state(batch)
+    ref_logits, _, ref_counts = run_timesteps(model, grids, 6,
+                                              recorder=GradientTape())
+    assert np.array_equal(got_counts, ref_counts)
+    assert np.array_equal(got_logits, ref_logits)
+    for got, layer in zip(got_v, model.layers):
+        assert np.array_equal(got, layer.state.potentials)
 
 
 class TestParseArchitecture:

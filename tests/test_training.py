@@ -266,6 +266,19 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(tiny_config(), ([], []))
 
+    def test_non_finite_loss_aborts_naming_epoch_and_batch(self):
+        # after one update at lr0 = 1e8 the next batch's softmax gives its
+        # labels probability 0: an infinite loss
+        cfg = tiny_config(lr0=1e8, batch_size=3, max_epochs=3)
+        with pytest.raises(FloatingPointError, match=r"^epoch 0, batch 1: "):
+            train(cfg, tiny_dataset(per_class=2))
+
+    @pytest.mark.parametrize("bad", [dict(dropout_p=1.0), dict(dropout_p=-0.1),
+                                     dict(arch="4xx5-4")])
+    def test_config_validated_at_construction(self, bad):
+        with pytest.raises(ValueError):
+            tiny_config(**bad)
+
 
 class TestEvaluate:
     def test_constant_predictor_on_its_class(self):
