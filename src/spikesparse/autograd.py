@@ -1,12 +1,13 @@
 """Reverse-mode differentiation through the timestep unrolling.
 
 The forward pass records a :class:`GradientTape`: one entry per executed
-operation (conv, lif, pool, dropout, readout, mean, loss) holding the saved
-intermediates backward needs.  :func:`backward` walks the entries in reverse
-exactly once, propagating adjoints across all timesteps -- through the
-membrane recurrence ``V[n] -> V[n+1]`` and through the reset term's
-dependence on the previous spikes -- so the leak and threshold of every layer
-receive gradients from every timestep.
+operation (layer, dropout, readout, mean, loss) holding the saved
+intermediates backward needs; a layer entry is a whole layer step (conv, LIF
+and optional pool), replayed as pool, LIF, conv.  :func:`backward` walks the
+entries in reverse exactly once, propagating adjoints across all timesteps --
+through the membrane recurrence ``V[n] -> V[n+1]`` and through the reset
+term's dependence on the previous spikes -- so the leak and threshold of every
+layer receive gradients from every timestep.
 
 Wherever the forward applied the spike step, backward substitutes the
 surrogate derivative evaluated at the normalized argument
@@ -27,9 +28,12 @@ import numpy as np
 from .sparse import (
     SparseTensor2D,
     _conv_sites_grads,
+    _pool_sites_grads,
+    _scatter_rows,
     dense_conv2d_grads,
     dense_max_pool2d_backward,
     densify,
+    sparsify,
 )
 from .spiking import run_timesteps, surrogate_grad
 
@@ -90,28 +94,18 @@ class GradientTape:
     def __init__(self):
         self.entries = []
         self.used = False
-        self._lif_counts = {}
+        self._steps = {}
 
     # --- recorder protocol -------------------------------------------------
-    def record_conv(self, layer, conv_ctx):
-        kind, x, out_c, out_v = conv_ctx
-        self.entries.append(_Entry("conv", layer=layer, sparse=(kind == "sparse"),
-                                   x=x, out_c=out_c, out_v=out_v,
-                                   x_needs_grad=layer.index > 0))
-
-    def record_lif(self, layer, v_prev, v_new, s_prev, s_new, s_new_sparse,
-                   conv_ctx, w2e, soft):
-        t = self._lif_counts.get(layer.index, 0)
-        self._lif_counts[layer.index] = t + 1
-        self.entries.append(_Entry(
-            "lif", layer=layer, t=t, v_prev=v_prev, v_new=v_new, s_prev=s_prev,
-            s_new=s_new, s_new_sparse=s_new_sparse, conv_ctx=conv_ctx, w2e=w2e,
-            soft=soft, beta=layer.beta.item(), b=layer.b.item(),
-            alpha=layer.alpha))
-
-    def record_pool(self, x, out, winners, in_hw):
-        self.entries.append(_Entry("pool", x=x, out=out, winners=winners,
-                                   in_hw=in_hw))
+    def record_layer(self, layer, **data):
+        """One layer step: its input ``x``; the conv output (``current`` rows
+        at ``out_c``, or a dense ``current`` with ``out_c=None``); the LIF
+        states ``v_prev, s_prev -> v_new, s_new`` and the sparse ``spikes``
+        (``None`` when dense); the ``pooled`` output and its ``winners``
+        (``None`` without a pool); and the ``beta, b, w2e`` of the step."""
+        t = self._steps.get(layer.index, 0)
+        self._steps[layer.index] = t + 1
+        self.entries.append(_Entry("layer", layer=layer, t=t, **data))
 
     def record_dropout(self, x, out, mask, p):
         self.entries.append(_Entry("dropout", x=x, out=out, mask=mask, p=p))
@@ -256,50 +250,40 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
 
         elif entry.kind == "dropout":
             x, out, mask, p = d["x"], d["out"], d["mask"], d["p"]
-            scale = 1.0 / (1.0 - p)
-            if isinstance(x, SparseTensor2D):
-                g_out = adj.pop(out, out.values.shape)
-                adj.add(x, g_out * mask * scale)
-            else:
-                g_out = adj.pop(out, out.shape)
-                adj.add(x, g_out * mask * scale)
+            # the mask has the shape of the values (sparse) or the array
+            adj.add(x, adj.pop(out, mask.shape) * mask * (1.0 / (1.0 - p)))
 
-        elif entry.kind == "pool":
-            x, out, winners = d["x"], d["out"], d["winners"]
-            if isinstance(x, SparseTensor2D):
-                g_out = adj.pop(out, out.values.shape)
-                g_in = np.zeros_like(x.values)
-                np.add.at(g_in, (winners, np.arange(x.channels)), g_out)
-                adj.add(x, g_in)
-            else:
-                g_out = adj.pop(out, out.shape)
-                h_in, w_in = d["in_hw"]
-                adj.add(x, dense_max_pool2d_backward(g_out, winners, h_in, w_in))
-
-        elif entry.kind == "lif":
-            layer = d["layer"]
-            beta, b, w2e, alpha = d["beta"], d["b"], d["w2e"], d["alpha"]
+        elif entry.kind == "layer":
+            layer, x, out_c, current = d["layer"], d["x"], d["out_c"], d["current"]
+            beta, b, w2e = d["beta"], d["b"], d["w2e"]
             thr = b * w2e
             v_prev, v_new = d["v_prev"], d["v_new"]
-            s_prev, s_new = d["s_prev"], d["s_new"]
+            s_prev, s_new, spikes = d["s_prev"], d["s_new"], d["spikes"]
+            # pool: the pooled output's adjoint goes to the winning spikes
             g_s = adj.pop(s_new, s_new.shape)
-            sp = d["s_new_sparse"]
-            if sp is not None and sp.n_sites:
-                rows = adj.pop(sp, sp.values.shape)
+            pooled, g_rows = d["pooled"], None
+            if pooled is None:
+                if spikes is not None and spikes.n_sites:
+                    g_rows = adj.pop(spikes, spikes.values.shape)
+            elif spikes is None:
+                g_s += dense_max_pool2d_backward(adj.pop(pooled, pooled.shape),
+                                                 d["winners"], *s_new.shape[2:])
+            else:
+                g_rows = _pool_sites_grads(spikes, d["winners"],
+                                           adj.pop(pooled, pooled.values.shape))
+            if g_rows is not None:
                 # spike coordinates are unique sites, so += cannot collide
-                g_s[sp.coords[:, 0], :, sp.coords[:, 2], sp.coords[:, 1]] += rows
+                c = spikes.coords
+                g_s[c[:, 0], :, c[:, 2], c[:, 1]] += g_rows
+            # LIF.  `sur`, `g_i` and `g_out` are named and made in this order
+            # on purpose: it keeps the freed dense temporaries reusable, and
+            # other orders fault in up to 5x more fresh pages per backward
             u = v_new / w2e - b
-            sur = surrogate_grad(u, alpha)
+            sur = surrogate_grad(u, layer.alpha)
             g_u = g_s * sur
             g_v = g_u / w2e + adj.pop(v_new, v_new.shape)
-
-            kind, x, out_c, out_v = d["conv_ctx"]
-            if kind == "sparse":
-                i_dense = np.zeros(v_new.shape)
-                if len(out_c):
-                    i_dense[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]] = out_v
-            else:
-                i_dense = out_v
+            i_dense = (current if out_c is None
+                       else _scatter_rows(out_c, current, v_new.shape))
             grads.add(layer.beta, np.sum((v_prev - thr * s_prev - i_dense) * g_v))
             reset_flow = np.sum(s_prev * g_v) * beta
             grads.add(layer.b, -np.sum(g_u) - w2e * reset_flow)
@@ -308,40 +292,29 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
                 prev = norm_grads.get(layer.index)
                 norm_grads[layer.index] = ((prev[0] if prev else 0.0) + g_w2, layer)
             g_i = (1.0 - beta) * g_v
-            if kind == "sparse":
-                if len(out_c):
-                    adj.add(out_v, g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]])
-            else:
-                adj.add(out_v, g_i)
-            cut = truncate > 0 and d["t"] % truncate == 0
-            if not cut:
+            if not (truncate > 0 and d["t"] % truncate == 0):
                 adj.add(v_prev, beta * g_v)
                 adj.add(s_prev, (-thr * beta) * g_v)
-
-        elif entry.kind == "conv":
-            layer, x = d["layer"], d["x"]
-            if d["sparse"]:
-                out_c, out_v = d["out_c"], d["out_v"]
-                g_out = adj.pop(out_v, out_v.shape)
-                g_w, g_in = _conv_sites_grads(x, layer.kernel, out_c, g_out,
-                                              need_input_grad=d["x_needs_grad"])
-                grads.add(layer.weight, g_w)
-                if d["x_needs_grad"] and g_in is not None:
-                    adj.add(x, g_in)
+            # conv: the current's adjoint goes straight into its gradients
+            need_in = layer.index > 0
+            if out_c is not None:
+                # a dense input was sparsified in the forward; redone, not stored
+                xs = x if isinstance(x, SparseTensor2D) else sparsify(x)
+                g_out = g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]]
+                g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
+                                              need_input_grad=need_in)
+                if need_in and xs is not x:   # back onto the dense source
+                    g_in = _scatter_rows(xs.coords, g_in, x.shape)
             else:
-                out_dense = d["out_v"]
-                g_out = adj.pop(out_dense, out_dense.shape)
-                xd = densify(x) if isinstance(x, SparseTensor2D) else x
-                g_x, g_w = dense_conv2d_grads(g_out, xd, layer.kernel.weights,
-                                              layer.kernel.stride,
-                                              need_input_grad=d["x_needs_grad"])
-                grads.add(layer.weight, g_w)
-                if d["x_needs_grad"]:
-                    if isinstance(x, SparseTensor2D):
-                        adj.add(x, g_x[x.coords[:, 0], :, x.coords[:, 2],
-                                       x.coords[:, 1]])
-                    else:
-                        adj.add(x, g_x)
+                sparse_in = isinstance(x, SparseTensor2D)
+                g_in, g_w = dense_conv2d_grads(
+                    g_i, densify(x) if sparse_in else x, layer.kernel.weights,
+                    layer.kernel.stride, need_input_grad=need_in)
+                if need_in and sparse_in:
+                    g_in = g_in[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]]
+            grads.add(layer.weight, g_w)
+            if need_in:
+                adj.add(x, g_in)
 
     # route the accumulated norm adjoints into the weights: d|W|^2/dW = 2W
     for g_w2, layer in norm_grads.values():

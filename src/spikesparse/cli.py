@@ -211,20 +211,11 @@ def load_config(path, environ=None, seed_override=None) -> dict:
 
 
 def train_config_from(cfg) -> TrainConfig:
-    t, m, d = cfg["train"], cfg["model"], cfg["data"]
+    m, d = cfg["model"], cfg["data"]
     try:
-        return TrainConfig(
-            arch=m["arch"], in_height=d["height"], in_width=d["width"],
-            t_train=t["t_train"], dt_us=t["dt_us"], lr0=t["lr0"],
-            weight_decay=t["weight_decay"], batch_size=t["batch_size"],
-            schedule=t["schedule"], step_factor=t["step_factor"],
-            step_every=t["step_every"], cosine_period=t["cosine_period"],
-            grad_clip_norm=t["grad_clip_norm"], alpha=t["alpha"],
-            beta_init=t["beta_init"], b_init=t["b_init"],
-            dropout_p=t["dropout_p"], seed=t["seed"],
-            max_epochs=t["max_epochs"], variant=m["variant"],
-            readout_bias=m["readout_bias"], detach_norm=t["detach_norm"],
-            truncate_bptt=t["truncate_bptt"])
+        return TrainConfig(arch=m["arch"], in_height=d["height"],
+                           in_width=d["width"], variant=m["variant"],
+                           readout_bias=m["readout_bias"], **cfg["train"])
     except ValueError as e:
         raise ConfigError([str(e)]) from None
 
@@ -494,10 +485,8 @@ def main(argv=None) -> int:
     except FloatingPointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, InputError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (event_io.FormatError, event_io.EventParseError) as e:
+    except (FileNotFoundError, InputError, event_io.FormatError,
+            event_io.EventParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -329,6 +329,14 @@ def _pool_sites(x: SparseTensor2D):
     return np.stack([ob, ox, oy], axis=1), out_v, winners, h_out, w_out
 
 
+def _pool_sites_grads(x: SparseTensor2D, winners, g_out):
+    """Adjoint of `_pool_sites`: each pooled scalar's gradient goes to the
+    ``x`` row that won it, shaped like ``x.values``."""
+    g_in = np.zeros_like(x.values)
+    np.add.at(g_in, (winners, np.arange(x.channels)), g_out)
+    return g_in
+
+
 def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
     """2x2, stride-2 max pooling: channel-wise max over the *present* entries
     of each window; windows with no present entry stay absent."""
@@ -337,12 +345,19 @@ def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
                           validate=False, canonical=True)
 
 
+def _scatter_rows(coords, rows, shape):
+    """Zero ``[B, C, H, W]`` array of ``shape`` with the ``(N, C)`` ``rows``
+    written at the sites ``coords`` ``(b, x, y)``."""
+    out = np.zeros(shape)
+    if len(coords):
+        out[coords[:, 0], :, coords[:, 2], coords[:, 1]] = rows
+    return out
+
+
 def densify(x: SparseTensor2D):
     """Dense ``[B, C, H, W]`` array with the tensor's entries scattered in."""
-    out = np.zeros((x.batch_size, x.channels, x.height, x.width))
-    if x.n_sites:
-        out[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]] = x.values
-    return out
+    return _scatter_rows(x.coords, x.values,
+                         (x.batch_size, x.channels, x.height, x.width))
 
 
 def sparsify(dense) -> SparseTensor2D:

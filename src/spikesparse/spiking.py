@@ -48,6 +48,7 @@ from .sparse import (
     _ceil_div,
     _conv_sites,
     _pool_sites,
+    _scatter_rows,
     dense_conv2d,
     dense_max_pool2d,
     densify,
@@ -436,6 +437,8 @@ class SpikingNet:
         self.in_height, self.in_width = in_shape
         self.in_channels = 1
         self.variant = variant
+        if not 0 <= dropout_p < 1:
+            raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p!r}")
         self.dropout_p = float(dropout_p)
         self.alpha = float(alpha)
         self.soft = False
@@ -525,55 +528,53 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
     """Conv + LIF (+ optional pool) for one timestep.  Returns
     (next layer input, nonzero scalar count of the emitted spikes).
 
-    Untaped hard-threshold sparse layers with ``b > 0`` take the sparse step
-    (:func:`_lif_step_lazy`); at ``b <= 0`` a silent site at rest spikes, so
-    every site must be updated.
+    A hard-threshold ``sc`` layer convolves on the coordinate map of its
+    input; a dense input (the output of a ``c`` layer) is sparsified first,
+    so an ``sc`` layer never adds sites after a ``c`` layer either.  Soft
+    runs and ``c`` layers convolve everywhere.  Untaped ``sc`` layers with
+    ``b > 0`` take the sparse step (:func:`_lif_step_lazy`); at ``b <= 0`` a
+    silent site at rest spikes, so every site must be updated.  A recorder
+    gets the whole step as one entry.
     """
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
     w2e = kernel.wnorm2 + EPSILON
-    conv_ctx = None
-    if layer.mode == "sparse" and isinstance(x, SparseTensor2D) and not soft:
-        out_c, out_v, _, _ = _conv_sites(x, kernel)
-        if recorder is None and b > 0:
-            spikes = _lif_step_lazy(state, out_c, out_v, layer.lif_params(),
-                                    kernel.wnorm2)
-        else:
-            i_dense = np.zeros(state.shape)
-            if len(out_c):
-                i_dense[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]] = out_v
-            conv_ctx = ("sparse", x, out_c, out_v)
+    if layer.mode == "sparse" and not soft:
+        xs = x if isinstance(x, SparseTensor2D) else sparsify(x)
+        out_c, current, _, _ = _conv_sites(xs, kernel)
     else:
+        out_c = None
         xd = densify(x) if isinstance(x, SparseTensor2D) else x
-        i_dense = dense_conv2d(xd, kernel.weights, kernel.stride)
-        conv_ctx = ("dense", x, None, i_dense)
-    if conv_ctx is not None:
+        current = dense_conv2d(xd, kernel.weights, kernel.stride)
+    if out_c is not None and recorder is None and b > 0:
+        spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
+                                kernel.wnorm2)
+    else:
+        i_dense = (current if out_c is None
+                   else _scatter_rows(out_c, current, state.shape))
         spikes, v_prev, s_prev = _lif_update(
             state, i_dense, beta, b, w2e, soft_alpha=alpha if soft else None,
             sparse_out=layer.mode == "sparse")
-        if recorder is not None:
-            recorder.record_conv(layer, conv_ctx)
-            recorder.record_lif(layer, v_prev, state.potentials, s_prev,
-                                state.prev_spikes_dense, spikes, conv_ctx,
-                                w2e, soft)
     out = state.prev_spikes_dense if spikes is None else spikes
     count = int(np.count_nonzero(out if spikes is None else spikes.values))
 
+    pooled = winners = None
     if layer.pool:
-        if isinstance(out, SparseTensor2D):
+        if spikes is None:
+            pooled, winners = dense_max_pool2d(out)
+        else:
             pc, pv, winners, ph, pw = _pool_sites(out)
             pooled = SparseTensor2D(pc, pv, out.batch_size, ph, pw,
                                     out.channels, validate=False, canonical=True,
                                     prune=False)
-            in_hw = None
-        else:
-            pooled, winners = dense_max_pool2d(out)
-            in_hw = (out.shape[2], out.shape[3])
-        if recorder is not None:
-            recorder.record_pool(out, pooled, winners, in_hw)
-        out = pooled
-    return out, count
+    if recorder is not None:
+        recorder.record_layer(
+            layer, x=x, out_c=out_c, current=current, v_prev=v_prev,
+            s_prev=s_prev, v_new=state.potentials,
+            s_new=state.prev_spikes_dense, spikes=spikes, pooled=pooled,
+            winners=winners, beta=beta, b=b, w2e=w2e)
+    return (out if pooled is None else pooled), count
 
 
 def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
@@ -601,8 +602,6 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
         raise ValueError("training with dropout needs an rng for the masks")
     for t in range(start, start + t_eval):
         x = _batch_slice(grids, t)
-        if model.soft:
-            x = densify(x)
         for li, layer in enumerate(model.layers):
             x, c = _layer_forward(layer, x, model.soft, model.alpha, recorder)
             counts[li] += c

@@ -313,24 +313,34 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
     return best_model, history
 
 
+def _eval_pass(model: SpikingNet, pairs, t_eval, batch_size):
+    """One untaped pass over ``pairs`` in batches, states reset per batch.
+
+    Returns ``(correct, totals)``: the number of samples whose argmax of
+    mean logits matches the label, and the per-layer spike totals.
+    """
+    batch_size = max(1, batch_size or 1)
+    correct = 0
+    totals = np.zeros(len(model.layers), dtype=np.float64)
+    for lo in range(0, len(pairs), batch_size):
+        chunk = [pairs[i] for i in range(lo, min(lo + batch_size, len(pairs)))]
+        grids = [g for g, _ in chunk]
+        labels = np.array([l for _, l in chunk])
+        model.reset_state(len(grids))
+        _, mean, counts = run_timesteps(model, grids, t_eval)
+        correct += int((np.argmax(mean, axis=1) == labels).sum())
+        totals += counts
+    return correct, totals
+
+
 def evaluate(model: SpikingNet, pairs, t_eval, batch_size=32) -> float:
     """Fraction of samples whose argmax of mean logits matches the label.
 
     States are reset per sample (samples in one batch never interact) and
     dropout is inactive.
     """
-    if len(pairs) == 0:
-        return 0.0
-    batch_size = max(1, batch_size or 1)
-    correct = 0
-    for lo in range(0, len(pairs), batch_size):
-        chunk = [pairs[i] for i in range(lo, min(lo + batch_size, len(pairs)))]
-        grids = [g for g, _ in chunk]
-        labels = np.array([l for _, l in chunk])
-        model.reset_state(len(grids))
-        _, mean, _ = run_timesteps(model, grids, t_eval)
-        correct += int((np.argmax(mean, axis=1) == labels).sum())
-    return correct / len(pairs)
+    correct, _ = _eval_pass(model, pairs, t_eval, batch_size)
+    return correct / max(len(pairs), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +384,8 @@ def sparsity_audit(model: SpikingNet, pairs, t_eval, batch_size=32) -> SparsityA
     Counts are neuron firings, i.e. taken before any pooling stage; the
     percentage divides by the layer's neuron-grid size times ``t_eval``.
     """
-    totals = np.zeros(len(model.layers), dtype=np.float64)
-    n = len(pairs)
-    for lo in range(0, n, batch_size):
-        chunk = [pairs[i] for i in range(lo, min(lo + batch_size, n))]
-        grids = [g for g, _ in chunk]
-        model.reset_state(len(grids))
-        _, _, counts = run_timesteps(model, grids, t_eval)
-        totals += counts
-    means = totals / max(n, 1)
+    _, totals = _eval_pass(model, pairs, t_eval, batch_size)
+    means = totals / max(len(pairs), 1)
     rows = []
     h, w = model.in_height, model.in_width
     for i, layer in enumerate(model.layers):
@@ -411,21 +414,22 @@ def stride_vs_pool_study(config: TrainConfig, dataset, log=None):
     """Train strided and pooled variants under identical seeds and budgets.
 
     Returns one report row per variant with accuracy and the total spike
-    count from the sparsity audit on the test split.
+    count per sample (the sparsity audit's total) on the test split, both
+    from one evaluation pass.
     """
     rows = []
+    test = dataset[1]
     for variant in ("stride", "pool"):
         cfg = replace(config, variant=variant)
         model, history = train(cfg, dataset, log=log)
-        acc = evaluate(model, dataset[1], cfg.t_train, batch_size=cfg.eval_batch)
-        audit = sparsity_audit(model, dataset[1], cfg.t_train,
-                               batch_size=cfg.eval_batch)
+        correct, totals = _eval_pass(model, test, cfg.t_train, cfg.eval_batch)
+        acc = correct / max(len(test), 1)
+        total = float((totals / max(len(test), 1)).sum())
         rows.append({"variant": variant, "accuracy": acc,
-                     "total_spikes": audit.total,
-                     "epochs": len(history)})
+                     "total_spikes": total, "epochs": len(history)})
         if log:
             log(f"{variant}: accuracy {acc:.4f}, "
-                f"total spikes/sample {audit.total:.1f}")
+                f"total spikes/sample {total:.1f}")
     return rows
 
 

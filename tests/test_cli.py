@@ -188,6 +188,20 @@ class TestTrainEvalPipeline:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0]
 
+    def test_checkpoint_with_dropout_one_is_exit_2(self, tiny_cfg, tmp_path, capsys):
+        from spikesparse.spiking import save_checkpoint
+        from spikesparse.training import build_model
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
+        blob = ckpt.read_bytes()
+        assert b"dropout=0.0\n" in blob
+        ckpt.write_bytes(blob.replace(b"dropout=0.0\n", b"dropout=1.0\n"))
+        assert main(["eval", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0] and "dropout_p" in err[0]
+
     @pytest.mark.parametrize("row", ["a.events,0", "a.events,zero,train",
                                      "a.events,0,validation"])
     def test_malformed_index_is_exit_2(self, tiny_cfg, tmp_path, capsys, row):

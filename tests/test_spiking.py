@@ -233,6 +233,19 @@ class TestDropout:
         np.testing.assert_allclose(dense_out[changed], 2.0 * dense_in[changed])
 
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+    def test_model_rejects_p_outside_unit_interval(self, p, tmp_path):
+        from spikesparse.spiking import load_checkpoint, save_checkpoint
+        from spikesparse.training import build_model
+        with pytest.raises(ValueError, match="dropout_p"):
+            build_model("2sc3-2", (16, 16), dropout_p=p)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), path)
+        blob = path.read_bytes().replace(b"dropout=0.0\n", f"dropout={p}\n".encode())
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match="dropout_p"):
+            load_checkpoint(path)
+
 class TestReadout:
     def test_empty_spikes_give_bias(self):
         readout = ReadoutLayer(np.ones((3, 16)), np.array([1.0, 2.0, 3.0]))
@@ -270,12 +283,13 @@ class TestReadout:
 
 
 class TestNetworkForward:
-    @pytest.mark.parametrize("mode", ["sparse", "dense"])
+    @pytest.mark.parametrize("mode", ["sparse", "dense", "mixed"])
     @pytest.mark.parametrize("variant", ["stride", "pool"])
     def test_matches_reference_simulation(self, mode, variant):
         rng = np.random.default_rng(hash((mode, variant)) % 2 ** 31)
+        first, second = ("dense", "sparse") if mode == "mixed" else (mode, mode)
         for trial in range(5):
-            model = make_model(rng, (8, 8), [(2, mode, 3), (3, mode, 3)], 4,
+            model = make_model(rng, (8, 8), [(2, first, 3), (3, second, 3)], 4,
                                variant=variant, b=0.05, weight_scale=0.8)
             grid = random_grid(rng, 8, 8, t_bins=5, density=0.15)
             model.reset_state(1)
@@ -354,6 +368,79 @@ class TestNetworkForward:
                                                   recorder=GradientTape())
         assert np.array_equal(lazy_counts, ref_counts)
         assert np.array_equal(lazy_logits, ref_logits)
+
+    @pytest.mark.parametrize("variant", ["stride", "pool"])
+    def test_sparse_layer_after_dense_layer_keeps_coordinate_map(
+            self, variant, monkeypatch):
+        # a c layer hands on dense spikes; the sc layer after it must still
+        # convolve only on their coordinate map, taped and untaped alike, so
+        # it spikes only at sites that some step's coordinate map reached
+        # (elsewhere the potential never leaves 0)
+        from spikesparse import spiking
+        from spikesparse.event_io import synth_dataset
+        from spikesparse.sparse import out_coords, sparsify
+        from spikesparse.training import build_model
+        grids = [g for g, _ in synth_dataset(2, 2, 32, 32, 6, 10_000, 0)[0][:2]]
+        model = build_model("3c3-3sc3-2", (32, 32), variant=variant,
+                            b_init=0.05, dropout_p=0)
+        forward, steps = spiking._layer_forward, []
+
+        def spy(layer, x, *args):
+            out = forward(layer, x, *args)
+            if layer.mode == "sparse":
+                steps.append((x, layer.kernel.stride,
+                              layer.state.prev_spike_coords))
+            return out
+
+        monkeypatch.setattr(spiking, "_layer_forward", spy)
+        logits = []
+        for recorder in (None, GradientTape()):
+            model.reset_state(2)
+            logits.append(run_timesteps(model, grids, 6, recorder=recorder)[0])
+        assert np.array_equal(logits[0], logits[1])
+        assert len(steps) == 12 and sum(len(c) for _, _, c in steps) > 0
+        for run in (steps[:6], steps[6:]):
+            reached = set()
+            for x, stride, spikes in run:
+                assert isinstance(x, np.ndarray)
+                reached |= {tuple(c) for c in out_coords(sparsify(x).coords,
+                                                         stride)}
+                assert {tuple(c) for c in spikes} <= reached
+
+    def test_sparse_layer_routes_adjoint_to_dense_input_sites(self, monkeypatch):
+        # taped on a dense input, an sc layer gives that input the adjoint
+        # its sparsified form gets, at its nonzero sites and nowhere else
+        from spikesparse import autograd
+        from spikesparse.autograd import backward
+        from spikesparse.sparse import sparsify
+        from spikesparse.spiking import SpikingConvLayer
+        rng = np.random.default_rng(21)
+        xd = (rng.random((2, 2, 8, 8)) < 0.2).astype(np.float64)
+        weights = rng.uniform(-0.5, 0.5, (3, 2, 3, 3))
+        g_v = rng.standard_normal((2, 3, 8, 8))
+        seen = {}
+
+        class Store(autograd._AdjointStore):
+            def add(self, obj, g):
+                seen[id(obj)] = np.array(g)
+                super().add(obj, g)
+
+        monkeypatch.setattr(autograd, "_AdjointStore", Store)
+        got = []
+        for x in (xd, sparsify(xd)):
+            layer = SpikingConvLayer(1, ConvKernel2D(weights.copy()), beta=0.7,
+                                     b=0.05)
+            layer.reset(2, 8, 8)
+            tape = GradientTape()
+            _layer_forward(layer, x, False, 3.0, tape)
+            tape.record_seed(layer.state.potentials, g_v)
+            got.append((backward(tape).get(layer.weight), seen[id(x)]))
+        (w_dense, g_dense), (w_sparse, g_rows) = got
+        assert np.array_equal(w_dense, w_sparse)
+        assert np.array_equal(g_dense, densify(SparseTensor2D(
+            sparsify(xd).coords, g_rows, 2, 8, 8, 2, prune=False)))
+        absent = ~np.any(xd != 0, axis=1)
+        assert np.any(g_dense) and not np.any(g_dense.transpose(0, 2, 3, 1)[absent])
 
     def test_spiking_outputs_are_binary(self):
         rng = np.random.default_rng(14)

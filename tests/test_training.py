@@ -337,6 +337,14 @@ class TestSparsityAudit:
         assert "conv1" in audit.to_csv() and "conv1" in audit.to_json()
 
 
+    def test_batch_size_zero_means_one(self):
+        rng = np.random.default_rng(8)
+        model = make_model(rng, (16, 16), [(2, "sparse", 3), (3, "sparse", 3)],
+                           3, b=0.05, weight_scale=0.8)
+        _, test = tiny_dataset(seed=5)
+        zero = sparsity_audit(model, test, 6, batch_size=0)
+        assert zero.layers == sparsity_audit(model, test, 6, batch_size=1).layers
+
 class TestAnytime:
     def test_rejects_zero_horizon(self):
         rng = np.random.default_rng(9)
@@ -361,6 +369,36 @@ class TestStudy:
         for row in rows:
             assert 0.0 <= row["accuracy"] <= 1.0
             assert row["total_spikes"] >= 0.0
+
+    def test_one_evaluation_pass_per_variant(self, monkeypatch):
+        from spikesparse import training
+        cfg = tiny_config(max_epochs=1, batch_size=6, eval_batch=4)
+        data = tiny_dataset(seed=6)
+        models, passes, in_train = [], [], [False]
+        real_train, real_run = training.train, training.run_timesteps
+
+        def train_spy(*args, **kwargs):
+            in_train[0] = True
+            model, history = real_train(*args, **kwargs)
+            in_train[0] = False
+            models.append(model)
+            return model, history
+
+        def run_spy(*args, **kwargs):
+            if not in_train[0]:
+                passes.append(len(models))
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(training, "train", train_spy)
+        monkeypatch.setattr(training, "run_timesteps", run_spy)
+        rows = training.stride_vs_pool_study(cfg, data)
+        monkeypatch.undo()
+        test = data[1]
+        assert passes == [1, 1, 2, 2]   # 6 test samples in batches of 4
+        for row, model in zip(rows, models):
+            assert row["accuracy"] == evaluate(model, test, 6, batch_size=4)
+            assert row["total_spikes"] == sparsity_audit(model, test, 6,
+                                                         batch_size=4).total
 
     def test_variants_share_output_geometry(self):
         stride = init_model(tiny_config(variant="stride"))
