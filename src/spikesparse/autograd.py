@@ -9,6 +9,15 @@ through the membrane recurrence ``V[n] -> V[n+1]`` and through the reset
 term's dependence on the previous spikes -- so the leak and threshold of every
 layer receive gradients from every timestep.
 
+The tape is lean: a layer entry keeps the conv's current only at its output
+sites, the spikes as sparse tensors wherever the step emits them (``sc``
+layers in the hard run), and the dense potentials only at the first step of
+each segment of ``_SEGMENT`` steps.  Backward replays a segment's potentials
+once, from that stored start, with the forward's recurrence, and carries the
+recurrence adjoints of each layer from step t+1 to step t (checkpointing over
+time: Chen et al., "Training deep nets with sublinear memory cost", arXiv
+1604.06174).  The gradients are bit-identical to storing every potential.
+
 Wherever the forward applied the spike step, backward substitutes the
 surrogate derivative evaluated at the normalized argument
 ``V / (|W|^2 + eps) - b``.  In soft-forward mode (:func:`soft_forward_mode`)
@@ -35,7 +44,7 @@ from .sparse import (
     densify,
     sparsify,
 )
-from .spiking import run_timesteps, surrogate_grad
+from .spiking import _lif_recurrence, _surrogate_into, run_timesteps
 
 __all__ = [
     "ParamGrads",
@@ -84,6 +93,11 @@ class _Entry:
         self.data = data
 
 
+# Steps per replay segment: a layer entry keeps its pre-step potentials only
+# at the first step of a segment, and backward replays the rest from there.
+_SEGMENT = 16
+
+
 class GradientTape:
     """Ordered record of one forward pass; replayable in reverse once.
 
@@ -94,18 +108,31 @@ class GradientTape:
     def __init__(self):
         self.entries = []
         self.used = False
-        self._steps = {}
+        self._last = {}   # layer index -> the layer's latest entry
 
     # --- recorder protocol -------------------------------------------------
     def record_layer(self, layer, **data):
         """One layer step: its input ``x``; the conv output (``current`` rows
-        at ``out_c``, or a dense ``current`` with ``out_c=None``); the LIF
-        states ``v_prev, s_prev -> v_new, s_new`` and the sparse ``spikes``
-        (``None`` when dense); the ``pooled`` output and its ``winners``
-        (``None`` without a pool); and the ``beta, b, w2e`` of the step."""
-        t = self._steps.get(layer.index, 0)
-        self._steps[layer.index] = t + 1
-        self.entries.append(_Entry("layer", layer=layer, t=t, **data))
+        at ``out_c``, or a dense ``current`` with ``out_c=None``); the spikes
+        before the step ``s_prev`` (the last sparse ``spikes``, else dense);
+        the emitted ``spikes`` (sparse, or ``None`` beside the dense
+        ``s_new``); the ``pooled`` output and its ``winners`` (``None``
+        without a pool); the ``beta, b, w2e`` of the step; and the potentials
+        ``v_prev -> v_new``.
+
+        Of the potentials the entry keeps ``v_prev`` only at the first step
+        of a segment of ``_SEGMENT`` steps, or where they do not continue the
+        layer's previous entry (``chained`` is then false), and ``v_new``
+        only while it is the layer's latest entry; backward replays the
+        rest."""
+        last = self._last.get(layer.index)
+        t = 0 if last is None else last.data["t"] + 1
+        chained = last is not None and last.data.pop("v_new") is data["v_prev"]
+        if chained and t % _SEGMENT:
+            data["v_prev"] = None
+        entry = _Entry("layer", layer=layer, t=t, chained=chained, **data)
+        self.entries.append(entry)
+        self._last[layer.index] = entry
 
     def record_dropout(self, x, out, mask, p):
         self.entries.append(_Entry("dropout", x=x, out=out, mask=mask, p=p))
@@ -155,9 +182,60 @@ class _AdjointStore:
         else:
             self._acc[key] = np.array(g, dtype=np.float64)
 
+    def take(self, obj):
+        """The adjoint of ``obj``, or ``None`` when it received none."""
+        return self._acc.pop(id(obj), None)
+
     def pop(self, obj, shape):
-        g = self._acc.pop(id(obj), None)
+        g = self.take(obj)
         return np.zeros(shape) if g is None else g
+
+
+class _LayerReplay:
+    """Backward state of one layer: its entries by step, the potentials of
+    one segment replayed from the segment's stored start, the recurrence
+    adjoints carried from step t+1 to step t, and dense scratch buffers."""
+
+    def __init__(self, entries):
+        self.entries = entries
+        starts = [i for i, e in enumerate(entries) if e.data["v_prev"] is not None]
+        longest = max(np.diff(starts + [len(entries)]))
+        shape = entries[0].data["v_prev"].shape
+        self.v = np.empty((longest,) + shape)
+        self.start = None                # the step whose v_new is self.v[0]
+        self.i, self.s, self.tmp, self.sur, self.g_v, self.g_s = np.empty(
+            (6,) + shape)
+        self.carried = False             # g_v and g_s hold step t+1's terms
+
+    def _dense_inputs(self, d):
+        """The step's dense current and dense previous spikes."""
+        s = d["s_prev"]
+        if isinstance(s, SparseTensor2D):
+            s = _scatter_rows(s.coords, s.values, out=self.s)
+        i = d["current"]
+        if d["out_c"] is not None:
+            i = _scatter_rows(d["out_c"], i, out=self.i)
+        return i, s
+
+    def step(self, t):
+        """``(v_prev, v_new, current, s_prev)`` of step ``t``, all dense; the
+        first call in a segment replays the segment up to ``t``."""
+        d = self.entries[t].data
+        if self.start is None or t < self.start:
+            start = t
+            while self.entries[start].data["v_prev"] is None:
+                start -= 1
+            v = self.entries[start].data["v_prev"]
+            for j in range(start, t + 1):
+                dj = self.entries[j].data
+                i, s = self._dense_inputs(dj)
+                v = _lif_recurrence(v, s, i, dj["beta"], dj["b"] * dj["w2e"],
+                                    out=self.v[j - start], tmp=self.tmp)
+            self.start = start
+        else:
+            i, s = self._dense_inputs(d)
+        k = t - self.start
+        return (d["v_prev"] if k == 0 else self.v[k - 1]), self.v[k], i, s
 
 
 def _one_hot(labels, n):
@@ -203,6 +281,10 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
     grads = ParamGrads()
     adj = _AdjointStore()
     norm_grads = {}  # layer index -> accumulated d(loss)/d(|W|^2)
+    by_layer, replays = {}, {}  # layer index -> its entries in order, replay
+    for entry in tape.entries:
+        if entry.kind == "layer":
+            by_layer.setdefault(entry.data["layer"].index, []).append(entry)
 
     for entry in reversed(tape.entries):
         d = entry.data
@@ -254,20 +336,28 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             adj.add(x, adj.pop(out, mask.shape) * mask * (1.0 / (1.0 - p)))
 
         elif entry.kind == "layer":
-            layer, x, out_c, current = d["layer"], d["x"], d["out_c"], d["current"]
+            layer, t, x, out_c = d["layer"], d["t"], d["x"], d["out_c"]
             beta, b, w2e = d["beta"], d["b"], d["w2e"]
             thr = b * w2e
-            v_prev, v_new = d["v_prev"], d["v_new"]
-            s_prev, s_new, spikes = d["s_prev"], d["s_new"], d["spikes"]
-            # pool: the pooled output's adjoint goes to the winning spikes
-            g_s = adj.pop(s_new, s_new.shape)
-            pooled, g_rows = d["pooled"], None
+            rep = replays.get(layer.index)
+            if rep is None:
+                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index])
+            v_prev, v_new, i_dense, s_prev = rep.step(t)
+            # the spikes' adjoint: the reset term carried from step t+1, plus
+            # what the pool, the next layer or the readout sent them
+            g_s, spikes, pooled, g_rows = rep.g_s, d["spikes"], d["pooled"], None
+            if not rep.carried:
+                g_s.fill(0.0)
             if pooled is None:
-                if spikes is not None and spikes.n_sites:
+                if spikes is None:
+                    g = adj.take(d["s_new"])
+                    if g is not None:
+                        g_s += g
+                elif spikes.n_sites:
                     g_rows = adj.pop(spikes, spikes.values.shape)
             elif spikes is None:
                 g_s += dense_max_pool2d_backward(adj.pop(pooled, pooled.shape),
-                                                 d["winners"], *s_new.shape[2:])
+                                                 d["winners"], *g_s.shape[2:])
             else:
                 g_rows = _pool_sites_grads(spikes, d["winners"],
                                            adj.pop(pooled, pooled.values.shape))
@@ -275,26 +365,34 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
                 # spike coordinates are unique sites, so += cannot collide
                 c = spikes.coords
                 g_s[c[:, 0], :, c[:, 2], c[:, 1]] += g_rows
-            # LIF.  `sur`, `g_i` and `g_out` are named and made in this order
-            # on purpose: it keeps the freed dense temporaries reusable, and
-            # other orders fault in up to 5x more fresh pages per backward
-            u = v_new / w2e - b
-            sur = surrogate_grad(u, layer.alpha)
-            g_u = g_s * sur
-            g_v = g_u / w2e + adj.pop(v_new, v_new.shape)
-            i_dense = (current if out_c is None
-                       else _scatter_rows(out_c, current, v_new.shape))
-            grads.add(layer.beta, np.sum((v_prev - thr * s_prev - i_dense) * g_v))
-            reset_flow = np.sum(s_prev * g_v) * beta
+            # LIF, in the layer's buffers: `tmp` holds u, then the products
+            # that are summed, then g_i; `sur` turns into g_u
+            tmp = np.subtract(np.divide(v_new, w2e, out=rep.tmp), b, out=rep.tmp)
+            g_u = np.multiply(g_s, _surrogate_into(tmp, layer.alpha, rep.sur, tmp),
+                              out=rep.sur)
+            if rep.carried:   # rep.g_v holds beta * g_v of step t+1
+                g_v = np.add(rep.g_v, np.divide(g_u, w2e, out=tmp), out=rep.g_v)
+            else:
+                g_v = np.divide(g_u, w2e, out=rep.g_v)
+            seed = adj.take(d["v_new"]) if "v_new" in d else None
+            if seed is not None:
+                g_v += seed
+            np.multiply(thr, s_prev, out=tmp)
+            np.subtract(v_prev, tmp, out=tmp)
+            np.subtract(tmp, i_dense, out=tmp)
+            grads.add(layer.beta, np.sum(np.multiply(tmp, g_v, out=tmp)))
+            reset_flow = np.sum(np.multiply(s_prev, g_v, out=tmp)) * beta
             grads.add(layer.b, -np.sum(g_u) - w2e * reset_flow)
             if not layer.detach_norm:
-                g_w2 = -np.sum(g_u * v_new) / (w2e * w2e) - b * reset_flow
+                g_w2 = (-np.sum(np.multiply(g_u, v_new, out=tmp)) / (w2e * w2e)
+                        - b * reset_flow)
                 prev = norm_grads.get(layer.index)
                 norm_grads[layer.index] = ((prev[0] if prev else 0.0) + g_w2, layer)
-            g_i = (1.0 - beta) * g_v
-            if not (truncate > 0 and d["t"] % truncate == 0):
-                adj.add(v_prev, beta * g_v)
-                adj.add(s_prev, (-thr * beta) * g_v)
+            g_i = np.multiply(1.0 - beta, g_v, out=tmp)
+            rep.carried = d["chained"] and not (truncate > 0 and t % truncate == 0)
+            if rep.carried:
+                np.multiply(-thr * beta, g_v, out=g_s)
+                np.multiply(beta, g_v, out=g_v)
             # conv: the current's adjoint goes straight into its gradients
             need_in = layer.index > 0
             if out_c is not None:

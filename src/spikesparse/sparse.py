@@ -345,10 +345,13 @@ def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
                           validate=False, canonical=True)
 
 
-def _scatter_rows(coords, rows, shape):
-    """Zero ``[B, C, H, W]`` array of ``shape`` with the ``(N, C)`` ``rows``
-    written at the sites ``coords`` ``(b, x, y)``."""
-    out = np.zeros(shape)
+def _scatter_rows(coords, rows, shape=None, out=None):
+    """Zero ``[B, C, H, W]`` array of ``shape`` (or the buffer ``out``, zeroed)
+    with the ``(N, C)`` ``rows`` written at the sites ``coords`` ``(b, x, y)``."""
+    if out is None:
+        out = np.zeros(shape)
+    else:
+        out.fill(0.0)
     if len(coords):
         out[coords[:, 0], :, coords[:, 2], coords[:, 1]] = rows
     return out

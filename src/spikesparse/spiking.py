@@ -22,16 +22,17 @@ Execution modes
 ``dense``   potentials *and* currents live in dense arrays; convolution is
             evaluated everywhere.
 ``sparse``  currents exist only on the coordinate map of the incoming spikes.
-            Without a gradient tape, only the sites that receive current or
-            spiked on the previous step (reset pending) get the full update;
-            every other neuron only decays, and all of them decay together
-            in one dense multiply by ``beta``, bit-identical to the full
-            update at ``I = 0``.  A silent neuron below a positive threshold
-            can never spike while decaying, so this is exact.  At ``b <= 0``
-            a neuron at rest spikes, so such layers update every site.
+            Only the sites that receive current or spiked on the previous
+            step (reset pending) get the full update; every other neuron
+            only decays, and all of them decay together in one dense
+            multiply by ``beta``, bit-identical to the full update at
+            ``I = 0``.  A silent neuron below a positive threshold can never
+            spike while decaying, so this is exact.  At ``b <= 0`` a neuron
+            at rest spikes, so such layers update every site.
 
-Potentials are always dense.  Taped (training) forwards update every site
-so gradients can flow through non-spiking sites.
+Potentials are always dense.  Taped (training) and untaped forwards take the
+same steps; gradients still reach non-spiking sites, because backward
+replays the dense recurrence over every site (see :mod:`spikesparse.autograd`).
 """
 
 from __future__ import annotations
@@ -109,14 +110,16 @@ class LIFParams:
     eps: float = EPSILON
 
 
-def _sigmoid(z):
-    z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
+def _sigmoid(z, out=None, tmp=None):
+    """``1 / (1 + e^-z)`` for ``z >= 0`` and ``e^z / (1 + e^z)`` below, from
+    one ``e^-|z|``, so the exponential never overflows.  ``out`` and ``tmp``
+    are optional float buffers of ``z``'s shape; either may be ``z``, which
+    is then overwritten."""
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    out = np.exp(np.negative(np.abs(z, out=out), out=out), out=out)
+    den = np.add(1.0, out, out=tmp)
+    np.copyto(out, 1.0, where=pos)
+    return np.divide(out, den, out=out)
 
 
 def heaviside_spike(potential, wnorm2, b, eps=EPSILON):
@@ -133,10 +136,19 @@ def surrogate_grad(x, alpha):
     Even in ``x``, maximal at 0 (value ``alpha / 4``), and integrates to 1
     over the real line for any ``alpha > 0``.
     """
-    z = np.multiply(alpha, x, dtype=np.float64)
-    s = _sigmoid(z)
-    out = alpha * s * (1.0 - s)
-    return float(out) if np.ndim(out) == 0 else out
+    if np.ndim(x) == 0:
+        return float(surrogate_grad(np.reshape(x, 1), alpha)[0])
+    return _surrogate_into(x, alpha, None, None)
+
+
+def _surrogate_into(x, alpha, out, tmp):
+    """:func:`surrogate_grad` of an array, written into the float buffers
+    ``out`` and ``tmp`` of its shape (``None`` allocates; ``tmp`` may be
+    ``x``, which it then overwrites)."""
+    z = np.multiply(alpha, x, out=tmp, dtype=np.float64)
+    s = _sigmoid(z, out=z, tmp=out)
+    out = np.multiply(alpha, s, out=out)
+    return np.multiply(out, np.subtract(1.0, s, out=s), out=out)
 
 
 class LIFLayerState:
@@ -144,32 +156,58 @@ class LIFLayerState:
 
     ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes_dense`` mirrors
     the last emitted spikes (real-valued in soft-forward mode) and
-    ``prev_spike_coords`` their sites.  ``step`` is the index of the last
-    computed timestep, and ``last_touch[b, y, x]`` the last step at which a
-    site got the full update: in the sparse step only the sites that took
-    input or a reset, in the dense step every site.
+    ``prev_spikes`` is their sparse tensor, or ``None`` when a step emitted
+    dense spikes (soft mode, ``c`` layers); ``prev_spike_coords`` are its
+    sites.  ``step`` is the index of the last computed timestep, and
+    ``last_touch[b, y, x]`` the last step at which a site got the full
+    update: in the sparse step only the sites that took input or a reset, in
+    the dense step every site.
     """
 
-    __slots__ = ("potentials", "prev_spikes_dense", "prev_spike_coords",
+    __slots__ = ("potentials", "prev_spikes_dense", "prev_spikes",
                  "last_touch", "step")
 
     def __init__(self, batch_size, channels, height, width):
         self.potentials = np.zeros((batch_size, channels, height, width))
-        self.prev_spikes_dense = np.zeros_like(self.potentials)
-        self.prev_spike_coords = np.empty((0, 3), np.int64)
-        self.last_touch = np.full((batch_size, height, width), -1, np.int64)
-        self.step = -1
+        self.last_touch = np.empty((batch_size, height, width), np.int64)
+        self.reset()
 
     @property
     def shape(self):
         return self.potentials.shape
 
+    @property
+    def prev_spike_coords(self):
+        return (np.empty((0, 3), np.int64) if self.prev_spikes is None
+                else self.prev_spikes.coords)
+
+    @prev_spike_coords.setter
+    def prev_spike_coords(self, coords):
+        """Make the sites ``coords`` ``(b, x, y)`` the last spikes, with their
+        rows of ``prev_spikes_dense`` as values."""
+        batch, channels, height, width = self.shape
+        c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        self.prev_spikes = SparseTensor2D(
+            c, self.prev_spikes_dense[c[:, 0], :, c[:, 2], c[:, 1]], batch,
+            height, width, channels, prune=False)
+
     def reset(self):
+        batch, channels, height, width = self.shape
         self.potentials = np.zeros_like(self.potentials)
         self.prev_spikes_dense = np.zeros_like(self.potentials)
-        self.prev_spike_coords = np.empty((0, 3), np.int64)
+        self.prev_spikes = SparseTensor2D.empty(batch, height, width, channels)
         self.last_touch.fill(-1)
         self.step = -1
+
+
+def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
+    """``beta * (v_prev - thr * s_prev) + (1 - beta) * current``, the membrane
+    recurrence with ``thr = b * (|W|^2 + eps)``, evaluated in that order.
+    ``out`` and ``tmp`` are optional buffers of the result's shape."""
+    out = np.multiply(thr, s_prev, out=out)
+    np.subtract(v_prev, out, out=out)
+    np.multiply(beta, out, out=out)
+    return np.add(out, np.multiply(1.0 - beta, current, out=tmp), out=out)
 
 
 def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
@@ -183,10 +221,9 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
     update is exactly ``beta * V`` and is applied as one dense multiply.
     ``soft_alpha`` replaces the hard step by ``sigmoid(soft_alpha * u)``.
 
-    Returns ``(spikes, v_prev, s_prev)``: the emitted spikes as a sparse
-    tensor (``None`` for soft spikes or ``sparse_out=False``) and the
-    previous potentials and spikes, which a tape records beside the new ones
-    (``state.potentials``, ``state.prev_spikes_dense``).
+    Returns the emitted spikes as a sparse tensor, or ``None`` for soft
+    spikes or ``sparse_out=False``.  Every step leaves new ``potentials``
+    (never written in place, so a tape may keep the old ones).
     """
     if rows is None:
         v_prev, s_prev = state.potentials, state.prev_spikes_dense
@@ -194,8 +231,7 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
         bi, ys, xs = rows
         v_prev = state.potentials[bi, :, ys, xs]
         s_prev = state.prev_spikes_dense[bi, :, ys, xs]
-    thr = b * w2e
-    v_new = beta * (v_prev - thr * s_prev) + (1.0 - beta) * current
+    v_new = _lif_recurrence(v_prev, s_prev, current, beta, b * w2e)
     u = v_new / w2e - b
     if soft_alpha is None:
         s_new = (u >= 0).astype(np.float64)
@@ -211,16 +247,14 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
         spikes = SparseTensor2D(np.stack([bi, xs, ys], axis=1), s_new, batch,
                                 height, width, channels, validate=False,
                                 canonical=True)
-        # out of place: a tape may still hold the old potentials
         state.potentials = state.potentials * beta
         state.potentials[bi, :, ys, xs] = v_new
         # the last spikes sit on touched rows, so this overwrites them all
         state.prev_spikes_dense[bi, :, ys, xs] = s_new
         state.last_touch[bi, ys, xs] = step
-    state.prev_spike_coords = (spikes.coords if spikes is not None
-                               else np.empty((0, 3), np.int64))
+    state.prev_spikes = spikes
     state.step = step
-    return spikes, v_prev, s_prev
+    return spikes
 
 
 def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
@@ -237,8 +271,8 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
         i_dense = np.asarray(current, dtype=np.float64)
     if i_dense.shape != state.shape:
         raise ShapeError(f"current shape {i_dense.shape} != state {state.shape}")
-    spikes, _, _ = _lif_update(state, i_dense, params.beta, params.b,
-                               wnorm2 + params.eps)
+    spikes = _lif_update(state, i_dense, params.beta, params.b,
+                         wnorm2 + params.eps)
     return spikes, state
 
 
@@ -280,9 +314,8 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
     current = np.zeros((len(touched), channels))
     if len(cur_coords):
         current[np.searchsorted(touched, keys_of(cur_coords))] = cur_vals
-    spikes, _, _ = _lif_update(state, current, params.beta, params.b,
-                               wnorm2 + params.eps, rows)
-    return spikes
+    return _lif_update(state, current, params.beta, params.b,
+                       wnorm2 + params.eps, rows)
 
 
 class SpikingConvLayer:
@@ -531,15 +564,20 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
     A hard-threshold ``sc`` layer convolves on the coordinate map of its
     input; a dense input (the output of a ``c`` layer) is sparsified first,
     so an ``sc`` layer never adds sites after a ``c`` layer either.  Soft
-    runs and ``c`` layers convolve everywhere.  Untaped ``sc`` layers with
-    ``b > 0`` take the sparse step (:func:`_lif_step_lazy`); at ``b <= 0`` a
-    silent site at rest spikes, so every site must be updated.  A recorder
-    gets the whole step as one entry.
+    runs and ``c`` layers convolve everywhere.  A hard ``sc`` layer with
+    ``b > 0`` whose last spikes are sparse takes the sparse step
+    (:func:`_lif_step_lazy`), taped or not; at ``b <= 0`` a silent site at
+    rest spikes, so every site must be updated.  A recorder gets the whole
+    step as one entry, with the state before it (``v_prev``, and ``s_prev``
+    as the last sparse spikes when there are any) and after it.
     """
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
     w2e = kernel.wnorm2 + EPSILON
+    v_prev = state.potentials
+    s_prev = (state.prev_spikes_dense if state.prev_spikes is None
+              else state.prev_spikes)
     if layer.mode == "sparse" and not soft:
         xs = x if isinstance(x, SparseTensor2D) else sparsify(x)
         out_c, current, _, _ = _conv_sites(xs, kernel)
@@ -547,15 +585,15 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
         out_c = None
         xd = densify(x) if isinstance(x, SparseTensor2D) else x
         current = dense_conv2d(xd, kernel.weights, kernel.stride)
-    if out_c is not None and recorder is None and b > 0:
+    if out_c is not None and b > 0 and state.prev_spikes is not None:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
                                 kernel.wnorm2)
     else:
         i_dense = (current if out_c is None
                    else _scatter_rows(out_c, current, state.shape))
-        spikes, v_prev, s_prev = _lif_update(
-            state, i_dense, beta, b, w2e, soft_alpha=alpha if soft else None,
-            sparse_out=layer.mode == "sparse")
+        spikes = _lif_update(state, i_dense, beta, b, w2e,
+                             soft_alpha=alpha if soft else None,
+                             sparse_out=layer.mode == "sparse")
     out = state.prev_spikes_dense if spikes is None else spikes
     count = int(np.count_nonzero(out if spikes is None else spikes.values))
 
@@ -572,8 +610,8 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, v_prev=v_prev,
             s_prev=s_prev, v_new=state.potentials,
-            s_new=state.prev_spikes_dense, spikes=spikes, pooled=pooled,
-            winners=winners, beta=beta, b=b, w2e=w2e)
+            s_new=out if spikes is None else None, spikes=spikes,
+            pooled=pooled, winners=winners, beta=beta, b=b, w2e=w2e)
     return (out if pooled is None else pooled), count
 
 
@@ -583,8 +621,9 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
 
     States are *not* reset here, so consecutive calls continue a run.  With
     ``training=True`` a fresh dropout mask is drawn per timestep from ``rng``.
-    Every layer keeps dense potentials; without a ``recorder`` the sparse
-    layers update only the sites that can change (see the module docstring).
+    Every layer keeps dense potentials; hard-threshold sparse layers update
+    only the sites that can change (see the module docstring), with or
+    without a ``recorder``.
     Returns ``(per-timestep logits [T, B, classes], mean logits, per-layer
     spike counts)``.
     """

@@ -129,3 +129,34 @@ def simulate_reference(model, grid, t_eval):
             logits = logits + model.readout.bias.value
         logits_seq.append(logits)
     return np.stack(logits_seq), trains
+
+
+def every_site_forward(model, grids, t_eval):
+    """Oracle for hard-threshold ``sc`` networks that updates every site.
+
+    Each layer convolves on its input's coordinate map with the library's
+    conv, and ``lif_step`` integrates the densified current into every site,
+    so no site is skipped.  Returns (per-timestep logits [T, B, classes],
+    per-layer spike counts); states advance as in ``run_timesteps``.
+    """
+    from spikesparse.sparse import SparseTensor2D, _conv_sites, _pool_sites
+    from spikesparse.spiking import _batch_slice, _readout_batch, lif_step
+
+    counts = np.zeros(len(model.layers), dtype=np.int64)
+    logits = []
+    for t in range(t_eval):
+        x = _batch_slice(grids, t)
+        for li, layer in enumerate(model.layers):
+            assert layer.mode == "sparse" and not model.soft
+            out_c, rows, _, _ = _conv_sites(x, layer.kernel)
+            batch, channels, height, width = layer.state.shape
+            current = SparseTensor2D(out_c, rows, batch, height, width, channels,
+                                     prune=False)
+            x, _ = lif_step(layer.state, current, layer.lif_params(),
+                            layer.kernel.wnorm2)
+            counts[li] += np.count_nonzero(x.values)
+            if layer.pool:
+                pc, pv, _, ph, pw = _pool_sites(x)
+                x = SparseTensor2D(pc, pv, batch, ph, pw, channels, prune=False)
+        logits.append(_readout_batch(model.readout, x))
+    return np.stack(logits), counts

@@ -1,7 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_model
+from spikesparse import autograd
 from spikesparse.autograd import (
     GradientTape,
     backward,
@@ -11,6 +17,7 @@ from spikesparse.autograd import (
     softmax_xent,
 )
 from spikesparse.event_io import EventStream, build_voxel_grid
+from spikesparse.sparse import SparseTensor2D
 from spikesparse.spiking import run_timesteps
 
 
@@ -271,3 +278,107 @@ class TestTapeInvariants:
         diff = np.abs(g_full.get(model.layers[0].beta)
                       - g_trunc.get(model.layers[0].beta))
         assert diff > 0  # cutting the recurrence changes the leak gradient
+
+
+def _taped_step(model, grids, labels, t_eval, start=0, truncate=0, seed=0):
+    """One training forward (dropout masks from ``seed``) and its backward;
+    returns the logits, spike counts and every parameter gradient."""
+    tape = GradientTape()
+    logits, mean, counts = run_timesteps(
+        model, grids, t_eval, start=start, training=True,
+        rng=np.random.default_rng(seed), recorder=tape)
+    _, probs = softmax_xent(mean, labels)
+    tape.record_loss(probs, labels, mean)
+    grads = backward(tape, truncate=truncate)
+    return [logits, counts] + grads.to_list(model.parameters())
+
+
+class TestSegmentReplay:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           modes=st.sampled_from([("sparse", "sparse"), ("dense", "dense"),
+                                  ("dense", "sparse"), ("sparse", "dense")]),
+           variant=st.sampled_from(["stride", "pool"]), soft=st.booleans(),
+           truncate=st.sampled_from([0, 1, 2, 3]),
+           dropout_p=st.sampled_from([0.0, 0.5]),
+           zero_b=st.sampled_from([None, 0, 1]),
+           t_eval=st.integers(1, 21), warmup=st.integers(0, 3),
+           batch=st.integers(1, 2))
+    def test_gradients_equal_full_storage(self, data, seed, modes, variant,
+                                          soft, truncate, dropout_p, zero_b,
+                                          t_eval, warmup, batch):
+        """A segment length of 1 keeps the potentials of every step, so
+        nothing is replayed; the default length, a short one and one longer
+        than the run must give bit-identical logits, spikes and gradients,
+        also for a taped run that continues an un-reset state."""
+        rng = np.random.default_rng(seed)
+        model = make_model(rng, (8, 8), [(2, modes[0], 3), (3, modes[1], 3)],
+                           3, variant=variant, dropout_p=dropout_p, b=0.05,
+                           weight_scale=0.8)
+        soft_forward_mode(model, soft)
+        if zero_b is not None:
+            model.layers[zero_b].b.value[...] = 0.0
+        grids = [random_grid(rng, 8, 8, t_bins=warmup + t_eval, density=0.3)
+                 for _ in range(batch)]
+        labels = rng.integers(0, 3, batch)
+        short = data.draw(st.integers(2, 5))
+        results = []
+        for segment in (1, autograd._SEGMENT, short, t_eval + 1):
+            with mock.patch.object(autograd, "_SEGMENT", segment):
+                model.reset_state(batch)
+                if warmup:
+                    run_timesteps(model, grids, warmup)
+                results.append(_taped_step(model, grids, labels, t_eval,
+                                           start=warmup, truncate=truncate,
+                                           seed=seed))
+        for got in results[1:]:
+            for a, b in zip(results[0], got):
+                assert np.array_equal(a, b)
+
+    def test_sparse_tape_keeps_no_dense_spikes_and_few_potentials(self):
+        rng = np.random.default_rng(31)
+        model = make_model(rng, (12, 12), [(2, "sparse", 3), (3, "sparse", 3)],
+                           3, variant="pool", b=0.05, weight_scale=0.8)
+        t_eval = 37
+        grids = [random_grid(rng, 12, 12, t_bins=t_eval, density=0.2)
+                 for _ in range(2)]
+        tape = GradientTape()
+        model.reset_state(2)
+        _, _, counts = run_timesteps(model, grids, t_eval, recorder=tape)
+        assert np.all(counts > 0)
+        for layer in model.layers:
+            entries = [e.data for e in tape.entries
+                       if e.kind == "layer" and e.data["layer"] is layer]
+            assert len(entries) == t_eval
+            potentials = 0
+            for d in entries:
+                assert d["s_new"] is None
+                assert isinstance(d["s_prev"], SparseTensor2D)
+                assert isinstance(d["spikes"], SparseTensor2D)
+                for key, value in d.items():
+                    if (isinstance(value, np.ndarray)
+                            and value.shape == layer.state.shape):
+                        assert key in ("v_prev", "v_new")
+                        potentials += 1
+            assert potentials <= math.ceil(t_eval / autograd._SEGMENT) + 1
+
+    def test_no_adjoint_crosses_a_reset_on_one_tape(self):
+        # a state reset between two runs on one tape cuts the recurrence: the
+        # loss of the second run gives the first run's steps no gradient
+        rng = np.random.default_rng(32)
+        model = make_model(rng, (8, 8), [(2, "sparse", 3), (3, "sparse", 3)],
+                           3, b=0.05, weight_scale=0.8)
+        grids = [random_grid(rng, 8, 8, t_bins=20, density=0.3)]
+        labels = np.array([1])
+        model.reset_state(1)
+        want = _taped_step(model, grids, labels, 20)
+        tape = GradientTape()
+        model.reset_state(1)
+        run_timesteps(model, grids, 20, recorder=tape)
+        model.reset_state(1)
+        _, mean, _ = run_timesteps(model, grids, 20, recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, labels, mean)
+        got = backward(tape).to_list(model.parameters())
+        for a, b in zip(want[2:], got):
+            assert np.array_equal(a, b)
