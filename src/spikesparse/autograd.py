@@ -44,7 +44,7 @@ from .sparse import (
     densify,
     sparsify,
 )
-from .spiking import _lif_recurrence, _surrogate_into, run_timesteps
+from .spiking import _flat_indices, _lif_recurrence, _surrogate_into, run_timesteps
 
 __all__ = [
     "ParamGrads",
@@ -314,7 +314,6 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             w = readout.weight.value
             if isinstance(x, SparseTensor2D):
                 if x.n_sites:
-                    from .spiking import _flat_indices
                     flat = _flat_indices(x)
                     b_rep = np.repeat(x.coords[:, 0], x.channels)
                     glr = g_logits[b_rep]                      # (N*C, classes)

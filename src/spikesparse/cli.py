@@ -40,6 +40,7 @@ from .event_io import (
 from .spiking import load_checkpoint
 from .training import (
     TrainConfig,
+    _check_horizons,
     anytime_eval,
     evaluate,
     history_to_csv,
@@ -334,24 +335,29 @@ def cmd_train(args):
     return 0
 
 
-def _load_model_and_data(args, need_checkpoint=True):
+def _load_model_and_data(args):
+    """Config, checkpoint model, dataset and the checked evaluation horizons."""
     cfg = load_config(args.config, seed_override=args.seed)
-    if need_checkpoint:
-        if not os.path.exists(args.checkpoint):
-            raise FileNotFoundError(f"no checkpoint {args.checkpoint}")
-        try:
-            model = load_checkpoint(args.checkpoint)
-        except (ValueError, KeyError) as e:
-            raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
-    else:
-        model = None
+    if not os.path.exists(args.checkpoint):
+        raise FileNotFoundError(f"no checkpoint {args.checkpoint}")
+    try:
+        model = load_checkpoint(args.checkpoint)
+    except (ValueError, KeyError) as e:
+        raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
     dataset = load_dataset(cfg)
-    return cfg, model, dataset
+    if hasattr(args, "t_list"):
+        horizons = _int_list(args.t_list) if args.t_list else cfg["eval"]["t_list"]
+    else:
+        horizons = [args.t or cfg["eval"]["t_eval"] or cfg["train"]["t_train"]]
+    try:
+        _check_horizons(dataset[1], horizons)
+    except ValueError as e:
+        raise ConfigError([str(e)]) from None
+    return cfg, model, dataset, horizons
 
 
 def cmd_eval(args):
-    cfg, model, dataset = _load_model_and_data(args)
-    t_eval = args.t or cfg["eval"]["t_eval"] or cfg["train"]["t_train"]
+    cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
     acc = evaluate(model, dataset[1], t_eval, batch_size=_eval_batch(cfg, args.workers))
     report = {"config_hash": config_hash(cfg), "t_eval": t_eval,
               "samples": len(dataset[1]), "accuracy": acc}
@@ -361,8 +367,7 @@ def cmd_eval(args):
 
 
 def cmd_sparsity(args):
-    cfg, model, dataset = _load_model_and_data(args)
-    t_eval = args.t or cfg["eval"]["t_eval"] or cfg["train"]["t_train"]
+    cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
     audit = sparsity_audit(model, dataset[1], t_eval,
                            batch_size=_eval_batch(cfg, args.workers))
     chash = config_hash(cfg)
@@ -375,8 +380,7 @@ def cmd_sparsity(args):
 
 
 def cmd_anytime(args):
-    cfg, model, dataset = _load_model_and_data(args)
-    t_list = _int_list(args.t_list) if args.t_list else cfg["eval"]["t_list"]
+    cfg, model, dataset, t_list = _load_model_and_data(args)
     curve = anytime_eval(model, dataset[1], t_list,
                          batch_size=_eval_batch(cfg, args.workers))
     lines = [f"# config_hash={config_hash(cfg)}", "t_eval,accuracy"]

@@ -8,9 +8,11 @@ stride ``s``, site ``(b, x, y)`` contributes the output site
 ``(b, x // s, y // s)``.  This is what makes a stride-1 sparse convolution
 differ from its dense counterpart: output sites whose receptive field
 touches a nonzero but which are not themselves in the coordinate map stay
-empty, so spatial sparsity never grows through a convolution.  Each call
-builds one kernel map (the "rulebook" of every (tap, output, input) match)
-in a single gather; backward rebuilds it rather than storing it.
+empty, so spatial sparsity never grows through a convolution.  One site
+index, an occupancy map (``_site_index``), gives the sites of conv, pool and
+the sparse LIF step.  Each conv call builds one ``[k*k, N_out]`` kernel map
+(the "rulebook") in a single gather for forward and backward alike, and
+backward rebuilds it rather than storing it.
 
 Dense reference routines (``dense_conv2d``, ``dense_max_pool2d``) share the
 tap conventions of the sparse path and back the dense execution mode of the
@@ -204,67 +206,69 @@ class ConvKernel2D:
         return self._wnorm2
 
 
+def _site_index(shape, *coords, stride=1):
+    """The one site->row index: marks the sites ``(b, x // stride, y // stride)``
+    of each ``(N, 3)`` ``(b, x, y)`` array in ``coords`` on a ``(B, H, W)``
+    occupancy map; returns their union as ``(b, x, y)`` rows in canonical
+    ``(b, y, x)`` order (that of ``np.nonzero``) and, per array, the row of
+    each of its sites in that union."""
+    sites = [(c[:, 0], c[:, 2] // stride, c[:, 1] // stride) for c in coords]
+    occupied = np.zeros(shape, bool)
+    for site in sites:
+        occupied[site] = True
+    b, y, x = np.nonzero(occupied)
+    row = np.empty(shape, np.intp)
+    row[b, y, x] = np.arange(len(b))
+    return np.stack([b, x, y], axis=1), [row[site] for site in sites]
+
+
 def out_coords(coords, stride):
     """Output coordinate set of a strided sparse convolution.
 
     Floor-divides the spatial part of each ``(b, x, y)`` by ``stride`` and
     deduplicates; for ``stride == 1`` this is the input set.  Result is in
-    canonical ``(b, y, x)`` order.
+    canonical ``(b, y, x)`` order.  Coordinates must be non-negative.
     """
     if stride < 1:
         raise ShapeError("stride must be >= 1")
     coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-    if len(coords) == 0:
-        return coords.copy()
-    out = coords.copy()
-    out[:, 1] //= stride
-    out[:, 2] //= stride
-    out = np.unique(out, axis=0)
-    order = np.lexsort((out[:, 1], out[:, 2], out[:, 0]))
-    return out[order]
+    if coords.min(initial=0) < 0:
+        raise ShapeError("site coordinates must be non-negative")
+    b, w, h = coords.max(axis=0, initial=-1) // [1, stride, stride] + 1
+    return _site_index((b, h, w), coords, stride=stride)[0]
 
 
 def _kernel_map(out_c, x: SparseTensor2D, k, stride):
     """Rulebook of a ``k x k`` convolution from the sites of ``x`` to ``out_c``.
 
-    Returns ``(dx, dy, rows_out, rows_in)`` for each tap with a match, taps in
-    ``dx, dy`` order: ``rows_out`` (ascending rows of ``out_c``) read the
-    ``x`` rows ``rows_in``.  All taps are looked up in one gather through a
-    dense site->row index of ``x``, padded by ``k // 2`` so that out-of-grid
-    taps read the -1 of an absent site.
+    Returns the ``[k * k, len(out_c)]`` rows of ``x`` that tap
+    ``t = dx * k + dy`` of each output site reads, ``x.n_sites`` where it
+    reads no site.  All taps are looked up in one gather through a dense
+    site->row index of ``x``, padded by ``k // 2`` so that out-of-grid taps
+    read an absent site.  Batching the taps' matmuls would change BLAS rounding.
     """
     pad = k // 2
     hp, wp = x.height + 2 * pad, x.width + 2 * pad
-    site_row = np.full((x.batch_size, hp, wp), -1, np.int32)
+    site_row = np.full((x.batch_size, hp, wp), x.n_sites, np.int32)
     site_row[x.coords[:, 0], x.coords[:, 2] + pad, x.coords[:, 1] + pad] = \
         np.arange(x.n_sites, dtype=np.int32)
     # padded flat index of tap (0, 0); tap (dx, dy) adds dy * wp + dx
     corner = (out_c[:, 0] * hp + stride * out_c[:, 2]) * wp + stride * out_c[:, 1]
     taps = (np.arange(k)[:, None] + wp * np.arange(k)).reshape(-1, 1)
-    rows = site_row.ravel()[taps + corner]
-    tap, rows_out = np.nonzero(rows >= 0)
-    cuts = np.searchsorted(tap, np.arange(1, k * k))
-    return [(t // k, t % k, o, i) for t, (o, i) in enumerate(zip(
-        np.split(rows_out, cuts), np.split(rows[tap, rows_out], cuts))) if len(o)]
+    return site_row.ravel()[taps + corner]
 
 
 def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D):
     """Unpruned convolution at the coordinate map: (out coords, out values, extent)."""
     s, k = kernel.stride, kernel.k
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
-    if x.n_sites == 0:
-        return (np.empty((0, 3), np.int64), np.empty((0, kernel.out_channels)),
-                h_out, w_out)
-    okeys = np.unique((x.coords[:, 0] * h_out + x.coords[:, 2] // s) * w_out
-                      + x.coords[:, 1] // s)
-    ox = okeys % w_out
-    oy = (okeys // w_out) % h_out
-    ob = okeys // (w_out * h_out)
-    out_c = np.stack([ob, ox, oy], axis=1)
+    out_c, _ = _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)
     w = kernel.weights
-    out_v = np.zeros((len(okeys), kernel.out_channels))
-    for dx, dy, rows_out, rows_in in _kernel_map(out_c, x, k, s):
-        out_v[rows_out] += x.values[rows_in] @ w[:, :, dx, dy].T
+    out_v = np.zeros((len(out_c), kernel.out_channels))
+    for t, rows_in in enumerate(_kernel_map(out_c, x, k, s)):
+        rows_out = np.flatnonzero(rows_in < x.n_sites)
+        if len(rows_out):
+            out_v[rows_out] += x.values[rows_in[rows_out]] @ w[:, :, t // k, t % k].T
     return out_c, out_v, h_out, w_out
 
 
@@ -276,16 +280,17 @@ def _conv_sites_grads(x: SparseTensor2D, kernel: ConvKernel2D, out_c, g_out,
     rather than saved: it is deterministic, and keeping it for every conv of
     the unrolling would cost more memory than the rebuild costs time.
     """
-    w = kernel.weights
+    w, k = kernel.weights, kernel.k
     g_w = np.zeros_like(w)
     g_in = np.zeros_like(x.values) if need_input_grad else None
-    if x.n_sites == 0 or len(out_c) == 0:
-        return g_w, g_in
-    for dx, dy, rows_out, rows_in in _kernel_map(out_c, x, kernel.k, kernel.stride):
-        g_rows = g_out[rows_out]
-        g_w[:, :, dx, dy] += g_rows.T @ x.values[rows_in]
-        if need_input_grad:
-            g_in[rows_in] += g_rows @ w[:, :, dx, dy]
+    for t, rows_in in enumerate(_kernel_map(out_c, x, k, kernel.stride)):
+        rows_out = np.flatnonzero(rows_in < x.n_sites)
+        if len(rows_out):
+            rows_in, dx, dy = rows_in[rows_out], t // k, t % k
+            g_rows = g_out[rows_out]
+            g_w[:, :, dx, dy] += g_rows.T @ x.values[rows_in]
+            if need_input_grad:
+                g_in[rows_in] += g_rows @ w[:, :, dx, dy]
     return g_w, g_in
 
 
@@ -312,21 +317,13 @@ def _pool_sites(x: SparseTensor2D):
     Winners index rows of ``x.values``; ties go to the canonically first row.
     """
     h_out, w_out = _ceil_div(x.height, 2), _ceil_div(x.width, 2)
-    if x.n_sites == 0:
-        return (np.empty((0, 3), np.int64), np.empty((0, x.channels)),
-                np.empty((0, x.channels), np.int64), h_out, w_out)
-    okeys_all = (x.coords[:, 0] * h_out + x.coords[:, 2] // 2) * w_out + x.coords[:, 1] // 2
-    okeys, inv = np.unique(okeys_all, return_inverse=True)
-    m = len(okeys)
-    out_v = np.full((m, x.channels), -np.inf)
+    out_c, (inv,) = _site_index((x.batch_size, h_out, w_out), x.coords, stride=2)
+    out_v = np.full((len(out_c), x.channels), -np.inf)
     np.maximum.at(out_v, inv, x.values)
-    winners = np.full((m, x.channels), x.n_sites, np.int64)
+    winners = np.full(out_v.shape, x.n_sites, np.int64)
     rows, cols = np.nonzero(x.values == out_v[inv])
     np.minimum.at(winners, (inv[rows], cols), rows)
-    ox = okeys % w_out
-    oy = (okeys // w_out) % h_out
-    ob = okeys // (w_out * h_out)
-    return np.stack([ob, ox, oy], axis=1), out_v, winners, h_out, w_out
+    return out_c, out_v, winners, h_out, w_out
 
 
 def _pool_sites_grads(x: SparseTensor2D, winners, g_out):

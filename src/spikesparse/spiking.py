@@ -50,6 +50,7 @@ from .sparse import (
     _conv_sites,
     _pool_sites,
     _scatter_rows,
+    _site_index,
     dense_conv2d,
     dense_max_pool2d,
     densify,
@@ -210,25 +211,25 @@ def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
     return np.add(out, np.multiply(1.0 - beta, current, out=tmp), out=out)
 
 
-def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
+def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites=None,
                 soft_alpha=None, sparse_out=True):
     """The one LIF update: recurrence, spike decision and state commit.
 
-    With ``rows=None`` every site updates from the dense ``[B, C, H, W]``
-    ``current``.  With ``rows = (bi, ys, xs)`` only those sites get the full
-    update, each from its ``[C]`` row of ``current``; every other site must
-    have neither input nor a pending reset (``I = 0``, ``S_own = 0``), so its
-    update is exactly ``beta * V`` and is applied as one dense multiply.
+    With ``sites=None`` every site updates from the dense ``[B, C, H, W]``
+    ``current``.  With canonical ``(b, x, y)`` ``sites`` only those get the
+    full update, each from its ``[C]`` row of ``current``; every other site
+    must have neither input nor a pending reset (``I = 0``, ``S_own = 0``),
+    so its update is exactly ``beta * V`` and is applied as one dense multiply.
     ``soft_alpha`` replaces the hard step by ``sigmoid(soft_alpha * u)``.
 
     Returns the emitted spikes as a sparse tensor, or ``None`` for soft
     spikes or ``sparse_out=False``.  Every step leaves new ``potentials``
     (never written in place, so a tape may keep the old ones).
     """
-    if rows is None:
+    if sites is None:
         v_prev, s_prev = state.potentials, state.prev_spikes_dense
     else:
-        bi, ys, xs = rows
+        bi, xs, ys = sites.T
         v_prev = state.potentials[bi, :, ys, xs]
         s_prev = state.prev_spikes_dense[bi, :, ys, xs]
     v_new = _lif_recurrence(v_prev, s_prev, current, beta, b * w2e)
@@ -238,15 +239,14 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, rows=None,
     else:
         s_new = _sigmoid(soft_alpha * u)
     step = state.step + 1
-    if rows is None:
+    if sites is None:
         spikes = sparsify(s_new) if sparse_out and soft_alpha is None else None
         state.potentials, state.prev_spikes_dense = v_new, s_new
         state.last_touch.fill(step)
     else:
         batch, channels, height, width = state.shape
-        spikes = SparseTensor2D(np.stack([bi, xs, ys], axis=1), s_new, batch,
-                                height, width, channels, validate=False,
-                                canonical=True)
+        spikes = SparseTensor2D(sites, s_new, batch, height, width, channels,
+                                validate=False, canonical=True)
         state.potentials = state.potentials * beta
         state.potentials[bi, :, ys, xs] = v_new
         # the last spikes sit on touched rows, so this overwrites them all
@@ -304,18 +304,12 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
     sparse tensor.
     """
     batch, channels, height, width = state.shape
-
-    def keys_of(c):
-        return (c[:, 0] * height + c[:, 2]) * width + c[:, 1]
-
-    touched = np.union1d(keys_of(cur_coords), keys_of(state.prev_spike_coords))
-    rows = (touched // (width * height), (touched // width) % height,
-            touched % width)
-    current = np.zeros((len(touched), channels))
-    if len(cur_coords):
-        current[np.searchsorted(touched, keys_of(cur_coords))] = cur_vals
+    sites, (cur_rows, _) = _site_index((batch, height, width), cur_coords,
+                                       state.prev_spike_coords)
+    current = np.zeros((len(sites), channels))
+    current[cur_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
-                       wnorm2 + params.eps, rows)
+                       wnorm2 + params.eps, sites)
 
 
 class SpikingConvLayer:

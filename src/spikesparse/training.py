@@ -400,14 +400,19 @@ def anytime_eval(model: SpikingNet, pairs, t_values, batch_size=32):
     """Accuracy at several evaluation horizons, without retraining.
 
     Grids must hold at least ``max(t_values)`` bins; rebuild them from the
-    original streams when a longer horizon is wanted.
+    original streams when a longer horizon is wanted.  Every horizon is
+    checked before the first is evaluated.
     """
-    out = []
+    _check_horizons(pairs, t_values)
+    return [(int(t), evaluate(model, pairs, int(t), batch_size)) for t in t_values]
+
+
+def _check_horizons(pairs, t_values):
+    """Raise ValueError for a horizon outside 1..(bin count of the grids)."""
+    bins = min((grid.n_timesteps for grid, _ in pairs), default=math.inf)
     for t in t_values:
-        if t < 1:
-            raise ValueError("every evaluation horizon must be >= 1")
-        out.append((int(t), evaluate(model, pairs, int(t), batch_size)))
-    return out
+        if not 1 <= t <= bins:
+            raise ValueError(f"evaluation horizon {t} is not in 1..{bins}")
 
 
 def stride_vs_pool_study(config: TrainConfig, dataset, log=None):

@@ -224,16 +224,33 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err
         assert "train.learning_rate" in err
 
-    @pytest.mark.parametrize("extra, key", [
-        ("[train]\nschedule = foo\n", "schedule"),
-        ("[model]\narch = 4xx5-4\n", "4xx5"),
-        ("[train]\ndropout_p = 1.0\n", "dropout_p"),
+    @pytest.mark.parametrize("extra, key, command", [
+        ("[train]\nschedule = foo\n", "schedule", "train"),
+        ("[model]\narch = 4xx5-4\n", "4xx5", "train"),
+        ("[train]\ndropout_p = 1.0\n", "dropout_p", "train"),
+        # evaluation horizons against TINY's 5-bin grids
+        ("", "horizon 9 ", "eval --t 9"),
+        ("", "horizon 9 ", "sparsity --t 9"),
+        ("", "horizon -3 ", "eval --t -3"),
+        ("", "horizon 9 ", "anytime --t-list 2,9"),
+        ("", "horizon 0 ", "anytime --t-list 2,0"),
+        ("[eval]\nt_eval = 9\n", "horizon 9 ", "eval"),
+        ("[eval]\nt_eval = -3\n", "horizon -3 ", "sparsity"),
+        ("[eval]\nt_list = 2,9\n", "horizon 9 ", "anytime"),
+        ("[eval]\nt_list = 2,0\n", "horizon 0 ", "anytime"),
     ])
-    def test_invalid_training_config_is_exit_3(self, tmp_path, capsys, extra, key):
+    def test_invalid_training_config_is_exit_3(self, tmp_path, capsys, extra, key,
+                                               command):
+        from spikesparse.spiking import save_checkpoint
+        from spikesparse.training import build_model
         bad = tmp_path / "bad.ini"
         bad.write_text(TINY + extra)
-        assert main(["train", "--config", str(bad), "--out",
-                     str(tmp_path / "x")]) == 3
+        argv = command.split() + ["--config", str(bad), "--out", str(tmp_path / "x")]
+        if command != "train":
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
+            argv += ["--checkpoint", str(ckpt)]
+        assert main(argv) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert key in err[0]

@@ -24,6 +24,36 @@ from spikesparse.sparse import (
 )
 
 
+@st.composite
+def _sparse_inputs(draw, values):
+    batch = draw(st.integers(1, 3))
+    height, width = draw(st.integers(1, 11)), draw(st.integers(1, 11))
+    channels = draw(st.integers(1, 4))
+    density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+    border = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((batch, height, width)) < density
+    if border:
+        mask[:, [0, -1], :] = True
+        mask[:, :, [0, -1]] = True
+    b, y, x = np.nonzero(mask)
+    if values == "normal":
+        vals = rng.standard_normal((len(b), channels))
+    else:  # few distinct levels, so pooling windows tie
+        vals = rng.integers(0, 3, (len(b), channels)).astype(np.float64)
+    return SparseTensor2D(np.stack([b, x, y], axis=1), vals, batch, height, width,
+                          channels), rng
+
+
+def _unique_out_coords(coords, stride):
+    """Output sites by hash deduplication and a lexsort into canonical
+    ``(b, y, x)`` order, independent of the library's occupancy map."""
+    out = np.asarray(coords, dtype=np.int64).reshape(-1, 3).copy()
+    out[:, 1:] //= stride
+    out = np.unique(out, axis=0)
+    return out[np.lexsort((out[:, 1], out[:, 2], out[:, 0]))]
+
+
 class TestOutCoords:
     def test_floor_division(self):
         out = out_coords(np.array([[0, 5, 3]]), 2)
@@ -38,6 +68,21 @@ class TestOutCoords:
         coords = np.unique(rng.integers(0, 10, size=(20, 3)), axis=0)
         out = out_coords(coords, 1)
         assert sorted(map(tuple, out)) == sorted(map(tuple, coords))
+
+    def test_negative_coordinate_rejected(self):
+        for bad in ([[0, -1, 2]], [[-1, 0, 0]], [[0, 3, -4], [0, 1, 1]]):
+            with pytest.raises(ShapeError):
+                out_coords(np.array(bad), 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_sparse_inputs("levels"))
+    def test_matches_unique_oracle(self, drawn):
+        x, rng = drawn
+        shuffled = rng.permutation(x.coords)
+        for stride in (1, 2):
+            assert np.array_equal(out_coords(shuffled, stride),
+                                  _unique_out_coords(x.coords, stride))
+        assert np.array_equal(_pool_sites(x)[0], _unique_out_coords(x.coords, 2))
 
 
 class TestSparseConv:
@@ -301,27 +346,6 @@ def _loop_pool_grad(x, winners, g_out):
     for c in range(x.channels):
         np.add.at(g_in[:, c], winners[:, c], g_out[:, c])
     return g_in
-
-
-@st.composite
-def _sparse_inputs(draw, values):
-    batch = draw(st.integers(1, 3))
-    height, width = draw(st.integers(1, 11)), draw(st.integers(1, 11))
-    channels = draw(st.integers(1, 4))
-    density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
-    border = draw(st.booleans())
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mask = rng.random((batch, height, width)) < density
-    if border:
-        mask[:, [0, -1], :] = True
-        mask[:, :, [0, -1]] = True
-    b, y, x = np.nonzero(mask)
-    if values == "normal":
-        vals = rng.standard_normal((len(b), channels))
-    else:  # few distinct levels, so pooling windows tie
-        vals = rng.integers(0, 3, (len(b), channels)).astype(np.float64)
-    return SparseTensor2D(np.stack([b, x, y], axis=1), vals, batch, height, width,
-                          channels), rng
 
 
 class TestKernelMapMatchesTapLoop:

@@ -346,11 +346,16 @@ class TestSparsityAudit:
         assert zero.layers == sparsity_audit(model, test, 6, batch_size=1).layers
 
 class TestAnytime:
-    def test_rejects_zero_horizon(self):
+    def test_rejects_zero_horizon(self, monkeypatch):
         rng = np.random.default_rng(9)
         model = make_model(rng, (16, 16), [(2, "sparse", 3)], 3)
+        test = tiny_dataset()[1]
         with pytest.raises(ValueError):
-            anytime_eval(model, tiny_dataset()[1], [0, 5])
+            anytime_eval(model, test, [0, 5])
+        # every horizon is checked before the first evaluation (6-bin grids)
+        monkeypatch.setattr("spikesparse.training.evaluate", None)
+        with pytest.raises(ValueError, match="horizon 7 "):
+            anytime_eval(model, test, [2, 7])
 
     def test_curve_shape(self):
         rng = np.random.default_rng(10)
