@@ -10,13 +10,13 @@ term's dependence on the previous spikes -- so the leak and threshold of every
 layer receive gradients from every timestep.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
-sites, the spikes as sparse tensors wherever the step emits them (``sc``
-layers in the hard run), and the dense potentials only at the first step of
-each segment of ``_SEGMENT`` steps.  Backward replays a segment's potentials
-once, from that stored start, with the forward's recurrence, and carries the
-recurrence adjoints of each layer from step t+1 to step t (checkpointing over
-time: Chen et al., "Training deep nets with sublinear memory cost", arXiv
-1604.06174).  The gradients are bit-identical to storing every potential.
+sites, the spikes as the sparse tensor the step handed on, and the dense
+potentials only at the first step of each segment of ``_SEGMENT`` steps.
+Backward replays a segment's potentials once, from that stored start, with
+the forward's recurrence, and carries the recurrence adjoints of each layer
+from step t+1 to step t (checkpointing over time: Chen et al., "Training
+deep nets with sublinear memory cost", arXiv 1604.06174).  The gradients
+are bit-identical to storing every potential.
 
 Wherever the forward applied the spike step, backward substitutes the
 surrogate derivative evaluated at the normalized argument
@@ -35,14 +35,12 @@ from __future__ import annotations
 import numpy as np
 
 from .sparse import (
-    SparseTensor2D,
     _conv_sites_grads,
+    _nonzero_rows,
     _pool_sites_grads,
     _scatter_rows,
     dense_conv2d_grads,
-    dense_max_pool2d_backward,
     densify,
-    sparsify,
 )
 from .spiking import _flat_indices, _lif_recurrence, _surrogate_into, run_timesteps
 
@@ -114,10 +112,9 @@ class GradientTape:
     def record_layer(self, layer, **data):
         """One layer step: its input ``x``; the conv output (``current`` rows
         at ``out_c``, or a dense ``current`` with ``out_c=None``); the spikes
-        before the step ``s_prev`` (the last sparse ``spikes``, else dense);
-        the emitted ``spikes`` (sparse, or ``None`` beside the dense
-        ``s_new``); the ``pooled`` output and its ``winners`` (``None``
-        without a pool); the ``beta, b, w2e`` of the step; and the potentials
+        before the step ``s_prev`` and the emitted ``spikes``, both sparse
+        tensors; the ``pooled`` output and its ``winners`` (``None`` without a
+        pool); the ``beta, b, w2e`` of the step; and the potentials
         ``v_prev -> v_new``.
 
         Of the potentials the entry keeps ``v_prev`` only at the first step
@@ -209,9 +206,7 @@ class _LayerReplay:
 
     def _dense_inputs(self, d):
         """The step's dense current and dense previous spikes."""
-        s = d["s_prev"]
-        if isinstance(s, SparseTensor2D):
-            s = _scatter_rows(s.coords, s.values, out=self.s)
+        s = _scatter_rows(d["s_prev"].coords, d["s_prev"].values, out=self.s)
         i = d["current"]
         if d["out_c"] is not None:
             i = _scatter_rows(d["out_c"], i, out=self.i)
@@ -311,27 +306,18 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             g_logits = adj.pop(d["logits"], d["logits"].shape)
             if readout.bias is not None:
                 grads.add(readout.bias, g_logits.sum(axis=0))
-            w = readout.weight.value
-            if isinstance(x, SparseTensor2D):
-                if x.n_sites:
-                    flat = _flat_indices(x)
-                    b_rep = np.repeat(x.coords[:, 0], x.channels)
-                    glr = g_logits[b_rep]                      # (N*C, classes)
-                    wcols = w[:, flat.ravel()].T               # (N*C, classes)
-                    g_vals = (glr * wcols).sum(axis=1).reshape(x.values.shape)
-                    adj.add(x, g_vals)
-                    g_w = np.zeros_like(w.T)                   # (features, classes)
-                    np.add.at(g_w, flat.ravel(),
-                              x.values.reshape(-1, 1) * glr)
-                    grads.add(readout.weight, g_w.T)
-            else:
-                flat_x = x.reshape(x.shape[0], -1)
-                grads.add(readout.weight, g_logits.T @ flat_x)
-                adj.add(x, (g_logits @ w).reshape(x.shape))
+            if x.n_sites:
+                w, flat = readout.weight.value, _flat_indices(x).ravel()
+                glr = g_logits[np.repeat(x.coords[:, 0], x.channels)]
+                wcols = w[:, flat].T                       # (N*C, classes)
+                adj.add(x, (glr * wcols).sum(axis=1).reshape(x.values.shape))
+                g_w = np.zeros_like(w.T)                   # (features, classes)
+                np.add.at(g_w, flat, x.values.reshape(-1, 1) * glr)
+                grads.add(readout.weight, g_w.T)
 
         elif entry.kind == "dropout":
             x, out, mask, p = d["x"], d["out"], d["mask"], d["p"]
-            # the mask has the shape of the values (sparse) or the array
+            # the mask has the shape of the stored values
             adj.add(x, adj.pop(out, mask.shape) * mask * (1.0 / (1.0 - p)))
 
         elif entry.kind == "layer":
@@ -344,19 +330,11 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             v_prev, v_new, i_dense, s_prev = rep.step(t)
             # the spikes' adjoint: the reset term carried from step t+1, plus
             # what the pool, the next layer or the readout sent them
-            g_s, spikes, pooled, g_rows = rep.g_s, d["spikes"], d["pooled"], None
+            g_s, spikes, pooled = rep.g_s, d["spikes"], d["pooled"]
             if not rep.carried:
                 g_s.fill(0.0)
             if pooled is None:
-                if spikes is None:
-                    g = adj.take(d["s_new"])
-                    if g is not None:
-                        g_s += g
-                elif spikes.n_sites:
-                    g_rows = adj.pop(spikes, spikes.values.shape)
-            elif spikes is None:
-                g_s += dense_max_pool2d_backward(adj.pop(pooled, pooled.shape),
-                                                 d["winners"], *g_s.shape[2:])
+                g_rows = adj.take(spikes)
             else:
                 g_rows = _pool_sites_grads(spikes, d["winners"],
                                            adj.pop(pooled, pooled.values.shape))
@@ -395,19 +373,19 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             # conv: the current's adjoint goes straight into its gradients
             need_in = layer.index > 0
             if out_c is not None:
-                # a dense input was sparsified in the forward; redone, not stored
-                xs = x if isinstance(x, SparseTensor2D) else sparsify(x)
+                # the forward convolved on x's nonzero rows; found again, not stored
+                xs, rows = _nonzero_rows(x)
                 g_out = g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]]
                 g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
                                               need_input_grad=need_in)
-                if need_in and xs is not x:   # back onto the dense source
-                    g_in = _scatter_rows(xs.coords, g_in, x.shape)
+                if need_in and rows is not None:   # back onto all rows of x
+                    g_in, g_rows = np.zeros_like(x.values), g_in
+                    g_in[rows] = g_rows
             else:
-                sparse_in = isinstance(x, SparseTensor2D)
                 g_in, g_w = dense_conv2d_grads(
-                    g_i, densify(x) if sparse_in else x, layer.kernel.weights,
-                    layer.kernel.stride, need_input_grad=need_in)
-                if need_in and sparse_in:
+                    g_i, densify(x), layer.kernel.weights, layer.kernel.stride,
+                    need_input_grad=need_in)
+                if need_in:
                     g_in = g_in[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]]
             grads.add(layer.weight, g_w)
             if need_in:

@@ -245,7 +245,11 @@ def load_dataset(cfg):
                 except (ValueError, KeyError):
                     raise InputError(f"{index} line {lineno}: expected "
                                      f"file,label,train|test, got {line!r}") from None
-                stream = parse_portable_events(os.path.join(d["path"], name))
+                path = os.path.join(d["path"], name)
+                if not os.path.isfile(path):
+                    raise InputError(f"{index} line {lineno}: no such events "
+                                     f"file {path}")
+                stream = parse_portable_events(path)
                 pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
         return splits["train"], splits["test"]
     if d["kind"] == "dvs128":
@@ -424,16 +428,17 @@ def _build_parser():
                    help="evaluation batch size when [eval] batch = 0")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, checkpoint=False, tlist=False):
+    def common(sp, checkpoint=False, horizon=None):
         sp.add_argument("--config", default=None, help="run config file")
         sp.add_argument("--seed", type=int, default=None,
                         help="override train.seed")
         sp.add_argument("--out", default=".", help="output directory")
         if checkpoint:
             sp.add_argument("--checkpoint", required=True)
+        if horizon == "t":
             sp.add_argument("--t", type=int, default=0,
                             help="evaluation timesteps (default from config)")
-        if tlist:
+        elif horizon == "t-list":
             sp.add_argument("--t-list", default="",
                             help="comma-separated horizons, e.g. 5,50,150,300")
 
@@ -457,15 +462,17 @@ def _build_parser():
     sp.set_defaults(fn=cmd_train)
 
     sp = sub.add_parser("eval", help="test accuracy of a checkpoint")
-    common(sp, checkpoint=True)
+    common(sp, checkpoint=True, horizon="t")
     sp.set_defaults(fn=cmd_eval)
 
     sp = sub.add_parser("sparsity", help="per-layer spike audit")
-    common(sp, checkpoint=True)
+    common(sp, checkpoint=True, horizon="t")
     sp.set_defaults(fn=cmd_sparsity)
 
-    sp = sub.add_parser("anytime", help="accuracy vs evaluation horizon")
-    common(sp, checkpoint=True, tlist=True)
+    # no abbreviations: `--t` would otherwise stand for `--t-list`
+    sp = sub.add_parser("anytime", help="accuracy vs evaluation horizon",
+                        allow_abbrev=False)
+    common(sp, checkpoint=True, horizon="t-list")
     sp.set_defaults(fn=cmd_anytime)
 
     sp = sub.add_parser("study-stride", help="strided conv vs max-pool study")

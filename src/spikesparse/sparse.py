@@ -14,9 +14,9 @@ the sparse LIF step.  Each conv call builds one ``[k*k, N_out]`` kernel map
 (the "rulebook") in a single gather for forward and backward alike, and
 backward rebuilds it rather than storing it.
 
-Dense reference routines (``dense_conv2d``, ``dense_max_pool2d``) share the
-tap conventions of the sparse path and back the dense execution mode of the
-network layers.
+The dense convolution (``dense_conv2d`` and its adjoints) shares the tap
+conventions of the sparse path; ``c`` layers and soft runs convolve
+everywhere with it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ __all__ = [
     "count_nonzero",
     "dense_conv2d",
     "dense_conv2d_grads",
-    "dense_max_pool2d",
-    "dense_max_pool2d_backward",
 ]
 
 
@@ -374,6 +372,30 @@ def sparsify(dense) -> SparseTensor2D:
                           validate=False, canonical=True, prune=False)
 
 
+def _every_site(dense) -> SparseTensor2D:
+    """COO form of a dense ``[B, C, H, W]`` array that keeps every site, zero
+    rows included, so that an adjoint reaches every site too."""
+    batch, channels, height, width = dense.shape
+    b, y, x = np.indices((batch, height, width)).reshape(3, -1)
+    return SparseTensor2D(np.stack([b, x, y], axis=1),
+                          dense.transpose(0, 2, 3, 1).reshape(-1, channels),
+                          batch, height, width, channels,
+                          validate=False, canonical=True, prune=False)
+
+
+def _nonzero_rows(x: SparseTensor2D):
+    """``x`` without its all-zero rows, and the rows of ``x`` it keeps
+    (``None`` when it is ``x`` itself).  Of the tensors that layers hand on,
+    only one that stores every site can hold zero rows, so any other is
+    returned as it is, without a scan."""
+    if x.n_sites < x.batch_size * x.height * x.width:
+        return x, None
+    rows = np.flatnonzero(np.any(x.values != 0.0, axis=1))
+    return SparseTensor2D(x.coords[rows], x.values[rows], x.batch_size,
+                          x.height, x.width, x.channels, validate=False,
+                          canonical=True, prune=False), rows
+
+
 def count_nonzero(x: SparseTensor2D):
     """Number of nonzero scalar activations and their fraction of the dense size."""
     count = int(np.count_nonzero(x.values))
@@ -442,32 +464,3 @@ def dense_conv2d_grads(g_out, xd, weights, stride=1, need_input_grad=True):
                     "oi,boyx->biyx", weights[:, :, dx, dy], go)
     return g_x, g_w
 
-
-def dense_max_pool2d(xd):
-    """2x2, stride-2 max pooling of ``[B, C, H, W]``; returns (out, winners).
-
-    ``winners`` holds, per output cell, the flat in-window index (0..3, row
-    major) of the maximum, with ties to the first; padding cells (odd extents)
-    never win because they are filled with -inf.
-    """
-    batch, channels, h_in, w_in = xd.shape
-    h_out, w_out = _ceil_div(h_in, 2), _ceil_div(w_in, 2)
-    padded = np.full((batch, channels, 2 * h_out, 2 * w_out), -np.inf)
-    padded[:, :, :h_in, :w_in] = xd
-    win = padded.reshape(batch, channels, h_out, 2, w_out, 2)
-    win = win.transpose(0, 1, 2, 4, 3, 5).reshape(batch, channels, h_out, w_out, 4)
-    winners = np.argmax(win, axis=-1)
-    out = np.take_along_axis(win, winners[..., None], axis=-1)[..., 0]
-    return out, winners
-
-
-def dense_max_pool2d_backward(g_out, winners, h_in, w_in):
-    """Route pooled gradients back to the winning input cells."""
-    batch, channels, h_out, w_out = g_out.shape
-    g_pad = np.zeros((batch, channels, 2 * h_out, 2 * w_out))
-    oy, ox = np.meshgrid(np.arange(h_out), np.arange(w_out), indexing="ij")
-    iy = 2 * oy[None, None] + winners // 2
-    ix = 2 * ox[None, None] + winners % 2
-    bb, cc = np.meshgrid(np.arange(batch), np.arange(channels), indexing="ij")
-    np.add.at(g_pad, (bb[..., None, None], cc[..., None, None], iy, ix), g_out)
-    return g_pad[:, :, :h_in, :w_in]

@@ -19,16 +19,19 @@ usable output exists after any prefix of timesteps.
 
 Execution modes
 ---------------
-``dense``   potentials *and* currents live in dense arrays; convolution is
-            evaluated everywhere.
-``sparse``  currents exist only on the coordinate map of the incoming spikes.
-            Only the sites that receive current or spiked on the previous
-            step (reset pending) get the full update; every other neuron
-            only decays, and all of them decay together in one dense
-            multiply by ``beta``, bit-identical to the full update at
-            ``I = 0``.  A silent neuron below a positive threshold can never
-            spike while decaying, so this is exact.  At ``b <= 0`` a neuron
-            at rest spikes, so such layers update every site.
+Every layer hands on its spikes as one :class:`SparseTensor2D`.
+
+``dense``   (``c`` layers, soft runs) the current is evaluated everywhere,
+            and the layer emits every site, zero rows included.
+``sparse``  currents exist only on the coordinate map of the input's nonzero
+            rows, and the layer emits its spiking sites.  Only the sites
+            that receive current or spiked on the previous step (reset
+            pending) get the full update; every other neuron only decays,
+            and all of them decay together in one dense multiply by
+            ``beta``, bit-identical to the full update at ``I = 0``.  A
+            silent neuron below a positive threshold can never spike while
+            decaying, so this is exact.  At ``b <= 0`` a neuron at rest
+            spikes, so such layers update every site.
 
 Potentials are always dense.  Taped (training) and untaped forwards take the
 same steps; gradients still reach non-spiking sites, because backward
@@ -48,11 +51,12 @@ from .sparse import (
     SparseTensor2D,
     _ceil_div,
     _conv_sites,
+    _every_site,
+    _nonzero_rows,
     _pool_sites,
     _scatter_rows,
     _site_index,
     dense_conv2d,
-    dense_max_pool2d,
     densify,
     sparsify,
 )
@@ -155,11 +159,10 @@ def _surrogate_into(x, alpha, out, tmp):
 class LIFLayerState:
     """Membrane potentials and last-step spikes for one layer.
 
-    ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes_dense`` mirrors
-    the last emitted spikes (real-valued in soft-forward mode) and
-    ``prev_spikes`` is their sparse tensor, or ``None`` when a step emitted
-    dense spikes (soft mode, ``c`` layers); ``prev_spike_coords`` are its
-    sites.  ``step`` is the index of the last computed timestep, and
+    ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes`` is the last
+    emitted spike tensor (real-valued in soft-forward mode), with its sites
+    ``prev_spike_coords`` and its dense mirror ``prev_spikes_dense``.
+    ``step`` is the index of the last computed timestep, and
     ``last_touch[b, y, x]`` the last step at which a site got the full
     update: in the sparse step only the sites that took input or a reset, in
     the dense step every site.
@@ -179,8 +182,7 @@ class LIFLayerState:
 
     @property
     def prev_spike_coords(self):
-        return (np.empty((0, 3), np.int64) if self.prev_spikes is None
-                else self.prev_spikes.coords)
+        return self.prev_spikes.coords
 
     @prev_spike_coords.setter
     def prev_spike_coords(self, coords):
@@ -212,7 +214,7 @@ def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
 
 
 def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites=None,
-                soft_alpha=None, sparse_out=True):
+                soft_alpha=None, every_site=False):
     """The one LIF update: recurrence, spike decision and state commit.
 
     With ``sites=None`` every site updates from the dense ``[B, C, H, W]``
@@ -222,9 +224,10 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites=None,
     so its update is exactly ``beta * V`` and is applied as one dense multiply.
     ``soft_alpha`` replaces the hard step by ``sigmoid(soft_alpha * u)``.
 
-    Returns the emitted spikes as a sparse tensor, or ``None`` for soft
-    spikes or ``sparse_out=False``.  Every step leaves new ``potentials``
-    (never written in place, so a tape may keep the old ones).
+    Returns the emitted spikes as a sparse tensor: every site with
+    ``every_site`` (for a current computed at every site), else the sites
+    that spike.  Every step leaves new ``potentials`` (never written in
+    place, so a tape may keep the old ones).
     """
     if sites is None:
         v_prev, s_prev = state.potentials, state.prev_spikes_dense
@@ -240,7 +243,7 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites=None,
         s_new = _sigmoid(soft_alpha * u)
     step = state.step + 1
     if sites is None:
-        spikes = sparsify(s_new) if sparse_out and soft_alpha is None else None
+        spikes = _every_site(s_new) if every_site else sparsify(s_new)
         state.potentials, state.prev_spikes_dense = v_new, s_new
         state.last_touch.fill(step)
     else:
@@ -386,28 +389,20 @@ def _flat_indices(x: SparseTensor2D):
             + x.coords[:, 1:2])
 
 
-def _readout_batch(readout: ReadoutLayer, x):
-    """Logits ``[B, num_classes]`` of one timestep's spike map.
-
-    ``x`` is a sparse tensor, whose nonzero scalars each add one weight
-    column, or a dense ``[B, C, H, W]`` array; ``C * H * W`` must equal the
+def _readout_batch(readout: ReadoutLayer, x: SparseTensor2D):
+    """Logits ``[B, num_classes]`` of one timestep's spike tensor, whose
+    stored scalars each add one weight column; ``C * H * W`` must equal the
     readout's input size.
     """
     w = readout.weight.value
-    sparse = isinstance(x, SparseTensor2D)
-    features = (x.channels * x.height * x.width if sparse
-                else int(np.prod(x.shape[1:])))
+    features = x.channels * x.height * x.width
     if features != readout.in_features:
         raise ShapeError(
             f"{features} features, readout expects {readout.in_features}")
-    if sparse:
-        logits = np.zeros((x.batch_size, readout.num_classes))
-        if x.n_sites:
-            flat = _flat_indices(x)
-            contrib = w[:, flat.ravel()].T * x.values.reshape(-1, 1)
-            np.add.at(logits, np.repeat(x.coords[:, 0], x.channels), contrib)
-    else:
-        logits = x.reshape(x.shape[0], -1) @ w.T
+    logits = np.zeros((x.batch_size, readout.num_classes))
+    if x.n_sites:
+        contrib = w[:, _flat_indices(x).ravel()].T * x.values.reshape(-1, 1)
+        np.add.at(logits, np.repeat(x.coords[:, 0], x.channels), contrib)
     if readout.bias is not None:
         logits = logits + readout.bias.value
     return logits
@@ -551,35 +546,31 @@ def _batch_slice(grids, t) -> SparseTensor2D:
                           canonical=True, prune=False)
 
 
-def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
+def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, alpha,
+                   recorder):
     """Conv + LIF (+ optional pool) for one timestep.  Returns
     (next layer input, nonzero scalar count of the emitted spikes).
 
     A hard-threshold ``sc`` layer convolves on the coordinate map of its
-    input; a dense input (the output of a ``c`` layer) is sparsified first,
-    so an ``sc`` layer never adds sites after a ``c`` layer either.  Soft
-    runs and ``c`` layers convolve everywhere.  A hard ``sc`` layer with
-    ``b > 0`` whose last spikes are sparse takes the sparse step
-    (:func:`_lif_step_lazy`), taped or not; at ``b <= 0`` a silent site at
-    rest spikes, so every site must be updated.  A recorder gets the whole
-    step as one entry, with the state before it (``v_prev``, and ``s_prev``
-    as the last sparse spikes when there are any) and after it.
+    input's nonzero rows, so it never adds sites after a ``c`` layer either,
+    and emits its spiking sites.  Soft runs and ``c`` layers convolve
+    everywhere and emit every site.  A hard ``sc`` layer with ``b > 0`` takes
+    the sparse step (:func:`_lif_step_lazy`), taped or not; at ``b <= 0`` a
+    silent site at rest spikes, so every site must be updated.  A recorder
+    gets the whole step as one entry, with the state before it (``v_prev``,
+    ``s_prev``) and after it.
     """
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
     w2e = kernel.wnorm2 + EPSILON
-    v_prev = state.potentials
-    s_prev = (state.prev_spikes_dense if state.prev_spikes is None
-              else state.prev_spikes)
+    v_prev, s_prev = state.potentials, state.prev_spikes
     if layer.mode == "sparse" and not soft:
-        xs = x if isinstance(x, SparseTensor2D) else sparsify(x)
-        out_c, current, _, _ = _conv_sites(xs, kernel)
+        out_c, current, _, _ = _conv_sites(_nonzero_rows(x)[0], kernel)
     else:
         out_c = None
-        xd = densify(x) if isinstance(x, SparseTensor2D) else x
-        current = dense_conv2d(xd, kernel.weights, kernel.stride)
-    if out_c is not None and b > 0 and state.prev_spikes is not None:
+        current = dense_conv2d(densify(x), kernel.weights, kernel.stride)
+    if out_c is not None and b > 0:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
                                 kernel.wnorm2)
     else:
@@ -587,26 +578,21 @@ def _layer_forward(layer: SpikingConvLayer, x, soft, alpha, recorder):
                    else _scatter_rows(out_c, current, state.shape))
         spikes = _lif_update(state, i_dense, beta, b, w2e,
                              soft_alpha=alpha if soft else None,
-                             sparse_out=layer.mode == "sparse")
-    out = state.prev_spikes_dense if spikes is None else spikes
-    count = int(np.count_nonzero(out if spikes is None else spikes.values))
+                             every_site=out_c is None)
+    count = int(np.count_nonzero(spikes.values))
 
     pooled = winners = None
     if layer.pool:
-        if spikes is None:
-            pooled, winners = dense_max_pool2d(out)
-        else:
-            pc, pv, winners, ph, pw = _pool_sites(out)
-            pooled = SparseTensor2D(pc, pv, out.batch_size, ph, pw,
-                                    out.channels, validate=False, canonical=True,
-                                    prune=False)
+        pc, pv, winners, ph, pw = _pool_sites(spikes)
+        pooled = SparseTensor2D(pc, pv, spikes.batch_size, ph, pw,
+                                spikes.channels, validate=False, canonical=True,
+                                prune=False)
     if recorder is not None:
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, v_prev=v_prev,
-            s_prev=s_prev, v_new=state.potentials,
-            s_new=out if spikes is None else None, spikes=spikes,
+            s_prev=s_prev, v_new=state.potentials, spikes=spikes,
             pooled=pooled, winners=winners, beta=beta, b=b, w2e=w2e)
-    return (out if pooled is None else pooled), count
+    return (spikes if pooled is None else pooled), count
 
 
 def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
@@ -653,18 +639,13 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
 
 def _dropout_recorded(x, p, rng, recorder):
     """Inverted dropout with a fresh mask per call (i.e. per timestep) over
-    every scalar of ``x``, kept by probability ``1 - p`` with ``0 <= p < 1``
-    and scaled by ``1 / (1 - p)``; the mask goes on the tape when there is one."""
-    scale = 1.0 / (1.0 - p)
-    if isinstance(x, SparseTensor2D):
-        mask = rng.random(x.values.shape) >= p
-        dropped = x.values * mask * scale
-        out = SparseTensor2D(x.coords, dropped, x.batch_size, x.height,
-                             x.width, x.channels, validate=False,
-                             canonical=True, prune=False)
-    else:
-        mask = rng.random(x.shape) >= p
-        out = x * mask * scale
+    every stored scalar of ``x``, kept by probability ``1 - p`` with
+    ``0 <= p < 1`` and scaled by ``1 / (1 - p)``; the mask goes on the tape
+    when there is one."""
+    mask = rng.random(x.values.shape) >= p
+    out = SparseTensor2D(x.coords, x.values * mask * (1.0 / (1.0 - p)),
+                         x.batch_size, x.height, x.width, x.channels,
+                         validate=False, canonical=True, prune=False)
     if recorder is not None:
         recorder.record_dropout(x, out, mask, p)
     return out

@@ -88,9 +88,12 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.variant not in ("stride", "pool"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("t_train", "dt_us", "batch_size", "max_epochs"):
-            if getattr(self, name) <= 0:
+        for name in ("t_train", "dt_us", "batch_size", "max_epochs",
+                     "step_every", "cosine_period", "grad_clip_norm"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.truncate_bptt < 0:
+            raise ValueError("truncate_bptt must be >= 0 (0: full BPTT)")
         if not 0 <= self.dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p!r}")
         parse_architecture(self.arch)

@@ -119,7 +119,8 @@ class TestClosedFormReadout:
 class TestFiniteDifferences:
     @pytest.mark.parametrize("mode,variant", [("sparse", "stride"),
                                               ("dense", "stride"),
-                                              ("sparse", "pool")])
+                                              ("sparse", "pool"),
+                                              ("dense", "pool")])
     def test_toy_models_match_central_differences(self, mode, variant):
         rng = np.random.default_rng(3)
         model = make_model(rng, (4, 4), [(2, mode, 3), (2, mode, 3)], 3,
@@ -352,7 +353,6 @@ class TestSegmentReplay:
             assert len(entries) == t_eval
             potentials = 0
             for d in entries:
-                assert d["s_new"] is None
                 assert isinstance(d["s_prev"], SparseTensor2D)
                 assert isinstance(d["spikes"], SparseTensor2D)
                 for key, value in d.items():

@@ -203,7 +203,8 @@ class TestTrainEvalPipeline:
         assert str(ckpt) in err[0] and "dropout_p" in err[0]
 
     @pytest.mark.parametrize("row", ["a.events,0", "a.events,zero,train",
-                                     "a.events,0,validation"])
+                                     "a.events,0,validation",
+                                     "missing.events,0,train"])
     def test_malformed_index_is_exit_2(self, tiny_cfg, tmp_path, capsys, row):
         data_dir = tmp_path / "files"
         data_dir.mkdir()
@@ -215,6 +216,16 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(data_dir / "index.csv") in err[0] and "line 2" in err[0]
+
+    def test_anytime_rejects_single_horizon_option(self, tiny_cfg, tmp_path,
+                                                   capsys):
+        # anytime takes its horizons from --t-list; --t belongs to eval and
+        # sparsity only
+        with pytest.raises(SystemExit) as e:
+            main(["anytime", "--config", tiny_cfg, "--checkpoint",
+                  str(tmp_path / "model.ckpt"), "--t", "3"])
+        assert e.value.code == 2
+        assert "--t" in capsys.readouterr().err
 
     def test_bad_config_is_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
@@ -228,6 +239,12 @@ class TestTrainEvalPipeline:
         ("[train]\nschedule = foo\n", "schedule", "train"),
         ("[model]\narch = 4xx5-4\n", "4xx5", "train"),
         ("[train]\ndropout_p = 1.0\n", "dropout_p", "train"),
+        ("[train]\nstep_every = 0\n", "step_every", "train"),
+        ("[train]\nschedule = cosine\ncosine_period = 0\n", "cosine_period",
+         "train"),
+        ("[train]\ngrad_clip_norm = -1\n", "grad_clip_norm", "train"),
+        ("[train]\ngrad_clip_norm = 0\n", "grad_clip_norm", "train"),
+        ("[train]\ntruncate_bptt = -2\n", "truncate_bptt", "train"),
         # evaluation horizons against TINY's 5-bin grids
         ("", "horizon 9 ", "eval --t 9"),
         ("", "horizon 9 ", "sparsity --t 9"),

@@ -14,8 +14,6 @@ from spikesparse.sparse import (
     _pool_sites_grads,
     count_nonzero,
     dense_conv2d,
-    dense_max_pool2d,
-    dense_max_pool2d_backward,
     densify,
     out_coords,
     sparse_conv2d,
@@ -265,25 +263,6 @@ class TestDensePath:
             w = rng.standard_normal((4, 3, 5, 5))
             np.testing.assert_allclose(dense_conv2d(xd, w, stride),
                                        conv_oracle(xd, w, stride), atol=1e-10)
-
-    def test_dense_pool_and_backward(self):
-        rng = np.random.default_rng(30)
-        xd = rng.standard_normal((2, 3, 6, 5))
-        out, winners = dense_max_pool2d(xd)
-        assert out.shape == (2, 3, 3, 3)
-        # forward: plain window max
-        for b in range(2):
-            for c in range(3):
-                for oy in range(3):
-                    for ox in range(3):
-                        window = xd[b, c, 2 * oy:2 * oy + 2, 2 * ox:2 * ox + 2]
-                        assert out[b, c, oy, ox] == window.max()
-        # backward routes each output gradient to exactly one input cell
-        g = rng.standard_normal(out.shape)
-        gx = dense_max_pool2d_backward(g, winners, 6, 5)
-        assert gx.shape == xd.shape
-        np.testing.assert_allclose(gx.sum(), g.sum())
-        assert np.count_nonzero(gx) <= g.size
 
 
 # ---------------------------------------------------------------------------
