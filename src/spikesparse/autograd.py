@@ -39,8 +39,6 @@ from .sparse import (
     _nonzero_rows,
     _pool_sites_grads,
     _scatter_rows,
-    dense_conv2d_grads,
-    densify,
 )
 from .spiking import _flat_indices, _lif_recurrence, _surrogate_into, run_timesteps
 
@@ -110,8 +108,8 @@ class GradientTape:
 
     # --- recorder protocol -------------------------------------------------
     def record_layer(self, layer, **data):
-        """One layer step: its input ``x``; the conv output (``current`` rows
-        at ``out_c``, or a dense ``current`` with ``out_c=None``); the spikes
+        """One layer step: its input ``x``; the conv output, ``current`` rows
+        at ``out_c``, and whether the conv ran at ``every_site``; the spikes
         before the step ``s_prev`` and the emitted ``spikes``, both sparse
         tensors; the ``pooled`` output and its ``winners`` (``None`` without a
         pool); the ``beta, b, w2e`` of the step; and the potentials
@@ -207,10 +205,7 @@ class _LayerReplay:
     def _dense_inputs(self, d):
         """The step's dense current and dense previous spikes."""
         s = _scatter_rows(d["s_prev"].coords, d["s_prev"].values, out=self.s)
-        i = d["current"]
-        if d["out_c"] is not None:
-            i = _scatter_rows(d["out_c"], i, out=self.i)
-        return i, s
+        return _scatter_rows(d["out_c"], d["current"], out=self.i), s
 
     def step(self, t):
         """``(v_prev, v_new, current, s_prev)`` of step ``t``, all dense; the
@@ -370,23 +365,17 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             if rep.carried:
                 np.multiply(-thr * beta, g_v, out=g_s)
                 np.multiply(beta, g_v, out=g_v)
-            # conv: the current's adjoint goes straight into its gradients
+            # conv: the current's adjoint goes straight into its gradients.
+            # At every site the forward read all rows of x, at the coordinate
+            # map only x's nonzero rows (found again, not stored)
             need_in = layer.index > 0
-            if out_c is not None:
-                # the forward convolved on x's nonzero rows; found again, not stored
-                xs, rows = _nonzero_rows(x)
-                g_out = g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]]
-                g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
-                                              need_input_grad=need_in)
-                if need_in and rows is not None:   # back onto all rows of x
-                    g_in, g_rows = np.zeros_like(x.values), g_in
-                    g_in[rows] = g_rows
-            else:
-                g_in, g_w = dense_conv2d_grads(
-                    g_i, densify(x), layer.kernel.weights, layer.kernel.stride,
-                    need_input_grad=need_in)
-                if need_in:
-                    g_in = g_in[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]]
+            xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
+            g_out = g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]]
+            g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
+                                          need_input_grad=need_in)
+            if need_in and rows is not None:   # back onto all rows of x
+                g_in, g_rows = np.zeros_like(x.values), g_in
+                g_in[rows] = g_rows
             grads.add(layer.weight, g_w)
             if need_in:
                 adj.add(x, g_in)
@@ -400,8 +389,9 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
 def soft_forward_mode(model, enabled: bool):
     """Replace the spike step by its sigmoid surrogate in the forward pass.
 
-    With it on, activations are real-valued, sparse execution is bypassed,
-    and the network is differentiable, so finite differences are meaningful.
+    With it on, activations are real-valued, every layer convolves and
+    updates at every site, and the network is differentiable, so finite
+    differences are meaningful.
     Turning it off restores the hard forward bit-exactly.
     """
     model.soft = bool(enabled)

@@ -226,9 +226,12 @@ def load_dataset(cfg):
     d = cfg["data"]
     t_bins, dt_us = cfg["train"]["t_train"], cfg["train"]["dt_us"]
     if d["kind"] == "synth":
-        return synth_dataset(d["classes"], d["train_per_class"], d["height"],
-                             d["width"], t_bins, dt_us, cfg["train"]["seed"],
-                             test_per_class=d["test_per_class"])
+        try:
+            return synth_dataset(d["classes"], d["train_per_class"], d["height"],
+                                 d["width"], t_bins, dt_us, cfg["train"]["seed"],
+                                 test_per_class=d["test_per_class"])
+        except ValueError as e:
+            raise ConfigError([f"data: {e}"]) from None
     if d["kind"] == "events":
         index = os.path.join(d["path"], "index.csv")
         if not os.path.exists(index):
@@ -257,6 +260,20 @@ def load_dataset(cfg):
         return load_dvs128(d["path"], dt_us=dt_us, n_timesteps=t_bins,
                            cache_dir=cache)
     raise ConfigError([f"unknown data.kind {d['kind']!r}"])
+
+
+def _load_training_setup(args):
+    """Config, training config and dataset of a command that trains, which
+    needs training samples."""
+    cfg = load_config(args.config, seed_override=args.seed)
+    tc = train_config_from(cfg)
+    dataset, d = load_dataset(cfg), cfg["data"]
+    if not dataset[0] and d["kind"] == "synth":
+        raise ConfigError(["data.train_per_class must be positive"])
+    if not dataset[0]:
+        listing = "index.csv" if d["kind"] == "events" else "trials_to_train.txt"
+        raise InputError(f"{os.path.join(d['path'], listing)}: no train rows")
+    return cfg, tc, dataset
 
 
 def _eval_batch(cfg, workers):
@@ -302,10 +319,13 @@ def cmd_synth(args):
     d = cfg["data"]
     classes = args.classes or d["classes"]
     per_class = args.n or d["train_per_class"]
-    train_s, test_s = synth_streams(classes, per_class, d["height"], d["width"],
-                                    cfg["train"]["t_train"], cfg["train"]["dt_us"],
-                                    cfg["train"]["seed"],
-                                    test_per_class=d["test_per_class"])
+    try:
+        train_s, test_s = synth_streams(classes, per_class, d["height"],
+                                        d["width"], cfg["train"]["t_train"],
+                                        cfg["train"]["dt_us"], cfg["train"]["seed"],
+                                        test_per_class=d["test_per_class"])
+    except ValueError as e:
+        raise ConfigError([f"data: {e}"]) from None
     os.makedirs(args.out, exist_ok=True)
     lines = ["file,label,split"]
     for split, pairs in (("train", train_s), ("test", test_s)):
@@ -324,9 +344,7 @@ def cmd_synth(args):
 
 
 def cmd_train(args):
-    cfg = load_config(args.config, seed_override=args.seed)
-    tc = train_config_from(cfg)
-    dataset = load_dataset(cfg)
+    cfg, tc, dataset = _load_training_setup(args)
     ckpt = os.path.join(args.out, "model.ckpt")
     os.makedirs(args.out, exist_ok=True)
     model, history = train(tc, dataset, checkpoint_path=ckpt, log=print)
@@ -396,9 +414,7 @@ def cmd_anytime(args):
 
 
 def cmd_study_stride(args):
-    cfg = load_config(args.config, seed_override=args.seed)
-    tc = train_config_from(cfg)
-    dataset = load_dataset(cfg)
+    cfg, tc, dataset = _load_training_setup(args)
     rows = stride_vs_pool_study(tc, dataset, log=print)
     lines = [f"# config_hash={config_hash(cfg)}",
              "variant,accuracy,total_spikes,epochs"]

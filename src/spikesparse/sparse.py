@@ -8,18 +8,20 @@ stride ``s``, site ``(b, x, y)`` contributes the output site
 ``(b, x // s, y // s)``.  This is what makes a stride-1 sparse convolution
 differ from its dense counterpart: output sites whose receptive field
 touches a nonzero but which are not themselves in the coordinate map stay
-empty, so spatial sparsity never grows through a convolution.  One site
-index, an occupancy map (``_site_index``), gives the sites of conv, pool and
-the sparse LIF step.  Each conv call builds one ``[k*k, N_out]`` kernel map
-(the "rulebook") in a single gather for forward and backward alike, and
-backward rebuilds it rather than storing it.
+empty, so spatial sparsity never grows through a convolution.  A dense
+convolution is the same call at every output site (``_grid_sites``).  One
+site index, an occupancy map (``_site_index``), gives the sites of conv,
+pool and the sparse LIF step.  Each conv call builds one ``[k*k, N_out]``
+kernel map (the "rulebook") in a single gather, for forward and backward
+alike; backward rebuilds it rather than storing it.
 
-The dense convolution (``dense_conv2d`` and its adjoints) shares the tap
-conventions of the sparse path; ``c`` layers and soft runs convolve
-everywhere with it.
+``dense_conv2d`` and its adjoints share the sparse path's tap conventions;
+they are the reference for the tests and ``perfbench/reference.py`` only.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -220,6 +222,16 @@ def _site_index(shape, *coords, stride=1):
     return np.stack([b, x, y], axis=1), [row[site] for site in sites]
 
 
+@lru_cache(maxsize=32)
+def _grid_sites(batch, height, width):
+    """Every site of a ``(B, H, W)`` grid as canonical ``(b, x, y)`` rows: one
+    cached, read-only array per geometry, shared by every-site tensors."""
+    b, y, x = np.indices((batch, height, width)).reshape(3, -1)
+    sites = np.stack([b, x, y], axis=1)
+    sites.flags.writeable = False
+    return sites
+
+
 def out_coords(coords, stride):
     """Output coordinate set of a strided sparse convolution.
 
@@ -256,11 +268,13 @@ def _kernel_map(out_c, x: SparseTensor2D, k, stride):
     return site_row.ravel()[taps + corner]
 
 
-def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D):
-    """Unpruned convolution at the coordinate map: (out coords, out values, extent)."""
+def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False):
+    """Unpruned convolution at the coordinate map of ``x``, or with
+    ``every_site`` at every output site: (out coords, out values, extent)."""
     s, k = kernel.stride, kernel.k
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
-    out_c, _ = _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)
+    out_c = (_grid_sites(x.batch_size, h_out, w_out) if every_site else
+             _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)[0])
     w = kernel.weights
     out_v = np.zeros((len(out_c), kernel.out_channels))
     for t, rows_in in enumerate(_kernel_map(out_c, x, k, s)):
@@ -340,13 +354,10 @@ def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
                           validate=False, canonical=True)
 
 
-def _scatter_rows(coords, rows, shape=None, out=None):
-    """Zero ``[B, C, H, W]`` array of ``shape`` (or the buffer ``out``, zeroed)
-    with the ``(N, C)`` ``rows`` written at the sites ``coords`` ``(b, x, y)``."""
-    if out is None:
-        out = np.zeros(shape)
-    else:
-        out.fill(0.0)
+def _scatter_rows(coords, rows, out):
+    """The ``[B, C, H, W]`` buffer ``out``, zeroed, with the ``(N, C)``
+    ``rows`` written at the sites ``coords`` ``(b, x, y)``."""
+    out.fill(0.0)
     if len(coords):
         out[coords[:, 0], :, coords[:, 2], coords[:, 1]] = rows
     return out
@@ -355,7 +366,7 @@ def _scatter_rows(coords, rows, shape=None, out=None):
 def densify(x: SparseTensor2D):
     """Dense ``[B, C, H, W]`` array with the tensor's entries scattered in."""
     return _scatter_rows(x.coords, x.values,
-                         (x.batch_size, x.channels, x.height, x.width))
+                         np.empty((x.batch_size, x.channels, x.height, x.width)))
 
 
 def sparsify(dense) -> SparseTensor2D:
@@ -372,22 +383,10 @@ def sparsify(dense) -> SparseTensor2D:
                           validate=False, canonical=True, prune=False)
 
 
-def _every_site(dense) -> SparseTensor2D:
-    """COO form of a dense ``[B, C, H, W]`` array that keeps every site, zero
-    rows included, so that an adjoint reaches every site too."""
-    batch, channels, height, width = dense.shape
-    b, y, x = np.indices((batch, height, width)).reshape(3, -1)
-    return SparseTensor2D(np.stack([b, x, y], axis=1),
-                          dense.transpose(0, 2, 3, 1).reshape(-1, channels),
-                          batch, height, width, channels,
-                          validate=False, canonical=True, prune=False)
-
-
 def _nonzero_rows(x: SparseTensor2D):
     """``x`` without its all-zero rows, and the rows of ``x`` it keeps
-    (``None`` when it is ``x`` itself).  Of the tensors that layers hand on,
-    only one that stores every site can hold zero rows, so any other is
-    returned as it is, without a scan."""
+    (``None`` when it is ``x`` itself).  Of the tensors layers hand on, only an
+    every-site one holds zero rows, so any other is returned without a scan."""
     if x.n_sites < x.batch_size * x.height * x.width:
         return x, None
     rows = np.flatnonzero(np.any(x.values != 0.0, axis=1))
@@ -403,7 +402,7 @@ def count_nonzero(x: SparseTensor2D):
 
 
 # ---------------------------------------------------------------------------
-# dense reference path (dense execution mode and soft-forward verification)
+# dense reference convolution (for tests and the benchmark's reference)
 
 def _tap_slices(h_in, w_in, h_out, w_out, dx, dy, stride, pad):
     ox0 = max(0, _ceil_div(pad - dx, stride))

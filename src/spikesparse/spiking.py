@@ -17,21 +17,20 @@ before the next timestep is consumed, a final fully-connected readout emits
 per-timestep logits, and the prediction is the mean of those logits, so a
 usable output exists after any prefix of timesteps.
 
-Execution modes
----------------
-Every layer hands on its spikes as one :class:`SparseTensor2D`.
-
-``dense``   (``c`` layers, soft runs) the current is evaluated everywhere,
-            and the layer emits every site, zero rows included.
-``sparse``  currents exist only on the coordinate map of the input's nonzero
-            rows, and the layer emits its spiking sites.  Only the sites
-            that receive current or spiked on the previous step (reset
-            pending) get the full update; every other neuron only decays,
-            and all of them decay together in one dense multiply by
-            ``beta``, bit-identical to the full update at ``I = 0``.  A
-            silent neuron below a positive threshold can never spike while
-            decaying, so this is exact.  At ``b <= 0`` a neuron at rest
-            spikes, so such layers update every site.
+Execution
+---------
+Every layer step takes one path: the kernel-map conv at a list of output
+sites, the LIF update (:func:`_lif_update`) at a list of sites, and one
+:class:`SparseTensor2D` of spikes handed on.  The layer kind picks the sites.
+``c`` layers and soft runs compute at every site (one cached, read-only site
+array per grid geometry) and hand on every site, zero rows included, so that
+adjoints reach every site.  A hard ``sc`` layer convolves on the coordinate
+map of its input's nonzero rows and hands on its spiking sites; only the
+sites with current or a pending reset get the full update, and all others
+decay in one dense multiply by ``beta``, bit-identical to the full update
+at ``I = 0``.  A silent neuron below a positive threshold never spikes while
+decaying, so this is exact; at ``b <= 0`` a neuron at rest spikes, so such a
+layer updates every site.
 
 Potentials are always dense.  Taped (training) and untaped forwards take the
 same steps; gradients still reach non-spiking sites, because backward
@@ -51,14 +50,11 @@ from .sparse import (
     SparseTensor2D,
     _ceil_div,
     _conv_sites,
-    _every_site,
+    _grid_sites,
     _nonzero_rows,
     _pool_sites,
-    _scatter_rows,
     _site_index,
-    dense_conv2d,
     densify,
-    sparsify,
 )
 
 __all__ = [
@@ -163,9 +159,7 @@ class LIFLayerState:
     emitted spike tensor (real-valued in soft-forward mode), with its sites
     ``prev_spike_coords`` and its dense mirror ``prev_spikes_dense``.
     ``step`` is the index of the last computed timestep, and
-    ``last_touch[b, y, x]`` the last step at which a site got the full
-    update: in the sparse step only the sites that took input or a reset, in
-    the dense step every site.
+    ``last_touch[b, y, x]`` the last step whose site list held the site.
     """
 
     __slots__ = ("potentials", "prev_spikes_dense", "prev_spikes",
@@ -213,50 +207,38 @@ def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
     return np.add(out, np.multiply(1.0 - beta, current, out=tmp), out=out)
 
 
-def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites=None,
+def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites,
                 soft_alpha=None, every_site=False):
     """The one LIF update: recurrence, spike decision and state commit.
 
-    With ``sites=None`` every site updates from the dense ``[B, C, H, W]``
-    ``current``.  With canonical ``(b, x, y)`` ``sites`` only those get the
-    full update, each from its ``[C]`` row of ``current``; every other site
-    must have neither input nor a pending reset (``I = 0``, ``S_own = 0``),
-    so its update is exactly ``beta * V`` and is applied as one dense multiply.
-    ``soft_alpha`` replaces the hard step by ``sigmoid(soft_alpha * u)``.
-
-    Returns the emitted spikes as a sparse tensor: every site with
-    ``every_site`` (for a current computed at every site), else the sites
-    that spike.  Every step leaves new ``potentials`` (never written in
-    place, so a tape may keep the old ones).
+    The canonical ``(b, x, y)`` ``sites`` get the full update, each from its
+    ``[C]`` row of ``current``; every other site must have neither input nor
+    a pending reset (``I = 0``, ``S_own = 0``), so its update is exactly
+    ``beta * V``, applied as one dense multiply.  ``soft_alpha`` replaces the
+    hard step by ``sigmoid(soft_alpha * u)``.  Returns the spikes on all
+    ``sites`` with ``every_site``, else on those that spike.  Every step
+    leaves new ``potentials`` (never written in place, so a tape may keep
+    the old ones).
     """
-    if sites is None:
-        v_prev, s_prev = state.potentials, state.prev_spikes_dense
-    else:
-        bi, xs, ys = sites.T
-        v_prev = state.potentials[bi, :, ys, xs]
-        s_prev = state.prev_spikes_dense[bi, :, ys, xs]
+    bi, xs, ys = sites.T
+    v_prev = state.potentials[bi, :, ys, xs]
+    s_prev = state.prev_spikes_dense[bi, :, ys, xs]
     v_new = _lif_recurrence(v_prev, s_prev, current, beta, b * w2e)
     u = v_new / w2e - b
     if soft_alpha is None:
         s_new = (u >= 0).astype(np.float64)
     else:
         s_new = _sigmoid(soft_alpha * u)
-    step = state.step + 1
-    if sites is None:
-        spikes = _every_site(s_new) if every_site else sparsify(s_new)
-        state.potentials, state.prev_spikes_dense = v_new, s_new
-        state.last_touch.fill(step)
-    else:
-        batch, channels, height, width = state.shape
-        spikes = SparseTensor2D(sites, s_new, batch, height, width, channels,
-                                validate=False, canonical=True)
-        state.potentials = state.potentials * beta
-        state.potentials[bi, :, ys, xs] = v_new
-        # the last spikes sit on touched rows, so this overwrites them all
-        state.prev_spikes_dense[bi, :, ys, xs] = s_new
-        state.last_touch[bi, ys, xs] = step
+    state.step += 1
+    batch, channels, height, width = state.shape
+    spikes = SparseTensor2D(sites, s_new, batch, height, width, channels,
+                            validate=False, canonical=True, prune=not every_site)
+    state.potentials = state.potentials * beta
+    state.potentials[bi, :, ys, xs] = v_new
+    # the last spikes sit on touched rows, so this overwrites them all
+    state.prev_spikes_dense[bi, :, ys, xs] = s_new
+    state.last_touch[bi, ys, xs] = state.step
     state.prev_spikes = spikes
-    state.step = step
     return spikes
 
 
@@ -268,14 +250,14 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     ``[B, C, H, W]`` array.  Returns ``(spikes, state)`` where ``spikes`` is a
     pruned binary sparse tensor; the state is updated in place.
     """
-    if isinstance(current, SparseTensor2D):
-        i_dense = densify(current)
-    else:
-        i_dense = np.asarray(current, dtype=np.float64)
+    i_dense = (densify(current) if isinstance(current, SparseTensor2D)
+               else np.asarray(current, dtype=np.float64))
     if i_dense.shape != state.shape:
         raise ShapeError(f"current shape {i_dense.shape} != state {state.shape}")
-    spikes = _lif_update(state, i_dense, params.beta, params.b,
-                         wnorm2 + params.eps)
+    batch, channels, height, width = state.shape
+    rows = i_dense.transpose(0, 2, 3, 1).reshape(-1, channels)
+    spikes = _lif_update(state, rows, params.beta, params.b,
+                         wnorm2 + params.eps, _grid_sites(batch, height, width))
     return spikes, state
 
 
@@ -288,10 +270,13 @@ def lazy_decay_advance(state: LIFLayerState, gap: int, params: LIFParams,
     threshold (``b > 0``, ``wnorm2 + eps > 0``) a sub-threshold potential
     stays sub-threshold while decaying, so no spikes are skipped.  The decay
     is applied as ``gap`` successive multiplications so the result is
-    bit-identical to explicit zero-input steps.
+    bit-identical to explicit zero-input steps.  A pending reset (a spike on
+    the last step) or ``b <= 0`` breaks that and raises ``ValueError``.
     """
     if gap < 0:
         raise ValueError("gap must be >= 0")
+    if params.b <= 0 or np.any(state.prev_spikes.values):
+        raise ValueError("not a pure decay: b <= 0, or a reset is pending")
     for _ in range(gap):
         state.potentials = state.potentials * params.beta
     state.step += gap
@@ -303,12 +288,14 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
 
     A site needs it iff it receives input current or spiked last step (its
     reset is pending); every other site only decays, which with ``b > 0``
-    can never make it spike.  Returns the new spikes as a pruned binary
-    sparse tensor.
+    can never make it spike.  At ``b <= 0`` every site gets it.  Returns the
+    new spikes as a pruned binary sparse tensor.
     """
     batch, channels, height, width = state.shape
+    touched = (state.prev_spike_coords if params.b > 0
+               else _grid_sites(batch, height, width))
     sites, (cur_rows, _) = _site_index((batch, height, width), cur_coords,
-                                       state.prev_spike_coords)
+                                       touched)
     current = np.zeros((len(sites), channels))
     current[cur_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
@@ -318,7 +305,8 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
 class SpikingConvLayer:
     """A bias-free convolution feeding a grid of LIF neurons.
 
-    ``mode`` selects sparse (coordinate-map) or dense convolution; with
+    ``mode`` selects the sites it computes: ``"sparse"`` the coordinate map
+    of its input, ``"dense"`` every site (see the module docstring); with
     ``pool=True`` the emitted spikes additionally pass a 2x2 max pool before
     reaching the next layer (the stride-1-plus-pooling variant).
     """
@@ -548,37 +536,25 @@ def _batch_slice(grids, t) -> SparseTensor2D:
 
 def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, alpha,
                    recorder):
-    """Conv + LIF (+ optional pool) for one timestep.  Returns
-    (next layer input, nonzero scalar count of the emitted spikes).
-
-    A hard-threshold ``sc`` layer convolves on the coordinate map of its
-    input's nonzero rows, so it never adds sites after a ``c`` layer either,
-    and emits its spiking sites.  Soft runs and ``c`` layers convolve
-    everywhere and emit every site.  A hard ``sc`` layer with ``b > 0`` takes
-    the sparse step (:func:`_lif_step_lazy`), taped or not; at ``b <= 0`` a
-    silent site at rest spikes, so every site must be updated.  A recorder
-    gets the whole step as one entry, with the state before it (``v_prev``,
-    ``s_prev``) and after it.
-    """
+    """Conv + LIF (+ optional pool) for one timestep, at the sites that the
+    layer kind picks (see the module docstring); a hard ``sc`` step takes
+    :func:`_lif_step_lazy`, taped or not.  Returns (next layer input, nonzero
+    scalar count of the emitted spikes).  A recorder gets the whole step as
+    one entry, with the state before it (``v_prev``, ``s_prev``) and after."""
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
     w2e = kernel.wnorm2 + EPSILON
     v_prev, s_prev = state.potentials, state.prev_spikes
-    if layer.mode == "sparse" and not soft:
-        out_c, current, _, _ = _conv_sites(_nonzero_rows(x)[0], kernel)
+    every_site = soft or layer.mode == "dense"
+    out_c, current, _, _ = _conv_sites(x if every_site else _nonzero_rows(x)[0],
+                                       kernel, every_site)
+    if every_site:
+        spikes = _lif_update(state, current, beta, b, w2e, out_c,
+                             alpha if soft else None, every_site=True)
     else:
-        out_c = None
-        current = dense_conv2d(densify(x), kernel.weights, kernel.stride)
-    if out_c is not None and b > 0:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
                                 kernel.wnorm2)
-    else:
-        i_dense = (current if out_c is None
-                   else _scatter_rows(out_c, current, state.shape))
-        spikes = _lif_update(state, i_dense, beta, b, w2e,
-                             soft_alpha=alpha if soft else None,
-                             every_site=out_c is None)
     count = int(np.count_nonzero(spikes.values))
 
     pooled = winners = None
@@ -589,8 +565,8 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, alpha,
                                 prune=False)
     if recorder is not None:
         recorder.record_layer(
-            layer, x=x, out_c=out_c, current=current, v_prev=v_prev,
-            s_prev=s_prev, v_new=state.potentials, spikes=spikes,
+            layer, x=x, out_c=out_c, current=current, every_site=every_site,
+            v_prev=v_prev, s_prev=s_prev, v_new=state.potentials, spikes=spikes,
             pooled=pooled, winners=winners, beta=beta, b=b, w2e=w2e)
     return (spikes if pooled is None else pooled), count
 
@@ -601,9 +577,8 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
 
     States are *not* reset here, so consecutive calls continue a run.  With
     ``training=True`` a fresh dropout mask is drawn per timestep from ``rng``.
-    Every layer keeps dense potentials; hard-threshold sparse layers update
-    only the sites that can change (see the module docstring), with or
-    without a ``recorder``.
+    Every layer keeps dense potentials and computes at the sites its kind
+    picks (see the module docstring), with or without a ``recorder``.
     Returns ``(per-timestep logits [T, B, classes], mean logits, per-layer
     spike counts)``.
     """

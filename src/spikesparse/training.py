@@ -88,10 +88,15 @@ class TrainConfig:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.variant not in ("stride", "pool"):
             raise ValueError(f"unknown variant {self.variant!r}")
-        for name in ("t_train", "dt_us", "batch_size", "max_epochs",
-                     "step_every", "cosine_period", "grad_clip_norm"):
+        for name in ("in_height", "in_width", "t_train", "dt_us", "batch_size",
+                     "max_epochs", "step_every", "cosine_period",
+                     "grad_clip_norm", "alpha"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if not 0 <= self.beta_init <= 1:
+            raise ValueError(f"beta_init must be in [0, 1], got {self.beta_init!r}")
+        if not self.b_init >= 0:
+            raise ValueError(f"b_init must be >= 0, got {self.b_init!r}")
         if self.truncate_bptt < 0:
             raise ValueError("truncate_bptt must be >= 0 (0: full BPTT)")
         if not 0 <= self.dropout_p < 1:

@@ -382,3 +382,12 @@ class TestSegmentReplay:
         got = backward(tape).to_list(model.parameters())
         for a, b in zip(want[2:], got):
             assert np.array_equal(a, b)
+
+
+def test_network_does_not_bind_the_dense_reference_conv():
+    # the dense conv is the reference that perfbench/reference.py checks the
+    # network against, so the network must not run it itself
+    from spikesparse import spiking
+    for module in (spiking, autograd):
+        for name in ("dense_conv2d", "dense_conv2d_grads"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"

@@ -202,10 +202,13 @@ class TestTrainEvalPipeline:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0] and "dropout_p" in err[0]
 
-    @pytest.mark.parametrize("row", ["a.events,0", "a.events,zero,train",
-                                     "a.events,0,validation",
-                                     "missing.events,0,train"])
-    def test_malformed_index_is_exit_2(self, tiny_cfg, tmp_path, capsys, row):
+    @pytest.mark.parametrize("row, where", [
+        pytest.param(row, "line 2", id=row)
+        for row in ("a.events,0", "a.events,zero,train", "a.events,0,validation",
+                    "missing.events,0,train")
+    ] + [pytest.param("", "no train rows", id="no-train-rows")])
+    def test_malformed_index_is_exit_2(self, tiny_cfg, tmp_path, capsys, row,
+                                       where):
         data_dir = tmp_path / "files"
         data_dir.mkdir()
         (data_dir / "index.csv").write_text(f"file,label,split\n{row}\n")
@@ -215,7 +218,7 @@ class TestTrainEvalPipeline:
                      str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
-        assert str(data_dir / "index.csv") in err[0] and "line 2" in err[0]
+        assert str(data_dir / "index.csv") in err[0] and where in err[0]
 
     def test_anytime_rejects_single_horizon_option(self, tiny_cfg, tmp_path,
                                                    capsys):
@@ -245,6 +248,17 @@ class TestTrainEvalPipeline:
         ("[train]\ngrad_clip_norm = -1\n", "grad_clip_norm", "train"),
         ("[train]\ngrad_clip_norm = 0\n", "grad_clip_norm", "train"),
         ("[train]\ntruncate_bptt = -2\n", "truncate_bptt", "train"),
+        ("[train]\nbeta_init = 1.5\n", "beta_init", "train"),
+        ("[train]\nbeta_init = -0.1\n", "beta_init", "train"),
+        ("[train]\nb_init = -0.2\n", "b_init", "train"),
+        ("[train]\nalpha = 0\n", "alpha", "train"),
+        ("[train]\nalpha = -3\n", "alpha", "train"),
+        # [data] values
+        ("[data]\nheight = 0\n", "in_height", "train"),
+        ("[data]\nwidth = -4\n", "in_width", "train"),
+        ("[data]\nclasses = 9\n", "classes", "train"),
+        ("[data]\nclasses = 9\n", "classes", "synth"),
+        ("[data]\ntrain_per_class = 0\n", "train_per_class", "train"),
         # evaluation horizons against TINY's 5-bin grids
         ("", "horizon 9 ", "eval --t 9"),
         ("", "horizon 9 ", "sparsity --t 9"),
@@ -263,7 +277,7 @@ class TestTrainEvalPipeline:
         bad = tmp_path / "bad.ini"
         bad.write_text(TINY + extra)
         argv = command.split() + ["--config", str(bad), "--out", str(tmp_path / "x")]
-        if command != "train":
+        if command.split()[0] in ("eval", "sparsity", "anytime"):
             ckpt = tmp_path / "model.ckpt"
             save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
             argv += ["--checkpoint", str(ckpt)]

@@ -173,6 +173,29 @@ class TestLazyDecay:
                 assert spikes.n_sites == 0  # silent-gap safety
             assert np.array_equal(lazy.potentials, explicit.potentials)
 
+    def test_rejects_pending_reset(self):
+        # after a spike the next step subtracts the threshold: a gap of 1
+        # would leave 0.42 where the explicit step gives 0.21
+        params = LIFParams(beta=0.7, b=0.3)
+        st = fresh_state()
+        lif_step(st, np.full((1, 1, 1, 1), 2.0), params, wnorm2=1 - EPSILON)
+        assert st.prev_spikes.n_sites == 1
+        before = st.potentials.copy()
+        with pytest.raises(ValueError, match="reset"):
+            lazy_decay_advance(st, 1, params)
+        assert np.array_equal(st.potentials, before) and st.step == 0
+        lif_step(st, np.zeros((1, 1, 1, 1)), params, wnorm2=1 - EPSILON)
+        assert abs(st.potentials[0, 0, 0, 0] - 0.21) < 1e-12
+
+    def test_rejects_nonpositive_threshold(self):
+        # at b = 0 a neuron at rest spikes, which a pure decay would skip
+        params = LIFParams(beta=0.7, b=0.0)
+        st = fresh_state()
+        with pytest.raises(ValueError, match="b <= 0"):
+            lazy_decay_advance(st, 1, params)
+        spikes, _ = lif_step(st, np.zeros((1, 1, 1, 1)), params, wnorm2=1.0)
+        assert spikes.n_sites == 1
+
 
 class TestSpikingConvForward:
     """One sparse layer step, untaped (sparse LIF step) and taped (every
@@ -429,10 +452,13 @@ class TestNetworkForward:
         # adjoint its sparsified form gets, at its nonzero sites and nowhere else
         from spikesparse import autograd
         from spikesparse.autograd import backward
-        from spikesparse.sparse import _every_site
         from spikesparse.spiking import SpikingConvLayer
         rng = np.random.default_rng(21)
         xd = (rng.random((2, 2, 8, 8)) < 0.2).astype(np.float64)
+        b, y, x = np.indices((2, 8, 8)).reshape(3, -1)
+        every = SparseTensor2D(np.stack([b, x, y], axis=1),
+                               xd.transpose(0, 2, 3, 1).reshape(-1, 2),
+                               2, 8, 8, 2, prune=False)
         weights = rng.uniform(-0.5, 0.5, (3, 2, 3, 3))
         g_v = rng.standard_normal((2, 3, 8, 8))
         seen = {}
@@ -444,7 +470,7 @@ class TestNetworkForward:
 
         monkeypatch.setattr(autograd, "_AdjointStore", Store)
         got = []
-        for x in (_every_site(xd), sparsify(xd)):
+        for x in (every, sparsify(xd)):
             layer = SpikingConvLayer(1, ConvKernel2D(weights.copy()), beta=0.7,
                                      b=0.05)
             layer.reset(2, 8, 8)
@@ -454,12 +480,36 @@ class TestNetworkForward:
             got.append((backward(tape).get(layer.weight), seen[id(x)]))
         (w_dense, g_every), (w_sparse, g_rows) = got
         assert np.array_equal(w_dense, w_sparse)
-        g_dense = densify(SparseTensor2D(_every_site(xd).coords, g_every,
+        g_dense = densify(SparseTensor2D(every.coords, g_every,
                                          2, 8, 8, 2, prune=False))
         assert np.array_equal(g_dense, densify(SparseTensor2D(
             sparsify(xd).coords, g_rows, 2, 8, 8, 2, prune=False)))
         absent = ~np.any(xd != 0, axis=1)
         assert np.any(g_dense) and not np.any(g_dense.transpose(0, 2, 3, 1)[absent])
+
+    @pytest.mark.parametrize("mode, soft", [("dense", False), ("sparse", True)])
+    def test_every_site_spikes_share_one_read_only_site_array(self, mode, soft):
+        # a c layer or a soft step convolves and emits at every site; all its
+        # steps take their coordinates from one cached array per geometry
+        rng = np.random.default_rng(33)
+        model = make_model(rng, (8, 8), [(2, mode, 3), (3, mode, 3)], 3,
+                           b=0.05, weight_scale=0.8)
+        model.soft = soft
+        tape = GradientTape()
+        model.reset_state(2)
+        run_timesteps(model, [random_grid(rng, 8, 8, t_bins=2)] * 2, 2,
+                      recorder=tape)
+        for layer in model.layers:
+            entries = [e.data for e in tape.entries
+                       if e.kind == "layer" and e.data["layer"] is layer]
+            assert len(entries) == 2
+            first = entries[0]["out_c"]
+            assert len(first) == 2 * np.prod(layer.state.shape[2:])
+            assert not first.flags.writeable
+            for d in entries:
+                for coords in (d["out_c"], d["spikes"].coords):
+                    assert np.shares_memory(coords, first)
+                    assert not coords.flags.writeable
 
     def test_spiking_outputs_are_binary(self):
         rng = np.random.default_rng(14)
