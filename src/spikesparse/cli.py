@@ -4,8 +4,12 @@ evaluation suites, driven by a sectioned key-value config file.
 Config grammar: ``[section]`` headers over ``key = value`` lines; ``#``
 starts a comment.  Sections and keys are fixed (unknown ones are rejected
 with exit code 3); every key has a default, so an empty file is a valid
-config.  Any key can be overridden through the environment as
-``SPIKESPARSE_<SECTION>_<KEY>`` (e.g. ``SPIKESPARSE_TRAIN_LR0=1e-2``).
+config.  ``[model]`` and ``[train]`` hold the fields of ``TrainConfig``.
+Any key can be overridden through the environment as
+``SPIKESPARSE_<SECTION>_<KEY>`` (e.g. ``SPIKESPARSE_TRAIN_LR0=1e-2``), and
+``--seed``, ``--t`` and ``--t-list`` set ``train.seed``, ``eval.t_eval`` and
+``eval.t_list``; every override is parsed like a file value into the config
+before anything reads or hashes it.
 
 Every report written by a subcommand embeds the hash of the exact config it
 ran under (``# config_hash=...`` comment line in CSVs, a ``config_hash`` key
@@ -19,16 +23,14 @@ Errors print one line to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 
-import numpy as np
-
-from . import event_io, training
+from . import event_io
 from .event_io import (
-    BinaryVoxelGrid,
     build_voxel_grid,
     load_dvs128,
     parse_aedat,
@@ -78,6 +80,20 @@ def _int_list(s):
     return [int(v) for v in s.split(",") if v.strip()]
 
 
+# [model] and [train] keys: TrainConfig's fields but the three that [data]
+# height/width and [eval] batch set, with the desk recipe's defaults
+_DESK = TrainConfig(arch="2sc5-4sc3-4", t_train=20, max_epochs=20)
+_MODEL_KEYS = ("arch", "variant", "readout_bias")
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name
+                    not in _MODEL_KEYS + ("in_height", "in_width", "eval_batch"))
+
+
+def _field_keys(names):
+    """Schema entries of TrainConfig fields: a parser of the default's type."""
+    return {n: (_bool if isinstance(v, bool) else type(v), v)
+            for n, v in ((n, getattr(_DESK, n)) for n in names)}
+
+
 # section -> key -> (parser, default)
 _SCHEMA = {
     "data": {
@@ -89,44 +105,38 @@ _SCHEMA = {
         "height": (int, 64),
         "width": (int, 64),
     },
-    "model": {
-        "arch": (str, "2sc5-4sc3-4"),
-        "variant": (str, "stride"),
-        "readout_bias": (_bool, True),
-    },
-    "train": {
-        "t_train": (int, 20),
-        "dt_us": (int, 10_000),
-        "lr0": (float, 5e-3),
-        "weight_decay": (float, 1e-5),
-        "batch_size": (int, 16),
-        "schedule": (str, "step"),
-        "step_factor": (float, 0.7),
-        "step_every": (int, 2),
-        "cosine_period": (int, 30),
-        "grad_clip_norm": (float, 5.0),
-        "alpha": (float, 3.0),
-        "beta_init": (float, 0.7),
-        "b_init": (float, 0.3),
-        "dropout_p": (float, 0.5),
-        "seed": (int, 0),
-        "max_epochs": (int, 20),
-        "detach_norm": (_bool, False),
-        "truncate_bptt": (int, 0),
-    },
+    "model": _field_keys(_MODEL_KEYS),
+    "train": _field_keys(_TRAIN_KEYS),
     "eval": {
         "t_eval": (int, 0),                # 0 = use train.t_train
         "t_list": (_int_list, [2, 5, 10, 20]),
-        "batch": (int, 0),                 # 0 = from --workers
+        "batch": (int, _DESK.eval_batch),
     },
 }
+# command-line flag (argparse dest) -> the config key it sets
+_FLAG_KEYS = {"seed": ("train", "seed"), "t": ("eval", "t_eval"),
+              "t_list": ("eval", "t_list")}
+
+
+def _set_values(cfg, items, problems=()):
+    """Parse each ``(section, key, source, text)`` of ``items`` into ``cfg``;
+    raise ConfigError over ``problems`` and the texts that do not parse."""
+    problems = list(problems)
+    for sec, key, source, text in items:
+        try:
+            cfg[sec][key] = _SCHEMA[sec][key][0](text)
+        except ValueError:
+            problems.append(f"bad value for {sec}.{key} in {source}: {text!r}")
+    if problems:
+        raise ConfigError(problems)
+    return cfg
 
 
 def parse_config(text) -> dict:
     """Parse config text into a fully-defaulted nested dict."""
     cfg = {sec: {k: default for k, (_, default) in keys.items()}
            for sec, keys in _SCHEMA.items()}
-    problems = []
+    problems, values = [], []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -149,31 +159,16 @@ def parse_config(text) -> dict:
         if key not in _SCHEMA[section]:
             problems.append(f"line {lineno}: unknown key {section}.{key}")
             continue
-        parser = _SCHEMA[section][key][0]
-        try:
-            cfg[section][key] = parser(value)
-        except ValueError:
-            problems.append(f"line {lineno}: bad value for {section}.{key}: "
-                            f"{value!r}")
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+        values.append((section, key, f"line {lineno}", value))
+    return _set_values(cfg, values, problems)
 
 
 def apply_env_overrides(cfg, environ=None) -> dict:
     environ = os.environ if environ is None else environ
-    problems = []
-    for sec, keys in _SCHEMA.items():
-        for key, (parser, _default) in keys.items():
-            name = f"SPIKESPARSE_{sec.upper()}_{key.upper()}"
-            if name in environ:
-                try:
-                    cfg[sec][key] = parser(environ[name])
-                except ValueError:
-                    problems.append(f"bad value in ${name}: {environ[name]!r}")
-    if problems:
-        raise ConfigError(problems)
-    return cfg
+    names = [(sec, key, f"SPIKESPARSE_{sec.upper()}_{key.upper()}")
+             for sec, keys in _SCHEMA.items() for key in keys]
+    return _set_values(cfg, [(sec, key, f"${name}", environ[name])
+                             for sec, key, name in names if name in environ])
 
 
 def serialize_config(cfg) -> str:
@@ -196,7 +191,9 @@ def config_hash(cfg) -> str:
     return hashlib.sha256(serialize_config(cfg).encode()).hexdigest()[:12]
 
 
-def load_config(path, environ=None, seed_override=None) -> dict:
+def load_config(path, environ=None, flags=None) -> dict:
+    """The config at ``path`` (None: defaults), then the environment's and
+    the command-line ``flags``' overrides ({argparse dest: text or None})."""
     if path is None:
         cfg = parse_config("")
     else:
@@ -206,17 +203,18 @@ def load_config(path, environ=None, seed_override=None) -> dict:
         except OSError as e:
             raise FileNotFoundError(f"cannot read config {path}: {e}") from e
     apply_env_overrides(cfg, environ)
-    if seed_override is not None:
-        cfg["train"]["seed"] = int(seed_override)
-    return cfg
+    flags = flags or {}
+    return _set_values(cfg, [(sec, key, "--" + dest.replace("_", "-"), flags[dest])
+                             for dest, (sec, key) in _FLAG_KEYS.items()
+                             if flags.get(dest) is not None])
 
 
 def train_config_from(cfg) -> TrainConfig:
-    m, d = cfg["model"], cfg["data"]
     try:
-        return TrainConfig(arch=m["arch"], in_height=d["height"],
-                           in_width=d["width"], variant=m["variant"],
-                           readout_bias=m["readout_bias"], **cfg["train"])
+        return TrainConfig(in_height=cfg["data"]["height"],
+                           in_width=cfg["data"]["width"],
+                           eval_batch=cfg["eval"]["batch"],
+                           **cfg["model"], **cfg["train"])
     except ValueError as e:
         raise ConfigError([str(e)]) from None
 
@@ -262,10 +260,18 @@ def load_dataset(cfg):
     raise ConfigError([f"unknown data.kind {d['kind']!r}"])
 
 
+def _check_input_size(dataset, height, width):
+    """Exit 2 unless every grid of ``dataset`` is the model's input size."""
+    found = {(g.height, g.width) for pairs in dataset for g, _ in pairs}
+    if found - {(height, width)}:
+        h, w = min(found - {(height, width)})
+        raise InputError(f"data grids are {h}x{w} but the model takes "
+                         f"{height}x{width}")
+
+
 def _load_training_setup(args):
-    """Config, training config and dataset of a command that trains, which
-    needs training samples."""
-    cfg = load_config(args.config, seed_override=args.seed)
+    """Config, training config and dataset (with train samples) of a run."""
+    cfg = load_config(args.config, flags=vars(args))
     tc = train_config_from(cfg)
     dataset, d = load_dataset(cfg), cfg["data"]
     if not dataset[0] and d["kind"] == "synth":
@@ -273,12 +279,8 @@ def _load_training_setup(args):
     if not dataset[0]:
         listing = "index.csv" if d["kind"] == "events" else "trials_to_train.txt"
         raise InputError(f"{os.path.join(d['path'], listing)}: no train rows")
+    _check_input_size(dataset, tc.in_height, tc.in_width)
     return cfg, tc, dataset
-
-
-def _eval_batch(cfg, workers):
-    batch = cfg["eval"]["batch"]
-    return batch if batch > 0 else max(1, workers)
 
 
 def _write(out_dir, name, text):
@@ -297,13 +299,12 @@ def cmd_convert(args):
     if not os.path.exists(path):
         print(f"error: no such input {path}", file=sys.stderr)
         return 2
-    clip = args.clip if args.clip else None
     try:
         if path.endswith(".aedat"):
             stream = parse_aedat(path)
         else:
             stream = parse_portable_events(path)
-        grid = build_voxel_grid(stream, args.dt, args.t, clip_us=clip)
+        grid = build_voxel_grid(stream, args.dt, args.t)
     except (event_io.FormatError, event_io.EventParseError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -315,14 +316,12 @@ def cmd_convert(args):
 
 
 def cmd_synth(args):
-    cfg = load_config(args.config, seed_override=args.seed)
-    d = cfg["data"]
-    classes = args.classes or d["classes"]
-    per_class = args.n or d["train_per_class"]
+    cfg = load_config(args.config, flags=vars(args))
+    tc, d = train_config_from(cfg), cfg["data"]
     try:
-        train_s, test_s = synth_streams(classes, per_class, d["height"],
-                                        d["width"], cfg["train"]["t_train"],
-                                        cfg["train"]["dt_us"], cfg["train"]["seed"],
+        train_s, test_s = synth_streams(d["classes"], d["train_per_class"],
+                                        d["height"], d["width"], tc.t_train,
+                                        tc.dt_us, tc.seed,
                                         test_per_class=d["test_per_class"])
     except ValueError as e:
         raise ConfigError([f"data: {e}"]) from None
@@ -348,18 +347,19 @@ def cmd_train(args):
     ckpt = os.path.join(args.out, "model.ckpt")
     os.makedirs(args.out, exist_ok=True)
     model, history = train(tc, dataset, checkpoint_path=ckpt, log=print)
-    chash = config_hash(cfg)
     _write(args.out, "history.csv",
-           f"# config_hash={chash}\n" + history_to_csv(history))
+           f"# config_hash={config_hash(cfg)}\n" + history_to_csv(history))
     _write(args.out, "config.resolved.ini", serialize_config(cfg))
     best = max(h["test_acc"] for h in history)
     print(f"best test accuracy {best:.4f}; checkpoint {ckpt}")
     return 0
 
 
-def _load_model_and_data(args):
-    """Config, checkpoint model, dataset and the checked evaluation horizons."""
-    cfg = load_config(args.config, seed_override=args.seed)
+def _load_model_and_data(args, anytime=False):
+    """Checked config, checkpoint model, dataset and evaluation horizons
+    (``eval.t_list`` for ``anytime``, else ``eval.t_eval`` or ``t_train``)."""
+    cfg = load_config(args.config, flags=vars(args))
+    tc = train_config_from(cfg)
     if not os.path.exists(args.checkpoint):
         raise FileNotFoundError(f"no checkpoint {args.checkpoint}")
     try:
@@ -367,10 +367,9 @@ def _load_model_and_data(args):
     except (ValueError, KeyError) as e:
         raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
     dataset = load_dataset(cfg)
-    if hasattr(args, "t_list"):
-        horizons = _int_list(args.t_list) if args.t_list else cfg["eval"]["t_list"]
-    else:
-        horizons = [args.t or cfg["eval"]["t_eval"] or cfg["train"]["t_train"]]
+    _check_input_size(dataset, model.in_height, model.in_width)
+    horizons = (cfg["eval"]["t_list"] if anytime
+                else [cfg["eval"]["t_eval"] or tc.t_train])
     try:
         _check_horizons(dataset[1], horizons)
     except ValueError as e:
@@ -380,7 +379,7 @@ def _load_model_and_data(args):
 
 def cmd_eval(args):
     cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
-    acc = evaluate(model, dataset[1], t_eval, batch_size=_eval_batch(cfg, args.workers))
+    acc = evaluate(model, dataset[1], t_eval, batch_size=cfg["eval"]["batch"])
     report = {"config_hash": config_hash(cfg), "t_eval": t_eval,
               "samples": len(dataset[1]), "accuracy": acc}
     _write(args.out, "eval.json", json.dumps(report, indent=2) + "\n")
@@ -391,7 +390,7 @@ def cmd_eval(args):
 def cmd_sparsity(args):
     cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
     audit = sparsity_audit(model, dataset[1], t_eval,
-                           batch_size=_eval_batch(cfg, args.workers))
+                           batch_size=cfg["eval"]["batch"])
     chash = config_hash(cfg)
     _write(args.out, "sparsity.csv", f"# config_hash={chash}\n" + audit.to_csv())
     payload = json.loads(audit.to_json())
@@ -402,9 +401,9 @@ def cmd_sparsity(args):
 
 
 def cmd_anytime(args):
-    cfg, model, dataset, t_list = _load_model_and_data(args)
+    cfg, model, dataset, t_list = _load_model_and_data(args, anytime=True)
     curve = anytime_eval(model, dataset[1], t_list,
-                         batch_size=_eval_batch(cfg, args.workers))
+                         batch_size=cfg["eval"]["batch"])
     lines = [f"# config_hash={config_hash(cfg)}", "t_eval,accuracy"]
     for t, acc in curve:
         lines.append(f"{t},{acc!r}")
@@ -440,60 +439,46 @@ def _build_parser():
     p = argparse.ArgumentParser(
         prog="spikesparse",
         description="Sparse spiking convolutional networks on event data")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="evaluation batch size when [eval] batch = 0")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, checkpoint=False, horizon=None):
+    def common(sp, fn, checkpoint=False, horizon=None):
+        sp.set_defaults(fn=fn)
         sp.add_argument("--config", default=None, help="run config file")
-        sp.add_argument("--seed", type=int, default=None,
-                        help="override train.seed")
+        sp.add_argument("--seed", help="sets train.seed")
         sp.add_argument("--out", default=".", help="output directory")
         if checkpoint:
             sp.add_argument("--checkpoint", required=True)
         if horizon == "t":
-            sp.add_argument("--t", type=int, default=0,
-                            help="evaluation timesteps (default from config)")
+            sp.add_argument("--t", help="sets eval.t_eval (timesteps)")
         elif horizon == "t-list":
-            sp.add_argument("--t-list", default="",
-                            help="comma-separated horizons, e.g. 5,50,150,300")
+            sp.add_argument("--t-list", help="sets eval.t_list, e.g. 5,50,150,300")
 
     sp = sub.add_parser("convert", help="events file -> voxel grid cache")
     sp.add_argument("input")
     sp.add_argument("output")
     sp.add_argument("--dt", type=int, default=10_000, help="bin width (us)")
     sp.add_argument("--t", type=int, default=150, help="bin count")
-    sp.add_argument("--clip", type=int, default=0,
-                    help="clip horizon (us); must equal t*dt when given")
     sp.set_defaults(fn=cmd_convert)
 
     sp = sub.add_parser("synth", help="write a synthetic event dataset")
-    common(sp)
-    sp.add_argument("--classes", type=int, default=0)
-    sp.add_argument("--n", type=int, default=0, help="train samples per class")
-    sp.set_defaults(fn=cmd_synth)
+    common(sp, cmd_synth)
 
     sp = sub.add_parser("train", help="train per the config")
-    common(sp)
-    sp.set_defaults(fn=cmd_train)
+    common(sp, cmd_train)
 
     sp = sub.add_parser("eval", help="test accuracy of a checkpoint")
-    common(sp, checkpoint=True, horizon="t")
-    sp.set_defaults(fn=cmd_eval)
+    common(sp, cmd_eval, checkpoint=True, horizon="t")
 
     sp = sub.add_parser("sparsity", help="per-layer spike audit")
-    common(sp, checkpoint=True, horizon="t")
-    sp.set_defaults(fn=cmd_sparsity)
+    common(sp, cmd_sparsity, checkpoint=True, horizon="t")
 
     # no abbreviations: `--t` would otherwise stand for `--t-list`
     sp = sub.add_parser("anytime", help="accuracy vs evaluation horizon",
                         allow_abbrev=False)
-    common(sp, checkpoint=True, horizon="t-list")
-    sp.set_defaults(fn=cmd_anytime)
+    common(sp, cmd_anytime, checkpoint=True, horizon="t-list")
 
     sp = sub.add_parser("study-stride", help="strided conv vs max-pool study")
-    common(sp)
-    sp.set_defaults(fn=cmd_study_stride)
+    common(sp, cmd_study_stride)
 
     sp = sub.add_parser("init-config", help="write the default config")
     sp.add_argument("--out", default="-")

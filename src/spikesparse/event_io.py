@@ -608,6 +608,14 @@ def synth_streams(classes, samples_per_class, height, width, n_timesteps,
         raise ValueError("classes must be in 2..8")
     if test_per_class is None:
         test_per_class = samples_per_class
+    for name, value in (("height", height), ("width", width),
+                        ("n_timesteps", n_timesteps), ("dt_us", dt_us)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive")
+    for name, value in (("samples_per_class", samples_per_class),
+                        ("test_per_class", test_per_class)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0")
     root = np.random.SeedSequence(seed)
     train_ss, test_ss = root.spawn(2)
 

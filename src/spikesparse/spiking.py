@@ -450,9 +450,21 @@ class SpikingNet:
         if not 0 <= dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p!r}")
         self.dropout_p = float(dropout_p)
-        self.alpha = float(alpha)
+        self.alpha = alpha
         self.soft = False
         self._detach_norm = False
+
+    @property
+    def alpha(self) -> float:
+        """Surrogate and soft-spike slope; every layer holds a copy, which
+        the soft forward and the backward read."""
+        return self._alpha
+
+    @alpha.setter
+    def alpha(self, value):
+        self._alpha = float(value)
+        for layer in self.layers:
+            layer.alpha = self._alpha
 
     @property
     def detach_norm(self) -> bool:
@@ -534,8 +546,7 @@ def _batch_slice(grids, t) -> SparseTensor2D:
                           canonical=True, prune=False)
 
 
-def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, alpha,
-                   recorder):
+def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     """Conv + LIF (+ optional pool) for one timestep, at the sites that the
     layer kind picks (see the module docstring); a hard ``sc`` step takes
     :func:`_lif_step_lazy`, taped or not.  Returns (next layer input, nonzero
@@ -551,7 +562,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, alpha,
                                        kernel, every_site)
     if every_site:
         spikes = _lif_update(state, current, beta, b, w2e, out_c,
-                             alpha if soft else None, every_site=True)
+                             layer.alpha if soft else None, every_site=True)
     else:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
                                 kernel.wnorm2)
@@ -585,6 +596,10 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     if t_eval < 1:
         raise ValueError("t_eval must be >= 1")
     for grid in grids:
+        if (grid.height, grid.width) != (model.in_height, model.in_width):
+            raise ValueError(
+                f"grid is {grid.height}x{grid.width} but the model takes "
+                f"{model.in_height}x{model.in_width}")
         if start + t_eval > grid.n_timesteps:
             raise ValueError(
                 f"need {start + t_eval} timesteps but grid has {grid.n_timesteps}; "
@@ -597,7 +612,7 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     for t in range(start, start + t_eval):
         x = _batch_slice(grids, t)
         for li, layer in enumerate(model.layers):
-            x, c = _layer_forward(layer, x, model.soft, model.alpha, recorder)
+            x, c = _layer_forward(layer, x, model.soft, recorder)
             counts[li] += c
         if dropout_on:
             x = _dropout_recorded(x, model.dropout_p, rng, recorder)

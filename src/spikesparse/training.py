@@ -90,9 +90,12 @@ class TrainConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         for name in ("in_height", "in_width", "t_train", "dt_us", "batch_size",
                      "max_epochs", "step_every", "cosine_period",
-                     "grad_clip_norm", "alpha"):
+                     "grad_clip_norm", "alpha", "step_factor", "eval_batch"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        for name in ("lr0", "weight_decay", "seed"):  # lr0 = 0: a frozen run
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be >= 0")
         if not 0 <= self.beta_init <= 1:
             raise ValueError(f"beta_init must be in [0, 1], got {self.beta_init!r}")
         if not self.b_init >= 0:

@@ -130,6 +130,17 @@ class TestFiniteDifferences:
         err = finite_diff_check(model, (grid, 1), max_params=40, rng=rng)
         assert err < 1e-4
 
+    def test_matches_central_differences_after_setting_alpha(self):
+        # the soft forward's slope and the backward's surrogate read one alpha
+        rng = np.random.default_rng(3)
+        model = make_model(rng, (4, 4), [(2, "sparse", 3), (2, "sparse", 3)], 3,
+                           weight_scale=0.9, b=0.2)
+        model.alpha = 6.0
+        assert [layer.alpha for layer in model.layers] == [6.0, 6.0]
+        soft_forward_mode(model, True)
+        grid = random_grid(rng, 4, 4, t_bins=3, density=0.4)
+        assert finite_diff_check(model, (grid, 1), max_params=40, rng=rng) < 1e-4
+
     def test_norm_participates_in_gradient_by_default(self):
         rng = np.random.default_rng(4)
         model = make_model(rng, (4, 4), [(2, "sparse", 3)], 3, weight_scale=0.9)

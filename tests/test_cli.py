@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from spikesparse.cli import (
     main,
     parse_config,
     serialize_config,
+    train_config_from,
 )
+from spikesparse.spiking import save_checkpoint
+from spikesparse.training import TrainConfig, build_model
 
 TINY = """
 [data]
@@ -73,6 +78,36 @@ class TestConfig:
         cfg = parse_config("# top\n[train]\nseed = 7  # inline\n\n")
         assert cfg["train"]["seed"] == 7
 
+    def test_default_config_is_the_desk_recipe(self):
+        cfg = parse_config("")
+        assert cfg["eval"]["batch"] == 32
+        assert config_hash(cfg) == "82e20ba4b1ee"
+        assert train_config_from(cfg) == TrainConfig(
+            arch="2sc5-4sc3-4", in_height=64, in_width=64, t_train=20,
+            max_epochs=20)
+
+    def test_each_train_config_field_has_one_key(self):
+        base = train_config_from(parse_config(""))
+        texts = {"arch": "2sc3-4", "variant": "pool", "schedule": "cosine",
+                 "kind": "events", "path": "elsewhere"}
+        setters = {f.name: [] for f in dataclasses.fields(TrainConfig)}
+        for sec, keys in parse_config("").items():
+            for key, value in keys.items():
+                cfg = parse_config("")
+                if isinstance(value, bool):
+                    cfg[sec][key] = not value
+                elif isinstance(value, (int, float)):
+                    cfg[sec][key] = value + 1 if isinstance(value, int) else value / 2
+                elif isinstance(value, list):
+                    cfg[sec][key] = value + [1]
+                else:
+                    cfg[sec][key] = texts[key]
+                tc = train_config_from(cfg)
+                for name, keys_of in setters.items():
+                    if getattr(tc, name) != getattr(base, name):
+                        keys_of.append(f"{sec}.{key}")
+        assert all(len(keys_of) == 1 for keys_of in setters.values()), setters
+
 
 class TestInitConfig:
     def test_prints_parseable_default(self, capsys):
@@ -103,11 +138,15 @@ class TestConvert:
         src.write_text("16,16\n1,2,3,9\n")
         assert main(["convert", str(src), str(tmp_path / "o.vox")]) == 2
 
-    def test_wrong_clip_is_exit_2(self, tmp_path):
+    def test_clip_is_a_usage_error(self, tmp_path, capsys):
+        # the clip horizon is always --t x --dt
         src = tmp_path / "a.events"
         src.write_text("16,16\n100,2,3,1\n")
-        assert main(["convert", str(src), str(tmp_path / "o.vox"),
-                     "--dt", "1000", "--t", "5", "--clip", "400"]) == 2
+        with pytest.raises(SystemExit) as e:
+            main(["convert", str(src), str(tmp_path / "o.vox"),
+                  "--dt", "1000", "--t", "5", "--clip", "5000"])
+        assert e.value.code == 2
+        assert "--clip" in capsys.readouterr().err
 
 
 class TestSynthCommand:
@@ -189,8 +228,6 @@ class TestTrainEvalPipeline:
         assert str(ckpt) in err[0]
 
     def test_checkpoint_with_dropout_one_is_exit_2(self, tiny_cfg, tmp_path, capsys):
-        from spikesparse.spiking import save_checkpoint
-        from spikesparse.training import build_model
         ckpt = tmp_path / "model.ckpt"
         save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
         blob = ckpt.read_bytes()
@@ -253,11 +290,19 @@ class TestTrainEvalPipeline:
         ("[train]\nb_init = -0.2\n", "b_init", "train"),
         ("[train]\nalpha = 0\n", "alpha", "train"),
         ("[train]\nalpha = -3\n", "alpha", "train"),
+        ("[train]\nlr0 = -1\n", "lr0", "train"),
+        ("[train]\nstep_factor = -2\n", "step_factor", "train"),
+        ("[train]\nweight_decay = -5\n", "weight_decay", "train"),
+        ("[train]\nseed = -1\n", "seed", "train"),
+        ("[train]\nseed = -1\n", "seed", "synth"),
+        ("[eval]\nbatch = 0\n", "eval_batch", "train"),
+        ("[eval]\nbatch = 0\n", "eval_batch", "eval"),
         # [data] values
         ("[data]\nheight = 0\n", "in_height", "train"),
         ("[data]\nwidth = -4\n", "in_width", "train"),
         ("[data]\nclasses = 9\n", "classes", "train"),
         ("[data]\nclasses = 9\n", "classes", "synth"),
+        ("[data]\nheight = 0\n", "height", "synth"),
         ("[data]\ntrain_per_class = 0\n", "train_per_class", "train"),
         # evaluation horizons against TINY's 5-bin grids
         ("", "horizon 9 ", "eval --t 9"),
@@ -265,6 +310,7 @@ class TestTrainEvalPipeline:
         ("", "horizon -3 ", "eval --t -3"),
         ("", "horizon 9 ", "anytime --t-list 2,9"),
         ("", "horizon 0 ", "anytime --t-list 2,0"),
+        ("", "eval.t_list", "anytime --t-list 2,x"),
         ("[eval]\nt_eval = 9\n", "horizon 9 ", "eval"),
         ("[eval]\nt_eval = -3\n", "horizon -3 ", "sparsity"),
         ("[eval]\nt_list = 2,9\n", "horizon 9 ", "anytime"),
@@ -272,8 +318,6 @@ class TestTrainEvalPipeline:
     ])
     def test_invalid_training_config_is_exit_3(self, tmp_path, capsys, extra, key,
                                                command):
-        from spikesparse.spiking import save_checkpoint
-        from spikesparse.training import build_model
         bad = tmp_path / "bad.ini"
         bad.write_text(TINY + extra)
         argv = command.split() + ["--config", str(bad), "--out", str(tmp_path / "x")]
@@ -293,6 +337,58 @@ class TestTrainEvalPipeline:
                      str(tmp_path / "x")]) == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: epoch 0, batch 1: ")
+
+    @pytest.mark.parametrize("command, base, flag", [
+        ("synth", [], ["--seed", "5"]),
+        ("train", [], ["--seed", "5"]),
+        ("eval", [], ["--t", "3"]),
+        ("sparsity", [], ["--seed", "5"]),
+        ("anytime", ["--t-list", "2,5"], ["--t-list", "2,3"]),
+    ])
+    def test_flags_enter_the_config_hash(self, tiny_cfg, tmp_path, command,
+                                         base, flag):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
+
+        def report_hash(out, extra):
+            argv = [command, "--config", tiny_cfg, "--out", str(out)] + extra
+            if command in ("eval", "sparsity", "anytime"):
+                argv += ["--checkpoint", str(ckpt)]
+            assert main(argv) == 0
+            text = "".join(p.read_text() for p in sorted(out.iterdir())
+                           if p.suffix in (".csv", ".json"))
+            return set(re.findall(r'config_hash"?[=:] ?"?([0-9a-f]{12})', text))
+
+        plain = report_hash(tmp_path / "plain", base)
+        flagged = report_hash(tmp_path / "flagged", base + flag)
+        assert len(plain) == len(flagged) == 1 and plain != flagged
+
+    def test_train_on_grids_of_another_size_is_exit_2(self, tiny_cfg, tmp_path,
+                                                      capsys):
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+        for size in (32, 8):
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n"
+                           f"height = {size}\nwidth = {size}\n")
+            capsys.readouterr()
+            assert main(["train", "--config", str(cfg), "--out",
+                         str(tmp_path / "run")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "16x16" in err[0] and f"{size}x{size}" in err[0]
+
+    def test_eval_on_grids_of_another_size_is_exit_2(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16), dropout_p=0.0), ckpt)
+        for size in (32, 8):
+            cfg = tmp_path / "cfg.ini"
+            cfg.write_text(TINY + f"\n[data]\nheight = {size}\nwidth = {size}\n")
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "x")]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "16x16" in err[0] and f"{size}x{size}" in err[0]
 
     def test_train_on_synth_files_dataset(self, tiny_cfg, tmp_path):
         data_dir = tmp_path / "files"

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from spikesparse.event_io import (
     serialize_portable_events,
     split_dvs128,
     synth_dataset,
+    synth_streams,
 )
 
 
@@ -287,6 +289,29 @@ class TestSynthDataset:
     def test_class_range_validated(self):
         with pytest.raises(ValueError):
             synth_dataset(1, 1, 16, 16, 4, 10_000, seed=0)
+
+    @pytest.mark.parametrize("name, args, kwargs", [
+        ("height", (2, 1, 0, 16, 4, 10_000, 0), {}),
+        ("width", (2, 1, 16, -1, 4, 10_000, 0), {}),
+        ("n_timesteps", (2, 1, 16, 16, 0, 10_000, 0), {}),
+        ("dt_us", (2, 1, 16, 16, 4, 0, 0), {}),
+        ("samples_per_class", (2, -1, 16, 16, 4, 10_000, 0), {}),
+        ("test_per_class", (2, 1, 16, 16, 4, 10_000, 0), {"test_per_class": -1}),
+    ])
+    def test_grid_size_and_counts_validated(self, name, args, kwargs):
+        with pytest.raises(ValueError, match=name):
+            synth_streams(*args, **kwargs)
+
+    def test_pinned_digest(self):
+        # any change to the rendering, the seeding or the voxelization moves
+        # this digest; all eight classes on a non-square grid
+        train, test = synth_dataset(8, 2, 24, 40, 12, 10_000, 5, test_per_class=1)
+        h = hashlib.sha256()
+        for grid, label in train + test:
+            h.update(grid.to_bytes())
+            h.update(bytes([label]))
+        assert h.hexdigest() == ("4e5acdf3452bde8a62ac1dc4c67133972d598764166373"
+                                 "773852ac397fc08eb7")
 
 
 class TestLoadDvs128:

@@ -212,7 +212,7 @@ class TestSpikingConvForward:
         for recorder in (None, GradientTape()):
             layer = self.make_layer(np.random.default_rng(0))
             out, count = _layer_forward(layer, SparseTensor2D.empty(1, 6, 6, 1),
-                                        False, 3.0, recorder)
+                                        False, recorder)
             assert out.n_sites == 0 and count == 0
 
     def test_supra_threshold_input_spikes_once(self):
@@ -221,7 +221,7 @@ class TestSpikingConvForward:
         x = SparseTensor2D(np.array([[0, 2, 2]]), np.array([[30.0]]), 1, 6, 6, 1)
         for recorder in (None, GradientTape()):
             layer = self.make_layer(np.random.default_rng(0), b=0.1)
-            out, count = _layer_forward(layer, x, False, 3.0, recorder)
+            out, count = _layer_forward(layer, x, False, recorder)
             assert out.coords.tolist() == [[0, 2, 2]]
             assert out.values.tolist() == [[1.0]] and count == 1
 
@@ -231,8 +231,8 @@ class TestSpikingConvForward:
         x = SparseTensor2D(np.array([[0, 2, 2]]), np.array([[10.0]]), 1, 6, 6, 1)
         for recorder in (None, GradientTape()):
             layer = self.make_layer(np.random.default_rng(0), b=0.8)
-            first, _ = _layer_forward(layer, x, False, 3.0, recorder)
-            second, _ = _layer_forward(layer, x, False, 3.0, recorder)
+            first, _ = _layer_forward(layer, x, False, recorder)
+            second, _ = _layer_forward(layer, x, False, recorder)
             assert first.n_sites == 0 and second.n_sites == 1
 
 
@@ -355,6 +355,16 @@ class TestNetworkForward:
         with pytest.raises(ValueError):
             network_forward(model, grid, 5)
 
+    @pytest.mark.parametrize("height, width", [(8, 10), (16, 8), (4, 4)])
+    def test_grid_of_another_size_rejected(self, height, width):
+        rng = np.random.default_rng(11)
+        model = make_model(rng, (8, 8), [(2, "sparse", 3)], 3)
+        grids = [random_grid(rng, 8, 8, t_bins=4),
+                 random_grid(rng, height, width, t_bins=4)]
+        model.reset_state(2)
+        with pytest.raises(ValueError, match=f"{height}x{width} .* 8x8"):
+            run_timesteps(model, grids, 4)
+
     def test_state_split_invariance(self):
         rng = np.random.default_rng(12)
         for trial in range(10):
@@ -475,7 +485,7 @@ class TestNetworkForward:
                                      b=0.05)
             layer.reset(2, 8, 8)
             tape = GradientTape()
-            _layer_forward(layer, x, False, 3.0, tape)
+            _layer_forward(layer, x, False, tape)
             tape.record_seed(layer.state.potentials, g_v)
             got.append((backward(tape).get(layer.weight), seen[id(x)]))
         (w_dense, g_every), (w_sparse, g_rows) = got
@@ -521,7 +531,7 @@ class TestNetworkForward:
         from spikesparse.spiking import _batch_slice
         for t in range(4):
             x = _batch_slice([grid], t)
-            x, _ = _layer_forward(model.layers[0], x, False, 3.0, None)
+            x, _ = _layer_forward(model.layers[0], x, False, None)
             if x.n_sites:
                 assert set(np.unique(x.values)) <= {0.0, 1.0}
 
