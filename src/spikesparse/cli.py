@@ -23,6 +23,7 @@ Errors print one line to stderr.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -134,7 +135,7 @@ def _set_values(cfg, items, problems=()):
 
 def parse_config(text) -> dict:
     """Parse config text into a fully-defaulted nested dict."""
-    cfg = {sec: {k: default for k, (_, default) in keys.items()}
+    cfg = {sec: {k: copy.copy(default) for k, (_, default) in keys.items()}
            for sec, keys in _SCHEMA.items()}
     problems, values = [], []
     section = None
@@ -219,13 +220,21 @@ def train_config_from(cfg) -> TrainConfig:
         raise ConfigError([str(e)]) from None
 
 
-def load_dataset(cfg):
-    """(train, test) pairs per the [data] section."""
+def load_dataset(cfg, with_train=True):
+    """(train, test) pairs per the [data] section.
+
+    With ``with_train=False``, ``synth`` and ``events`` data leave the train
+    split empty and render or parse only the test samples; an events index
+    is still checked row by row, train rows and their files included.
+    """
     d = cfg["data"]
     t_bins, dt_us = cfg["train"]["t_train"], cfg["train"]["dt_us"]
     if d["kind"] == "synth":
+        # the test half has its own seed stream: the train count moves no
+        # test sample
         try:
-            return synth_dataset(d["classes"], d["train_per_class"], d["height"],
+            return synth_dataset(d["classes"],
+                                 d["train_per_class"] if with_train else 0, d["height"],
                                  d["width"], t_bins, dt_us, cfg["train"]["seed"],
                                  test_per_class=d["test_per_class"])
         except ValueError as e:
@@ -250,8 +259,9 @@ def load_dataset(cfg):
                 if not os.path.isfile(path):
                     raise InputError(f"{index} line {lineno}: no such events "
                                      f"file {path}")
-                stream = parse_portable_events(path)
-                pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
+                if with_train or split == "test":
+                    stream = parse_portable_events(path)
+                    pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
         return splits["train"], splits["test"]
     if d["kind"] == "dvs128":
         cache = os.path.join(d["path"], ".voxcache") if d["path"] else None
@@ -356,7 +366,7 @@ def cmd_train(args):
 
 
 def _load_model_and_data(args, anytime=False):
-    """Checked config, checkpoint model, dataset and evaluation horizons
+    """Checked config, checkpoint model, test split and evaluation horizons
     (``eval.t_list`` for ``anytime``, else ``eval.t_eval`` or ``t_train``)."""
     cfg = load_config(args.config, flags=vars(args))
     tc = train_config_from(cfg)
@@ -366,30 +376,30 @@ def _load_model_and_data(args, anytime=False):
         model = load_checkpoint(args.checkpoint)
     except (ValueError, KeyError) as e:
         raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
-    dataset = load_dataset(cfg)
-    _check_input_size(dataset, model.in_height, model.in_width)
+    test = load_dataset(cfg, with_train=False)[1]
+    _check_input_size([test], model.in_height, model.in_width)
     horizons = (cfg["eval"]["t_list"] if anytime
                 else [cfg["eval"]["t_eval"] or tc.t_train])
     try:
-        _check_horizons(dataset[1], horizons)
+        _check_horizons(test, horizons)
     except ValueError as e:
         raise ConfigError([str(e)]) from None
-    return cfg, model, dataset, horizons
+    return cfg, model, test, horizons
 
 
 def cmd_eval(args):
-    cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
-    acc = evaluate(model, dataset[1], t_eval, batch_size=cfg["eval"]["batch"])
+    cfg, model, test, (t_eval,) = _load_model_and_data(args)
+    acc = evaluate(model, test, t_eval, batch_size=cfg["eval"]["batch"])
     report = {"config_hash": config_hash(cfg), "t_eval": t_eval,
-              "samples": len(dataset[1]), "accuracy": acc}
+              "samples": len(test), "accuracy": acc}
     _write(args.out, "eval.json", json.dumps(report, indent=2) + "\n")
-    print(f"accuracy {acc:.4f} over {len(dataset[1])} samples at T={t_eval}")
+    print(f"accuracy {acc:.4f} over {len(test)} samples at T={t_eval}")
     return 0
 
 
 def cmd_sparsity(args):
-    cfg, model, dataset, (t_eval,) = _load_model_and_data(args)
-    audit = sparsity_audit(model, dataset[1], t_eval,
+    cfg, model, test, (t_eval,) = _load_model_and_data(args)
+    audit = sparsity_audit(model, test, t_eval,
                            batch_size=cfg["eval"]["batch"])
     chash = config_hash(cfg)
     _write(args.out, "sparsity.csv", f"# config_hash={chash}\n" + audit.to_csv())
@@ -401,8 +411,8 @@ def cmd_sparsity(args):
 
 
 def cmd_anytime(args):
-    cfg, model, dataset, t_list = _load_model_and_data(args, anytime=True)
-    curve = anytime_eval(model, dataset[1], t_list,
+    cfg, model, test, t_list = _load_model_and_data(args, anytime=True)
+    curve = anytime_eval(model, test, t_list,
                          batch_size=cfg["eval"]["batch"])
     lines = [f"# config_hash={config_hash(cfg)}", "t_eval,accuracy"]
     for t, acc in curve:

@@ -294,11 +294,10 @@ def parse_portable_events(source) -> EventStream:
 
 
 def serialize_portable_events(stream: EventStream) -> str:
-    lines = [f"{stream.width},{stream.height}"]
-    for i in range(len(stream)):
-        lines.append(f"{stream.timestamps[i]},{stream.xs[i]},"
-                     f"{stream.ys[i]},{stream.polarities[i]}")
-    return "\n".join(lines) + "\n"
+    rows = zip(stream.timestamps.tolist(), stream.xs.tolist(),
+               stream.ys.tolist(), stream.polarities.tolist())
+    return "".join([f"{stream.width},{stream.height}\n"]
+                   + [f"{t},{x},{y},{p}\n" for t, x, y, p in rows])
 
 
 class BinaryVoxelGrid:
@@ -525,6 +524,18 @@ def _render_moving_edge(rng, cls, width, height, n_timesteps, dt_us) -> EventStr
     interior texture while it moves, plus uniform Poisson noise.  Entry into
     the frame is delayed by a random number of bins, so short prefixes of a
     sample may show noise only.
+
+    The output is pinned draw for draw to a per-pixel loop over each bin:
+    ``rng.random(k)`` per texture depth over its in-frame pixels, one scalar
+    ``rng.integers(2)`` per flickering pixel, ``rng.random(n)`` over the
+    bin's distinct cells, ``rng.poisson`` for the noise count, scalar
+    ``rng.integers(width)``, ``(height)``, ``(2)`` per noise event,
+    ``rng.choice(n, cap, replace=False)`` when the bin exceeds the cap, and
+    one scalar ``rng.integers(dt_us)`` per event.  Cells keep their first
+    insertion order: leading edge, trailing edge, then texture, each swept
+    offset by offset.  The geometry is array arithmetic, and each run of
+    scalar ``integers`` calls is one call with a size or an array of highs,
+    which NumPy serves with the same 32-bit draws (a test pins this).
     """
     dx, dy = _DIRECTIONS[cls % 4]
     speed_tier = 1 + cls // 4
@@ -549,49 +560,59 @@ def _render_moving_edge(rng, cls, width, height, n_timesteps, dt_us) -> EventStr
 
     offs = np.arange(-length / 2, length / 2, 0.6)
     depth = np.arange(0.0, thickness, 0.6)
+    # leading edge sweeps [f, f + speed) each bin; the trailing edge is the
+    # same band displaced backwards by the bar thickness
+    sweep = np.arange(0.0, speed, 0.6)
+    lat_x, lat_y = px * offs, py * offs
+    sweep_x, sweep_y = ux * sweep, uy * sweep
+    depth_x, depth_y = ux * depth, uy * depth
+    noise_highs = np.array([width, height, 2])
+
+    def on_grid(bx, by):
+        """Pixels of the rows ``b + lateral offsets`` inside the frame, row
+        by row, with the per-row counts."""
+        gx = np.rint(bx[:, None] + lat_x).astype(int)
+        gy = np.rint(by[:, None] + lat_y).astype(int)
+        ok = (gx >= 0) & (gx < width) & (gy >= 0) & (gy < height)
+        return gx[ok], gy[ok], ok.sum(axis=1)
+
     ts_all, xs_all, ys_all, ps_all = [], [], [], []
     for t in range(n_timesteps):
-        cells = {}
         fx, fy = sx + ux * speed * t, sy + uy * speed * t
-        # leading edge sweeps [fx, fx + speed) this bin; trailing edge the
-        # same band displaced backwards by the bar thickness
-        sweep = np.arange(0.0, speed, 0.6)
-        for polarity, ox, oy in ((ON, fx, fy),
-                                 (OFF, fx - ux * thickness, fy - uy * thickness)):
-            for a in sweep:
-                gx = np.rint(ox + ux * a + px * offs).astype(int)
-                gy = np.rint(oy + uy * a + py * offs).astype(int)
-                ok = (gx >= 0) & (gx < width) & (gy >= 0) & (gy < height)
-                for xi, yi in zip(gx[ok], gy[ok]):
-                    cells.setdefault((xi, yi, polarity), None)
+        on_x, on_y, _ = on_grid(fx + sweep_x, fy + sweep_y)
+        off_x, off_y, _ = on_grid((fx - ux * thickness) + sweep_x,
+                                  (fy - uy * thickness) + sweep_y)
         # interior texture: covered pixels flicker while the bar moves
-        for d in depth:
-            bx, by = fx - ux * d, fy - uy * d
-            gx = np.rint(bx + px * offs).astype(int)
-            gy = np.rint(by + py * offs).astype(int)
-            ok = (gx >= 0) & (gx < width) & (gy >= 0) & (gy < height)
-            flick = rng.random(ok.sum()) < texture_p
-            for xi, yi, take in zip(gx[ok], gy[ok], flick):
-                if take:
-                    cells.setdefault((xi, yi, int(rng.integers(2))), None)
-        sites = list(cells)
-        if sites:
-            pick = rng.random(len(sites)) < keep_prob
-            sites = [s for s, take in zip(sites, pick) if take]
-        n_noise = rng.poisson(noise_lambda)
-        for _ in range(n_noise):
-            sites.append((int(rng.integers(width)), int(rng.integers(height)),
-                          int(rng.integers(2))))
-        if len(sites) > cap:
-            idx = rng.choice(len(sites), size=cap, replace=False)
-            sites = [sites[i] for i in sorted(idx)]
-        base = t * dt_us
-        for xi, yi, pol in sites:
-            ts_all.append(base + int(rng.integers(dt_us)))
-            xs_all.append(xi)
-            ys_all.append(yi)
-            ps_all.append(pol)
-    return EventStream(ts_all, xs_all, ys_all, ps_all, width, height)
+        tex_x, tex_y, per_depth = on_grid(fx - depth_x, fy - depth_y)
+        flick, tex_p = [], []
+        for k in per_depth.tolist():
+            take = rng.random(k) < texture_p
+            flick.append(take)
+            tex_p.append(rng.integers(2, size=np.count_nonzero(take)))
+        flick = np.concatenate(flick)
+        xs = np.concatenate([on_x, off_x, tex_x[flick]])
+        ys = np.concatenate([on_y, off_y, tex_y[flick]])
+        ps = np.concatenate([np.full(len(on_x), ON), np.full(len(off_x), OFF)]
+                            + tex_p)
+        # one cell per (x, y, polarity), in first-insertion order
+        _, first = np.unique((xs * height + ys) * 2 + ps, return_index=True)
+        first.sort()
+        first = first[rng.random(len(first)) < keep_prob]
+        noise = rng.integers(np.tile(noise_highs, rng.poisson(noise_lambda)))
+        noise = noise.reshape(-1, 3)
+        xs = np.concatenate([xs[first], noise[:, 0]])
+        ys = np.concatenate([ys[first], noise[:, 1]])
+        ps = np.concatenate([ps[first], noise[:, 2]])
+        if len(xs) > cap:
+            idx = np.sort(rng.choice(len(xs), size=cap, replace=False))
+            xs, ys, ps = xs[idx], ys[idx], ps[idx]
+        ts_all.append(t * dt_us + rng.integers(dt_us, size=len(xs)))
+        xs_all.append(xs)
+        ys_all.append(ys)
+        ps_all.append(ps)
+    return EventStream(np.concatenate(ts_all), np.concatenate(xs_all),
+                       np.concatenate(ys_all), np.concatenate(ps_all),
+                       width, height)
 
 
 def synth_streams(classes, samples_per_class, height, width, n_timesteps,

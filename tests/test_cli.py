@@ -6,17 +6,20 @@ import re
 import numpy as np
 import pytest
 
+from spikesparse import event_io
 from spikesparse.cli import (
     ConfigError,
     apply_env_overrides,
     config_hash,
+    load_config,
+    load_dataset,
     main,
     parse_config,
     serialize_config,
     train_config_from,
 )
-from spikesparse.spiking import save_checkpoint
-from spikesparse.training import TrainConfig, build_model
+from spikesparse.spiking import load_checkpoint, save_checkpoint
+from spikesparse.training import TrainConfig, build_model, evaluate
 
 TINY = """
 [data]
@@ -85,6 +88,12 @@ class TestConfig:
         assert train_config_from(cfg) == TrainConfig(
             arch="2sc5-4sc3-4", in_height=64, in_width=64, t_train=20,
             max_epochs=20)
+
+    def test_defaults_are_not_shared_between_configs(self):
+        parse_config("")["eval"]["t_list"].append(40)
+        cfg = parse_config("")
+        assert cfg["eval"]["t_list"] == [2, 5, 10, 20]
+        assert config_hash(cfg) == "82e20ba4b1ee"
 
     def test_each_train_config_field_has_one_key(self):
         base = train_config_from(parse_config(""))
@@ -210,6 +219,45 @@ class TestTrainEvalPipeline:
                      "--out", out, "--t-list", "2,5"]) == 0
         curve = (tmp_path / "reports" / "anytime.csv").read_text().splitlines()
         assert curve[1] == "t_eval,accuracy" and len(curve) == 4
+
+    def test_eval_renders_only_the_test_split(self, tiny_cfg, run_dir, tmp_path,
+                                              monkeypatch):
+        ckpt = str(run_dir / "model.ckpt")
+        rendered = []
+        render = event_io._render_moving_edge
+        monkeypatch.setattr(event_io, "_render_moving_edge",
+                            lambda *a: rendered.append(a[1]) or render(*a))
+        assert main(["eval", "--config", tiny_cfg, "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "r")]) == 0
+        assert sorted(rendered) == [0, 0, 1, 1]  # 2 classes x test_per_class 2
+        # the test half has its own seed stream: the full dataset's test half
+        # gives the same accuracy under the same hash
+        report = json.loads((tmp_path / "r" / "eval.json").read_text())
+        cfg = load_config(tiny_cfg)
+        _, test = load_dataset(cfg)
+        assert report["samples"] == len(test) == 4
+        assert report["accuracy"] == evaluate(load_checkpoint(ckpt), test, 5,
+                                              batch_size=cfg["eval"]["batch"])
+        assert report["config_hash"] == config_hash(cfg)
+
+    def test_eval_on_events_parses_only_test_files(self, tiny_cfg, run_dir,
+                                                   tmp_path, capsys):
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+        argv = ["eval", "--config", str(cfg), "--checkpoint",
+                str(run_dir / "model.ckpt"), "--out", str(tmp_path / "r")]
+        train_file = data_dir / "class0_train000.events"
+        train_file.write_text("not an events file\n")
+        assert main(argv) == 0
+        report = json.loads((tmp_path / "r" / "eval.json").read_text())
+        assert report["samples"] == 4
+        # every index row still needs its file
+        train_file.unlink()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(train_file) in err[0]
 
     def test_missing_checkpoint_is_exit_2(self, tiny_cfg, tmp_path):
         assert main(["eval", "--config", tiny_cfg, "--checkpoint",

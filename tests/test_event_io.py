@@ -3,7 +3,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spikesparse import event_io
 from spikesparse.event_io import (
     OFF,
     ON,
@@ -40,6 +43,66 @@ def ref_polarity_packet(events, overflow=0, valid_bits=None):
 
 def ref_aedat(*packets):
     return b"#!AER-DAT3.1\r\n" + b"#!END-HEADER\r\n" + b"".join(packets)
+
+
+# --- reference renderer (the per-pixel loop) -------------------------------
+
+def loop_render_moving_edge(rng, cls, width, height, n_timesteps, dt_us):
+    """Reference renderer: the per-pixel loop whose draws the library's
+    vectorized renderer must reproduce one for one."""
+    dx, dy = event_io._DIRECTIONS[cls % 4]
+    speed_tier = 1 + cls // 4
+    norm = (dx * dx + dy * dy) ** 0.5
+    ux, uy = dx / norm, dy / norm
+    extent = width * abs(ux) + height * abs(uy)
+    speed = speed_tier * extent / (1.35 * n_timesteps) * rng.uniform(0.85, 1.15)
+    delay = rng.uniform(0.0, 0.3) * n_timesteps
+    length = rng.uniform(0.3, 0.45) * min(width, height)
+    thickness = rng.uniform(6.0, 9.0)
+    cap = int(0.05 * width * height)
+    px, py = -uy, ux
+    cx = width / 2 + rng.uniform(-0.15, 0.15) * width + px * rng.uniform(-0.1, 0.1) * width
+    cy = height / 2 + rng.uniform(-0.15, 0.15) * height
+    sx = cx - ux * (extent / 2 + 1 + speed * delay)
+    sy = cy - uy * (extent / 2 + 1 + speed * delay)
+    offs = np.arange(-length / 2, length / 2, 0.6)
+    depth = np.arange(0.0, thickness, 0.6)
+    events = []
+    for t in range(n_timesteps):
+        cells = {}
+        fx, fy = sx + ux * speed * t, sy + uy * speed * t
+        sweep = np.arange(0.0, speed, 0.6)
+        for polarity, ox, oy in ((ON, fx, fy),
+                                 (OFF, fx - ux * thickness, fy - uy * thickness)):
+            for a in sweep:
+                gx = np.rint(ox + ux * a + px * offs).astype(int)
+                gy = np.rint(oy + uy * a + py * offs).astype(int)
+                ok = (gx >= 0) & (gx < width) & (gy >= 0) & (gy < height)
+                for xi, yi in zip(gx[ok], gy[ok]):
+                    cells.setdefault((xi, yi, polarity), None)
+        for d in depth:
+            bx, by = fx - ux * d, fy - uy * d
+            gx = np.rint(bx + px * offs).astype(int)
+            gy = np.rint(by + py * offs).astype(int)
+            ok = (gx >= 0) & (gx < width) & (gy >= 0) & (gy < height)
+            flick = rng.random(ok.sum()) < 0.5
+            for xi, yi, take in zip(gx[ok], gy[ok], flick):
+                if take:
+                    cells.setdefault((xi, yi, int(rng.integers(2))), None)
+        sites = list(cells)
+        if sites:
+            pick = rng.random(len(sites)) < 0.9
+            sites = [s for s, take in zip(sites, pick) if take]
+        for _ in range(rng.poisson(0.004 * width * height)):
+            sites.append((int(rng.integers(width)), int(rng.integers(height)),
+                          int(rng.integers(2))))
+        if len(sites) > cap:
+            idx = rng.choice(len(sites), size=cap, replace=False)
+            sites = [sites[i] for i in sorted(idx)]
+        for xi, yi, pol in sites:
+            events.append((t * dt_us + int(rng.integers(dt_us)), xi, yi, pol))
+    t, x, y, p = zip(*events) if events else ([], [], [], [])
+    return EventStream(t, x, y, p, width, height)
 
 
 class TestParseAedat:
@@ -153,6 +216,13 @@ class TestPortableFormat:
         p = tmp_path / "events.txt"
         p.write_text(text)
         assert parse_portable_events(p).equals(stream)
+
+    def test_serialized_text_by_hand(self):
+        stream = EventStream([0, 40, 40], [3, 0, 31], [23, 5, 0], [ON, OFF, ON],
+                             32, 24)
+        assert serialize_portable_events(stream) == ("32,24\n0,3,23,1\n"
+                                                     "40,0,5,0\n40,31,0,1\n")
+        assert serialize_portable_events(EventStream.empty(7, 5)) == "7,5\n"
 
 
 class TestBuildVoxelGrid:
@@ -312,6 +382,77 @@ class TestSynthDataset:
             h.update(bytes([label]))
         assert h.hexdigest() == ("4e5acdf3452bde8a62ac1dc4c67133972d598764166373"
                                  "773852ac397fc08eb7")
+
+    @pytest.mark.parametrize("args, digest", [
+        # the grid digest's arguments, timestamps and order included
+        ((8, 2, 24, 40, 12, 10_000, 5),
+         "0a26df9176036683dc7d5549b70a9f58da3d473edcdc30df7cac0113b35c2ab6"),
+        # odd sizes, whose timestamp draws reach Lemire rejection
+        ((8, 2, 37, 53, 15, 7_777, 3),
+         "7ae750aca3a0572568bebbee40c4867ddf9af866a20748fda118ca7a64bec5a8"),
+    ])
+    def test_pinned_stream_digest(self, args, digest):
+        train, test = synth_streams(*args, test_per_class=1)
+        h = hashlib.sha256()
+        for stream, label in train + test:
+            h.update(serialize_portable_events(stream).encode("ascii"))
+            h.update(bytes([label]))
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("cls, width, height, n_timesteps, dt_us", [
+        (0, 24, 40, 6, 10_000), (5, 37, 53, 5, 7_777), (6, 9, 6, 8, 3),
+        (3, 1, 11, 7, 1), (7, 17, 1, 7, 2 ** 31 + 1), (2, 1, 1, 4, 1_000),
+    ])
+    def test_render_matches_per_pixel_loop(self, cls, width, height,
+                                           n_timesteps, dt_us):
+        # tiny grids take the cap path nearly every bin; 1-pixel sides draw
+        # integers(1), which consumes nothing
+        for seed in range(3):
+            loop_rng = np.random.default_rng(seed)
+            want = loop_render_moving_edge(loop_rng, cls, width, height,
+                                           n_timesteps, dt_us)
+            rng = np.random.default_rng(seed)
+            got = event_io._render_moving_edge(rng, cls, width, height,
+                                               n_timesteps, dt_us)
+            assert got.equals(want)
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+# Highs at which a scalar integers(h) takes one 32-bit half-word per try:
+# 1 draws nothing, 2**31 + 1 rejects about half the tries, 10_000 rarely.
+_HIGHS = [1, 2, 3, 128, 10_000, 2 ** 31 + 1, 2 ** 32 - 1]
+
+
+class TestBulkIntegerDraws:
+    """The renderer replaces runs of scalar ``rng.integers`` calls by one
+    call with a size or an array of highs; both must take the same draws
+    and leave the same generator state."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), pending=st.booleans(),
+           calls=st.lists(st.tuples(
+               st.sampled_from(["highs", "size", "random", "choice"]),
+               st.lists(st.sampled_from(_HIGHS), min_size=1, max_size=24)),
+               max_size=6))
+    def test_same_values_and_state_as_scalar_calls(self, seed, pending, calls):
+        loop, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+        if pending:  # a half-word left over at entry
+            assert loop.integers(2) == bulk.integers(2)
+        for kind, highs in calls:
+            if kind == "highs":
+                want = [int(loop.integers(h)) for h in highs]
+                got = bulk.integers(np.array(highs, dtype=np.int64)).tolist()
+            elif kind == "size":
+                want = [int(loop.integers(highs[0])) for _ in highs]
+                got = bulk.integers(highs[0], size=len(highs)).tolist()
+            elif kind == "random":
+                want, got = loop.random(len(highs)), bulk.random(len(highs))
+            else:  # Floyd's sampling may take the pending half-word
+                n = 3 * len(highs)
+                want = loop.choice(n, size=len(highs), replace=False)
+                got = bulk.choice(n, size=len(highs), replace=False)
+            assert np.array_equal(want, got)
+            assert loop.bit_generator.state == bulk.bit_generator.state
 
 
 class TestLoadDvs128:
