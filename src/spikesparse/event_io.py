@@ -50,6 +50,7 @@ _PACKET_HEADER = struct.Struct("<hhiiiiii")  # type, source, size, tsOffset,
                                              # tsOverflow, capacity, number, valid
 _POLARITY_EVENT = 1
 _VOX_MAGIC = b"SPKVOX01"
+_PORTABLE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)  # after t, x, y, p
 
 
 class FormatError(ValueError):
@@ -258,21 +259,49 @@ def _as_text(source) -> str:
     return source.read()
 
 
+def _portable_columns(body: str):
+    """The ``[4, N]`` int64 fields of a body made only of ``t,x,y,p`` lines of
+    1 to 18 decimal digits per field, each ended by a newline (the last may
+    lack it); ``None`` for any other body.  Such fields are nonnegative, fit
+    int64 and read as ``int`` reads them."""
+    if body and not body.endswith("\n"):
+        body += "\n"
+    if not body.isascii():
+        return None
+    b = np.frombuffer(body.encode("ascii"), np.uint8)
+    ends = np.flatnonzero((b < ord("0")) | (b > ord("9")))
+    if len(ends) % 4 or not (b[ends].reshape(-1, 4) == _PORTABLE_SEPARATORS).all():
+        return None
+    lengths = np.diff(ends, prepend=-1) - 1
+    if len(ends) and not 1 <= lengths.min() <= lengths.max() <= 18:
+        return None
+    fields = np.fromstring(body.replace("\n", ","), np.int64, sep=",")
+    return fields.reshape(-1, 4).T.copy()
+
+
 def parse_portable_events(source) -> EventStream:
     """Parse the portable text event format; same contract as :func:`parse_aedat`."""
     text = _as_text(source)
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    # the first line, as text.splitlines() would give it
+    first = (text.partition("\n")[0].splitlines() or [""])[0]
+    if not first.strip():
         raise EventParseError("missing width,height header", line=1)
-    head = lines[0].split(",")
+    head = first.split(",")
     if len(head) != 2:
         raise EventParseError("header must be 'width,height'", line=1)
     try:
         width, height = int(head[0]), int(head[1])
     except ValueError:
         raise EventParseError("non-numeric sensor size", line=1) from None
+    if text[len(first):len(first) + 1] == "\n":
+        cols = _portable_columns(text[len(first) + 1:])
+        if cols is not None:
+            t, x, y, p = cols
+            if np.isin(p, (ON, OFF)).all() and (x < width).all() and (y < height).all():
+                return EventStream(t, x, y, p, width, height).rebased()
+    # a body in any other form, or with a bad record: check line by line
     ts, xs, ys, ps = [], [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         line = line.strip()
         if not line:
             continue

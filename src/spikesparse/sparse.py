@@ -11,9 +11,14 @@ touches a nonzero but which are not themselves in the coordinate map stay
 empty, so spatial sparsity never grows through a convolution.  A dense
 convolution is the same call at every output site (``_grid_sites``).  One
 site index, an occupancy map (``_site_index``), gives the sites of conv,
-pool and the sparse LIF step.  Each conv call builds one ``[k*k, N_out]``
-kernel map (the "rulebook") in a single gather, for forward and backward
-alike; backward rebuilds it rather than storing it.
+pool and the sparse LIF step; an every-site conv or pool takes its output
+sites from the cached ``_grid_sites``.  Each conv call builds one
+``[k*k, N_out]`` kernel map (the "rulebook") in a single gather, for
+forward and backward alike; backward rebuilds it rather than storing it.
+The forward adds each tap's product over all output rows, reading absent
+taps from one zero row appended to the input values, so it needs no
+scatter (see ``_conv_sites`` for the taps that keep the matched rows);
+backward gathers and scatters the matched rows of each tap.
 
 ``dense_conv2d`` and its adjoints share the sparse path's tap conventions;
 they are the reference for the tests and ``perfbench/reference.py`` only.
@@ -255,7 +260,9 @@ def _kernel_map(out_c, x: SparseTensor2D, k, stride):
     ``t = dx * k + dy`` of each output site reads, ``x.n_sites`` where it
     reads no site.  All taps are looked up in one gather through a dense
     site->row index of ``x``, padded by ``k // 2`` so that out-of-grid taps
-    read an absent site.  Batching the taps' matmuls would change BLAS rounding.
+    read an absent site.  The taps' matmuls stay one per tap, in tap order:
+    batching them into one GEMM (im2col) would change the reduction order,
+    and so the rounding and the spikes.
     """
     pad = k // 2
     hp, wp = x.height + 2 * pad, x.width + 2 * pad
@@ -270,17 +277,45 @@ def _kernel_map(out_c, x: SparseTensor2D, k, stride):
 
 def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False):
     """Unpruned convolution at the coordinate map of ``x``, or with
-    ``every_site`` at every output site: (out coords, out values, extent)."""
+    ``every_site`` at every output site: (out coords, out values, extent).
+
+    Each tap with matches adds its product over all output rows at once,
+    ``out_v += padded[rows_in] @ w_t``, where ``padded`` is ``x.values`` with
+    a zero row appended at index ``x.n_sites``, the kernel map's absent tap.
+    Two cases keep the product on the matched rows only, as the per-tap loop
+    computed it: a tap that matches exactly one row, and ``c_out == 1``.
+    NumPy runs a one-row product on gemv/dot rather than gemm, and with
+    ``c_out == 1`` every product is a gemv whose rounding depends on its row
+    count, so an all-rows product would round some rows differently.  In the
+    other cases gemm rounds each row alike at any row count, and the zero
+    rows add exact zeros; ``TestKernelMapMatchesTapLoop`` holds the result
+    bit-equal to the per-tap loop.  A tap that matches under a quarter of
+    the output rows also keeps the matched rows: there, as at an every-site
+    output over a sparse input, gathering every row costs more than the
+    scatter it saves.
+    """
     s, k = kernel.stride, kernel.k
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
     out_c = (_grid_sites(x.batch_size, h_out, w_out) if every_site else
              _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)[0])
     w = kernel.weights
     out_v = np.zeros((len(out_c), kernel.out_channels))
-    for t, rows_in in enumerate(_kernel_map(out_c, x, k, s)):
-        rows_out = np.flatnonzero(rows_in < x.n_sites)
-        if len(rows_out):
-            out_v[rows_out] += x.values[rows_in[rows_out]] @ w[:, :, t // k, t % k].T
+    kmap = _kernel_map(out_c, x, k, s)
+    matched = (kmap < x.n_sites).sum(axis=1)
+    padded = np.concatenate([x.values, np.zeros((1, x.channels))])
+    for t, rows_in in enumerate(kmap):
+        if not matched[t]:
+            continue
+        w_t = w[:, :, t // k, t % k].T
+        if (matched[t] == 1 or kernel.out_channels == 1
+                or 4 * matched[t] < len(out_c)):
+            # gemv/dot products (one row, or c_out == 1) round by row count:
+            # keep them on the matched rows, as the per-tap loop had them;
+            # so too a tap matching under a quarter of the rows, for speed
+            rows_out = np.flatnonzero(rows_in < x.n_sites)
+            out_v[rows_out] += x.values[rows_in[rows_out]] @ w_t
+        else:
+            out_v += padded[rows_in] @ w_t
     return out_c, out_v, h_out, w_out
 
 
@@ -327,9 +362,16 @@ def _pool_sites(x: SparseTensor2D):
 
     Returns (out coords, out values, winner row per output scalar, extents).
     Winners index rows of ``x.values``; ties go to the canonically first row.
+    An every-site ``x`` pools onto every output site, whose coordinates come
+    from the cached ``_grid_sites``.
     """
     h_out, w_out = _ceil_div(x.height, 2), _ceil_div(x.width, 2)
-    out_c, (inv,) = _site_index((x.batch_size, h_out, w_out), x.coords, stride=2)
+    if x.n_sites == x.batch_size * x.height * x.width:
+        out_c = _grid_sites(x.batch_size, h_out, w_out)
+        c = x.coords
+        inv = (c[:, 0] * h_out + c[:, 2] // 2) * w_out + c[:, 1] // 2
+    else:
+        out_c, (inv,) = _site_index((x.batch_size, h_out, w_out), x.coords, stride=2)
     out_v = np.full((len(out_c), x.channels), -np.inf)
     np.maximum.at(out_v, inv, x.values)
     winners = np.full(out_v.shape, x.n_sites, np.int64)

@@ -217,6 +217,32 @@ class TestPortableFormat:
         p.write_text(text)
         assert parse_portable_events(p).equals(stream)
 
+    def test_loose_lines_parse_like_canonical_ones(self):
+        # spaces, "\r\n", blank lines, signs and a missing final newline
+        # leave the array parser to the line-by-line one
+        canonical = parse_portable_events("32,24\n5,3,23,1\n40,0,5,0\n")
+        for text in ("32,24\r\n5,3,23,1\r\n40,0,5,0\r\n",
+                     "32,24\n\n 5,3,23,1 \n\n40, 0,5,0",
+                     "32,24\n+5,3,23,1\n40,0,5,0\n",
+                     "32,24\n5,3,23,1\n40,0,5,0"):
+            assert parse_portable_events(text).equals(canonical)
+
+    def test_first_bad_line_after_many_good_ones(self):
+        rng = np.random.default_rng(2)
+        n = 500
+        stream = EventStream(np.sort(rng.integers(0, 10**6, n)),
+                             rng.integers(0, 32, n), rng.integers(0, 24, n),
+                             rng.integers(0, 2, n), 32, 24)
+        lines = serialize_portable_events(stream).splitlines()
+        for bad, message in (("9,3,4,2", "polarity must be 0 or 1, got 2"),
+                             ("9,32,4,1", "coordinate (32,4) outside sensor"),
+                             ("9,3,4", "expected timestamp,x,y,polarity"),
+                             ("9,3,x,1", "non-numeric field in '9,3,x,1'")):
+            text = "\n".join(lines[:300] + [bad] + lines[300:] + ["1,1,1,7"]) + "\n"
+            with pytest.raises(EventParseError) as e:
+                parse_portable_events(text)
+            assert e.value.line == 301 and str(e.value) == f"line 301: {message}"
+
     def test_serialized_text_by_hand(self):
         stream = EventStream([0, 40, 40], [3, 0, 31], [23, 5, 0], [ON, OFF, ON],
                              32, 24)

@@ -10,6 +10,7 @@ from spikesparse.sparse import (
     SparseTensor2D,
     _conv_sites,
     _conv_sites_grads,
+    _grid_sites,
     _pool_sites,
     _pool_sites_grads,
     count_nonzero,
@@ -23,10 +24,10 @@ from spikesparse.sparse import (
 
 
 @st.composite
-def _sparse_inputs(draw, values):
+def _sparse_inputs(draw, values, max_channels=4):
     batch = draw(st.integers(1, 3))
     height, width = draw(st.integers(1, 11)), draw(st.integers(1, 11))
-    channels = draw(st.integers(1, 4))
+    channels = draw(st.integers(1, max_channels))
     density = draw(st.sampled_from([0.0, 0.1, 0.4, 1.0]))
     border = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -41,6 +42,15 @@ def _sparse_inputs(draw, values):
         vals = rng.integers(0, 3, (len(b), channels)).astype(np.float64)
     return SparseTensor2D(np.stack([b, x, y], axis=1), vals, batch, height, width,
                           channels), rng
+
+
+def _every_site(x):
+    """``x`` stored at every site of its grid, absent sites as zero rows, as
+    ``c`` layers and soft runs hand it on."""
+    sites = _grid_sites(x.batch_size, x.height, x.width)
+    return SparseTensor2D(sites, densify(x).transpose(0, 2, 3, 1).reshape(-1, x.channels),
+                          x.batch_size, x.height, x.width, x.channels,
+                          validate=False, canonical=True, prune=False)
 
 
 def _unique_out_coords(coords, stride):
@@ -329,13 +339,18 @@ def _loop_pool_grad(x, winners, g_out):
 
 class TestKernelMapMatchesTapLoop:
     @settings(max_examples=150, deadline=None)
-    @given(_sparse_inputs("normal"), st.sampled_from([1, 3, 5]),
-           st.sampled_from([1, 2]), st.integers(1, 4))
-    def test_conv_values_and_grads_bit_identical(self, drawn, k, stride, c_out):
+    @given(_sparse_inputs("normal", max_channels=8), st.sampled_from([1, 3, 5]),
+           st.sampled_from([1, 2]), st.integers(1, 4), st.booleans())
+    def test_conv_values_and_grads_bit_identical(self, drawn, k, stride, c_out,
+                                                 every_site):
         x, rng = drawn
+        if every_site:
+            x = _every_site(x)
         kernel = ConvKernel2D(rng.standard_normal((c_out, x.channels, k, k)), stride)
-        out_c, out_v, h_out, w_out = _conv_sites(x, kernel)
+        out_c, out_v, h_out, w_out = _conv_sites(x, kernel, every_site)
         assert np.array_equal(out_c, out_coords(x.coords, stride))
+        if every_site:
+            assert out_c is _grid_sites(x.batch_size, h_out, w_out)
         assert (h_out, w_out) == (-(-x.height // stride), -(-x.width // stride))
         assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
         g_out = rng.standard_normal(out_v.shape)
@@ -346,11 +361,34 @@ class TestKernelMapMatchesTapLoop:
                                             need_input_grad=False)
         assert np.array_equal(g_w_only, ref_w) and no_in is None
 
+    @pytest.mark.parametrize("c_out", [1, 3])
+    @pytest.mark.parametrize("c_in", [2, 3, 4])
+    def test_tap_matching_one_row_bit_identical(self, c_in, c_out):
+        # two neighbouring sites: each side tap of a 3x3 kernel reads a site
+        # for exactly one of the two output rows, a one-row product
+        rng = np.random.default_rng(10 * c_in + c_out)
+        for _ in range(20):
+            x = SparseTensor2D(np.array([[0, 0, 0], [0, 1, 0]]),
+                               rng.standard_normal((2, c_in)), 1, 1, 2, c_in)
+            kernel = ConvKernel2D(rng.standard_normal((c_out, c_in, 3, 3)))
+            out_c, out_v, _, _ = _conv_sites(x, kernel)
+            assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
+
     @settings(max_examples=150, deadline=None)
-    @given(_sparse_inputs("levels"))
-    def test_pool_winners_and_grads_bit_identical(self, drawn):
+    @given(_sparse_inputs("levels"), st.booleans())
+    def test_pool_winners_and_grads_bit_identical(self, drawn, every_site):
         x, rng = drawn
-        _, out_v, winners, _, _ = _pool_sites(x)
+        if every_site:
+            x = _every_site(x)
+        out_c, out_v, winners, h_out, w_out = _pool_sites(x)
+        if every_site:
+            # every output site, on the cached coordinates; values by a dense max
+            assert out_c is _grid_sites(x.batch_size, h_out, w_out)
+            assert np.array_equal(out_c, _unique_out_coords(x.coords, 2))
+            dense = np.full((x.batch_size, x.channels, 2 * h_out, 2 * w_out), -np.inf)
+            dense[:, :, :x.height, :x.width] = densify(x)
+            ref = dense.reshape(x.batch_size, x.channels, h_out, 2, w_out, 2).max(axis=(3, 5))
+            assert np.array_equal(out_v, ref.transpose(0, 2, 3, 1).reshape(-1, x.channels))
         assert np.array_equal(winners, _loop_pool_winners(x, out_v))
         g_out = rng.standard_normal(out_v.shape)
         assert np.array_equal(_pool_sites_grads(x, winners, g_out),
