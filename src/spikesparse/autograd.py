@@ -18,6 +18,17 @@ from step t+1 to step t (checkpointing over time: Chen et al., "Training
 deep nets with sublinear memory cost", arXiv 1604.06174).  The gradients
 are bit-identical to storing every potential.
 
+Backward runs each layer's LIF adjoint on its support only.  Adjoints enter
+a layer step at the sites it handed on (its spike tensor: the spiking sites
+of an ``sc`` layer, every site of a ``c`` layer or a soft run), and the
+reset and leak carry them back in time along one site, so at step t they
+are exact zeros off the sites handed on at step t or later.  Ordered by the
+last step that handed them on, those sites make each step's support a
+prefix of one row order, and the replay, the surrogate and the reductions
+run on that prefix (see ``_LayerReplay``; Perez-Nieves & Goodman, "Sparse
+spiking gradient descent", NeurIPS 2021, restrict BPTT to active neurons
+in the same way).
+
 Wherever the forward applied the spike step, backward substitutes the
 surrogate derivative evaluated at the normalized argument
 ``V / (|W|^2 + eps) - b``.  In soft-forward mode (:func:`soft_forward_mode`)
@@ -34,12 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sparse import (
-    _conv_sites_grads,
-    _nonzero_rows,
-    _pool_sites_grads,
-    _scatter_rows,
-)
+from .sparse import _conv_sites_grads, _nonzero_rows, _pool_sites_grads
 from .spiking import _flat_indices, _lif_recurrence, _surrogate_into, run_timesteps
 
 __all__ = [
@@ -177,6 +183,10 @@ class _AdjointStore:
         else:
             self._acc[key] = np.array(g, dtype=np.float64)
 
+    def peek(self, obj):
+        """The adjoint of ``obj`` so far, or ``None``; it stays stored."""
+        return self._acc.get(id(obj))
+
     def take(self, obj):
         """The adjoint of ``obj``, or ``None`` when it received none."""
         return self._acc.pop(id(obj), None)
@@ -187,45 +197,122 @@ class _AdjointStore:
 
 
 class _LayerReplay:
-    """Backward state of one layer: its entries by step, the potentials of
-    one segment replayed from the segment's stored start, the recurrence
-    adjoints carried from step t+1 to step t, and dense scratch buffers."""
+    """Backward state of one layer on the sites its adjoint can reach.
 
-    def __init__(self, entries):
+    Adjoints enter a layer step only at the sites it handed on (its
+    ``spikes``) and, at its last step, at the nonzero sites of a ``seed`` on
+    its final potentials; the reset and the leak carry them only back in
+    time, along one site.  So at step t they are exact zeros outside the
+    sites handed on at some step >= t.  The replay orders those sites by the
+    last step that handed them on, latest first, ties in canonical order:
+    the support of step t is then the first ``n[t]`` rows, the same at any
+    ``_SEGMENT``.  ``rank`` maps a canonical site key to its row, and a site
+    never handed on to ``n[0]``.  When the last step's support is every
+    site, the rows are in canonical order and every-site tensors are read
+    as they are.
+
+    It keeps the layer's entries by step, the potentials of one segment
+    replayed from the segment's stored start, the recurrence adjoints
+    carried from step t+1 to step t, and row buffers; ``i``, ``s`` and
+    ``tmp`` have one row more, a pad row that absent sites read."""
+
+    def __init__(self, entries, seed=None):
         self.entries = entries
+        batch, channels, height, width = entries[0].data["v_prev"].shape
+        self.height, self.width = height, width
+        n_sites = batch * height * width
+        last = np.full(n_sites, -1, np.int64)
+        for t, e in enumerate(entries):
+            last[e.data["spikes"].keys()] = t
+        if seed is not None:
+            last[np.any(seed != 0.0, axis=1).ravel()] = len(entries) - 1
+        # n[t]: the number of sites with last >= t
+        self.n = np.cumsum(np.bincount(last + 1, minlength=len(entries) + 1)
+                           [:0:-1])[::-1].tolist()
+        n0 = self.n[0]
+        order = np.argsort(-last, kind="stable")[:n0]
+        self.rank = np.full(n_sites, n0, np.intp)
+        self.rank[order] = np.arange(n0)
+        self.canonical = self.n[-1] == n_sites
+        b, yx = np.divmod(order, height * width)
+        self.sites = (b,) + np.divmod(yx, width)        # (b, y, x) of each row
         starts = [i for i, e in enumerate(entries) if e.data["v_prev"] is not None]
         longest = max(np.diff(starts + [len(entries)]))
-        shape = entries[0].data["v_prev"].shape
-        self.v = np.empty((longest,) + shape)
-        self.start = None                # the step whose v_new is self.v[0]
-        self.i, self.s, self.tmp, self.sur, self.g_v, self.g_s = np.empty(
-            (6,) + shape)
-        self.carried = False             # g_v and g_s hold step t+1's terms
+        self.v = np.empty((longest + 1, n0, channels))  # v[0]: the start's v_prev
+        self.start = None                # the step whose v_new is self.v[1]
+        self.i, self.s, self.tmp = np.empty((3, n0 + 1, channels))
+        self.sur, self.g_v, self.g_s = np.empty((3, n0, channels))
+        self.carried = 0                 # rows of g_v, g_s holding step t+1's terms
+        self._ranks = {}                 # step -> rows of out_c and s_prev sites
 
-    def _dense_inputs(self, d):
-        """The step's dense current and dense previous spikes."""
-        s = _scatter_rows(d["s_prev"].coords, d["s_prev"].values, out=self.s)
-        return _scatter_rows(d["out_c"], d["current"], out=self.i), s
+    def dense_rows(self, dense, n):
+        """The first ``n`` rows of a dense ``[B, C, H, W]`` array."""
+        b, y, x = (a[:n] for a in self.sites)
+        return dense[b, :, y, x]
+
+    def rows_of(self, coords, n):
+        """The row of each site ``(b, x, y)``, ``n`` for a site off the first
+        ``n`` rows; ``None`` when ``coords`` is every site and the rows are
+        canonical, so that values at ``coords`` are rows as they are."""
+        if self.canonical and len(coords) == len(self.rank):
+            return None
+        r = self.rank[(coords[:, 0] * self.height + coords[:, 2]) * self.width
+                      + coords[:, 1]]
+        return np.minimum(r, n, out=r)
+
+    @staticmethod
+    def _scatter(r, values, n, out):
+        """``values`` at the rows ``r`` (see :meth:`rows_of`) as the first
+        ``n`` rows of the buffer ``out``, zero at rows without a value."""
+        if r is None:
+            return values
+        out = out[:n + 1]
+        out.fill(0.0)
+        out[r] = values
+        return out[:n]
+
+    def _inputs(self, t):
+        """Step ``t``'s current and previous spikes on its first ``n[t]``
+        rows.  The rows of their sites are kept until :meth:`gather`."""
+        d, n = self.entries[t].data, self.n[t]
+        s = d["s_prev"]
+        if t not in self._ranks:
+            self._ranks[t] = (self.rows_of(d["out_c"], n),
+                              self.rows_of(s.coords, n))
+        r_current, r_prev = self._ranks[t]
+        return (self._scatter(r_current, d["current"], n, self.i),
+                self._scatter(r_prev, s.values, n, self.s))
+
+    def gather(self, t, g):
+        """The rows ``g``, the first ``n[t]`` of ``tmp``, at the conv's
+        output sites of step ``t``, zero off them."""
+        r = self._ranks.pop(t)[0]
+        if r is None:
+            return g
+        self.tmp[len(g)] = 0.0
+        return self.tmp[r]
 
     def step(self, t):
-        """``(v_prev, v_new, current, s_prev)`` of step ``t``, all dense; the
-        first call in a segment replays the segment up to ``t``."""
-        d = self.entries[t].data
+        """``(v_prev, v_new, current, s_prev)`` of step ``t`` on its first
+        ``n[t]`` rows; the first call in a segment replays the segment up to
+        ``t``."""
         if self.start is None or t < self.start:
             start = t
             while self.entries[start].data["v_prev"] is None:
                 start -= 1
-            v = self.entries[start].data["v_prev"]
+            v = self.v[0, :self.n[start]]
+            v[...] = self.dense_rows(self.entries[start].data["v_prev"], self.n[start])
             for j in range(start, t + 1):
-                dj = self.entries[j].data
-                i, s = self._dense_inputs(dj)
-                v = _lif_recurrence(v, s, i, dj["beta"], dj["b"] * dj["w2e"],
-                                    out=self.v[j - start], tmp=self.tmp)
+                dj, n = self.entries[j].data, self.n[j]
+                i, s = self._inputs(j)
+                v = _lif_recurrence(v[:n], s, i, dj["beta"], dj["b"] * dj["w2e"],
+                                    out=self.v[j - start + 1, :n],
+                                    tmp=self.tmp[:n])
             self.start = start
         else:
-            i, s = self._dense_inputs(d)
-        k = t - self.start
-        return (d["v_prev"] if k == 0 else self.v[k - 1]), self.v[k], i, s
+            i, s = self._inputs(t)
+        k, n = t - self.start, self.n[t]
+        return self.v[k, :n], self.v[k + 1, :n], i, s
 
 
 def _one_hot(labels, n):
@@ -320,38 +407,46 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             beta, b, w2e = d["beta"], d["b"], d["w2e"]
             thr = b * w2e
             rep = replays.get(layer.index)
-            if rep is None:
-                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index])
-            v_prev, v_new, i_dense, s_prev = rep.step(t)
+            if rep is None:   # met at the layer's last step
+                seed = adj.peek(d["v_new"]) if "v_new" in d else None
+                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index],
+                                                          seed)
+            # all on the step's support rows, zero elsewhere (see _LayerReplay)
+            v_prev, v_new, i_rows, s_prev = rep.step(t)
+            n, carried = len(v_new), rep.carried
             # the spikes' adjoint: the reset term carried from step t+1, plus
             # what the pool, the next layer or the readout sent them
-            g_s, spikes, pooled = rep.g_s, d["spikes"], d["pooled"]
-            if not rep.carried:
-                g_s.fill(0.0)
+            g_s, spikes, pooled = rep.g_s[:n], d["spikes"], d["pooled"]
+            g_s[carried:] = 0.0
             if pooled is None:
                 g_rows = adj.take(spikes)
             else:
                 g_rows = _pool_sites_grads(spikes, d["winners"],
                                            adj.pop(pooled, pooled.values.shape))
             if g_rows is not None:
-                # spike coordinates are unique sites, so += cannot collide
-                c = spikes.coords
-                g_s[c[:, 0], :, c[:, 2], c[:, 1]] += g_rows
+                r = rep.rows_of(spikes.coords, n)
+                if r is None:
+                    g_s += g_rows
+                else:   # spike coordinates are unique sites: += cannot collide
+                    g_s[r] += g_rows
             # LIF, in the layer's buffers: `tmp` holds u, then the products
             # that are summed, then g_i; `sur` turns into g_u
-            tmp = np.subtract(np.divide(v_new, w2e, out=rep.tmp), b, out=rep.tmp)
-            g_u = np.multiply(g_s, _surrogate_into(tmp, layer.alpha, rep.sur, tmp),
-                              out=rep.sur)
-            if rep.carried:   # rep.g_v holds beta * g_v of step t+1
-                g_v = np.add(rep.g_v, np.divide(g_u, w2e, out=tmp), out=rep.g_v)
+            tmp = rep.tmp[:n]
+            tmp = np.subtract(np.divide(v_new, w2e, out=tmp), b, out=tmp)
+            g_u = np.multiply(g_s, _surrogate_into(tmp, layer.alpha, rep.sur[:n],
+                                                   tmp), out=rep.sur[:n])
+            g_v = rep.g_v[:n]   # its first `carried` rows: beta * g_v of step t+1
+            if carried:
+                g_v[carried:] = 0.0
+                np.add(g_v, np.divide(g_u, w2e, out=tmp), out=g_v)
             else:
-                g_v = np.divide(g_u, w2e, out=rep.g_v)
+                np.divide(g_u, w2e, out=g_v)
             seed = adj.take(d["v_new"]) if "v_new" in d else None
             if seed is not None:
-                g_v += seed
+                g_v += rep.dense_rows(seed, n)
             np.multiply(thr, s_prev, out=tmp)
             np.subtract(v_prev, tmp, out=tmp)
-            np.subtract(tmp, i_dense, out=tmp)
+            np.subtract(tmp, i_rows, out=tmp)
             grads.add(layer.beta, np.sum(np.multiply(tmp, g_v, out=tmp)))
             reset_flow = np.sum(np.multiply(s_prev, g_v, out=tmp)) * beta
             grads.add(layer.b, -np.sum(g_u) - w2e * reset_flow)
@@ -361,7 +456,8 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
                 prev = norm_grads.get(layer.index)
                 norm_grads[layer.index] = ((prev[0] if prev else 0.0) + g_w2, layer)
             g_i = np.multiply(1.0 - beta, g_v, out=tmp)
-            rep.carried = d["chained"] and not (truncate > 0 and t % truncate == 0)
+            cut = truncate > 0 and t % truncate == 0
+            rep.carried = n if d["chained"] and not cut else 0
             if rep.carried:
                 np.multiply(-thr * beta, g_v, out=g_s)
                 np.multiply(beta, g_v, out=g_v)
@@ -370,7 +466,7 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             # map only x's nonzero rows (found again, not stored)
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
-            g_out = g_i[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]]
+            g_out = rep.gather(t, g_i)
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
                                           need_input_grad=need_in)
             if need_in and rows is not None:   # back onto all rows of x

@@ -363,16 +363,29 @@ def _pool_sites(x: SparseTensor2D):
     Returns (out coords, out values, winner row per output scalar, extents).
     Winners index rows of ``x.values``; ties go to the canonically first row.
     An every-site ``x`` pools onto every output site, whose coordinates come
-    from the cached ``_grid_sites``.
+    from the cached ``_grid_sites``: its rows are the canonical grid, so each
+    window is a slice of their ``[B, H, W, C]`` view, padded with ``-inf`` at
+    an odd edge.
     """
-    h_out, w_out = _ceil_div(x.height, 2), _ceil_div(x.width, 2)
-    if x.n_sites == x.batch_size * x.height * x.width:
-        out_c = _grid_sites(x.batch_size, h_out, w_out)
-        c = x.coords
-        inv = (c[:, 0] * h_out + c[:, 2] // 2) * w_out + c[:, 1] // 2
-    else:
-        out_c, (inv,) = _site_index((x.batch_size, h_out, w_out), x.coords, stride=2)
-    out_v = np.full((len(out_c), x.channels), -np.inf)
+    batch, height, width, channels = x.batch_size, x.height, x.width, x.channels
+    h_out, w_out = _ceil_div(height, 2), _ceil_div(width, 2)
+    if x.n_sites == batch * height * width:
+        grid = x.values.reshape(batch, height, width, channels)
+        if height % 2 or width % 2:
+            grid = np.full((batch, 2 * h_out, 2 * w_out, channels), -np.inf)
+            grid[:, :height, :width] = x.values.reshape(batch, height, width,
+                                                        channels)
+        # each window's four sites in canonical order: (dy, dx) row-major
+        win = grid.reshape(batch, h_out, 2, w_out, 2, channels).transpose(
+            0, 1, 3, 2, 4, 5).reshape(batch, h_out, w_out, 4, channels)
+        out_v = win.max(axis=3)
+        first = np.argmax(win == out_v[:, :, :, None], axis=3)
+        b, oy, ox = np.indices((batch, h_out, w_out))[..., None]
+        winners = (b * height + 2 * oy + first // 2) * width + 2 * ox + first % 2
+        return (_grid_sites(batch, h_out, w_out), out_v.reshape(-1, channels),
+                winners.reshape(-1, channels), h_out, w_out)
+    out_c, (inv,) = _site_index((batch, h_out, w_out), x.coords, stride=2)
+    out_v = np.full((len(out_c), channels), -np.inf)
     np.maximum.at(out_v, inv, x.values)
     winners = np.full(out_v.shape, x.n_sites, np.int64)
     rows, cols = np.nonzero(x.values == out_v[inv])
@@ -396,19 +409,12 @@ def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
                           validate=False, canonical=True)
 
 
-def _scatter_rows(coords, rows, out):
-    """The ``[B, C, H, W]`` buffer ``out``, zeroed, with the ``(N, C)``
-    ``rows`` written at the sites ``coords`` ``(b, x, y)``."""
-    out.fill(0.0)
-    if len(coords):
-        out[coords[:, 0], :, coords[:, 2], coords[:, 1]] = rows
-    return out
-
-
 def densify(x: SparseTensor2D):
     """Dense ``[B, C, H, W]`` array with the tensor's entries scattered in."""
-    return _scatter_rows(x.coords, x.values,
-                         np.empty((x.batch_size, x.channels, x.height, x.width)))
+    out = np.zeros((x.batch_size, x.channels, x.height, x.width))
+    if x.n_sites:
+        out[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]] = x.values
+    return out
 
 
 def sparsify(dense) -> SparseTensor2D:

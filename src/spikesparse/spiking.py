@@ -33,8 +33,10 @@ decaying, so this is exact; at ``b <= 0`` a neuron at rest spikes, so such a
 layer updates every site.
 
 Potentials are always dense.  Taped (training) and untaped forwards take the
-same steps; gradients still reach non-spiking sites, because backward
-replays the dense recurrence over every site (see :mod:`spikesparse.autograd`).
+same steps.  Backward replays the recurrence only on the sites a layer's
+adjoint can reach, those it hands on at the step or later (every site for
+``c`` layers and soft runs); non-spiking neurons of those sites still get
+gradients through the surrogate (see :mod:`spikesparse.autograd`).
 """
 
 from __future__ import annotations

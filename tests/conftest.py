@@ -160,3 +160,174 @@ def every_site_forward(model, grids, t_eval):
                 x = SparseTensor2D(pc, pv, batch, ph, pw, channels, prune=False)
         logits.append(_readout_batch(model.readout, x))
     return np.stack(logits), counts
+
+
+def conv_oracle_grads(xd, weights, stride, g_out):
+    """Adjoints of :func:`conv_oracle` by the same per-site gathers:
+    ``(g_x, g_w)`` for the output adjoint ``g_out``."""
+    batch, c_in, h_in, w_in = xd.shape
+    _, _, k, _ = weights.shape
+    pad = k // 2
+    padded = np.zeros((batch, c_in, h_in + 2 * pad, w_in + 2 * pad))
+    padded[:, :, pad:pad + h_in, pad:pad + w_in] = xd
+    g_pad = np.zeros_like(padded)
+    g_w = np.zeros_like(weights)
+    for b in range(batch):
+        for oy in range(g_out.shape[2]):
+            for ox in range(g_out.shape[3]):
+                window = (b, slice(None), slice(stride * oy, stride * oy + k),
+                          slice(stride * ox, stride * ox + k))
+                g = g_out[b, :, oy, ox]
+                g_w += np.einsum("o,iyx->oixy", g, padded[window])
+                g_pad[window] += np.einsum("o,oixy->iyx", g, weights)
+    return g_pad[:, :, pad:pad + h_in, pad:pad + w_in], g_w
+
+
+def _present_pool(s, present):
+    """2x2/stride-2 max pool over the present sites of ``s`` ``[B, C, H, W]``
+    (``present``: ``[B, H, W]``): the pooled array, its present sites, and
+    per pooled scalar the ``(y, x)`` of the first present site of its
+    window, in ``(y, x)`` order, that holds the maximum."""
+    batch, channels, height, width = s.shape
+    h_out, w_out = -(-height // 2), -(-width // 2)
+    pooled = np.zeros((batch, channels, h_out, w_out))
+    pooled_present = np.zeros((batch, h_out, w_out), bool)
+    winners = {}
+    for b in range(batch):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                sites = [(y, x) for y in (2 * oy, 2 * oy + 1)
+                         for x in (2 * ox, 2 * ox + 1)
+                         if y < height and x < width and present[b, y, x]]
+                if not sites:
+                    continue
+                pooled_present[b, oy, ox] = True
+                for c in range(channels):
+                    vals = [s[b, c, y, x] for y, x in sites]
+                    pooled[b, c, oy, ox] = max(vals)
+                    winners[b, c, oy, ox] = sites[vals.index(max(vals))]
+    return pooled, pooled_present, winners
+
+
+def dense_bptt(model, grids, labels, t_eval, truncate=0, seeds=None):
+    """Gradients of a hard-threshold ``sc`` network by plain dense BPTT.
+
+    Written from the update equations and the gradient rules, with dense
+    ``[B, C, H, W]`` arrays and per-site conv loops, from reset states:
+
+    - an ``sc`` layer's current is masked to the coordinate map of its
+      input's present sites (those with a nonzero channel);
+    - a spike tensor holds its present sites, every channel of them; the
+      adjoint from the readout or the next conv reaches a tensor only there,
+      and a pooled scalar's adjoint goes to the site that won it;
+    - the spike step's derivative is the surrogate
+      ``alpha * sig(alpha * u) * sig(-alpha * u)`` at ``u = V / w2e - b``,
+      with ``w2e = |W|^2 + 1e-8`` in the gradient graph;
+    - ``truncate > 0`` cuts the recurrence below every step t with
+      ``t % truncate == 0``;
+    - ``seeds`` maps a layer index to an adjoint added to its final
+      potentials.
+
+    The loss is the batch mean of the softmax cross-entropy of the mean
+    logits.  Returns ``{parameter name: gradient}``.
+    """
+    seeds = seeds or {}
+    batch = len(grids)
+    layers = model.layers
+    consts = []
+    for layer in layers:
+        assert layer.mode == "sparse" and not model.soft
+        w = layer.kernel.weights
+        consts.append((w, layer.kernel.stride, float(layer.beta.value),
+                       float(layer.b.value), float(np.sum(w * w)) + 1e-8))
+    w_r = model.readout.weight.value
+    bias = (model.readout.bias.value if model.readout.bias is not None
+            else np.zeros(w_r.shape[0]))
+
+    # forward, keeping every intermediate
+    shapes, hh, ww = [], model.in_height, model.in_width
+    for layer in layers:
+        c, h, w = layer.state_geometry(hh, ww)
+        shapes.append((batch, c, h, w))
+        _, hh, ww = layer.out_geometry(hh, ww)
+    v_state = [np.zeros(sh) for sh in shapes]
+    s_state = [np.zeros(sh) for sh in shapes]
+    steps, logits = [], []
+    for t in range(t_eval):
+        x = np.zeros((batch, 1, model.in_height, model.in_width))
+        for b, grid in enumerate(grids):
+            xs, ys, vs = grid.timestep_sites(t)
+            x[b, 0, ys, xs] = vs
+        present = np.any(x != 0.0, axis=1)
+        rec = []
+        for li, layer in enumerate(layers):
+            w, stride, beta, b_thr, w2e = consts[li]
+            cmap = np.zeros((batch,) + shapes[li][2:], bool)
+            bb, yy, xx = np.nonzero(present)
+            cmap[bb, yy // stride, xx // stride] = True
+            cur = conv_oracle(x, w, stride) * cmap[:, None]
+            v_prev, s_prev = v_state[li], s_state[li]
+            v_new = beta * (v_prev - b_thr * w2e * s_prev) + (1.0 - beta) * cur
+            spikes = (v_new / w2e - b_thr >= 0).astype(np.float64)
+            r = dict(x=x, present=present, cmap=cmap, cur=cur, v_prev=v_prev,
+                     s_prev=s_prev, v_new=v_new)
+            v_state[li], s_state[li] = v_new, spikes
+            x, present = spikes, np.any(spikes != 0.0, axis=1)
+            r["spike_present"] = present
+            if layer.pool:
+                x, present, r["winners"] = _present_pool(spikes, present)
+            rec.append(r)
+        steps.append((rec, x, present))
+        logits.append(x.reshape(batch, -1) @ w_r.T + bias)
+    mean = np.mean(logits, axis=0)
+    probs = np.exp(mean - mean.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    g_logits = (probs - np.eye(w_r.shape[0])[labels]) / batch / t_eval
+
+    grads = {"readout.weight": np.zeros_like(w_r)}
+    if model.readout.bias is not None:
+        grads["readout.bias"] = g_logits.sum(axis=0) * t_eval
+    g_w2 = [0.0] * len(layers)
+    for li, layer in enumerate(layers):
+        grads[layer.weight.name] = np.zeros_like(layer.kernel.weights)
+        grads[layer.beta.name] = 0.0
+        grads[layer.b.name] = 0.0
+    carry_v = [np.zeros(sh) for sh in shapes]   # beta * g_V of step t+1
+    carry_s = [np.zeros(sh) for sh in shapes]   # -b * w2e * beta * g_V of step t+1
+    for t in reversed(range(t_eval)):
+        rec, x, present = steps[t]
+        grads["readout.weight"] += g_logits.T @ x.reshape(batch, -1)
+        g_x = (g_logits @ w_r).reshape(x.shape) * present[:, None]
+        for li in reversed(range(len(layers))):
+            layer, r = layers[li], rec[li]
+            w, stride, beta, b_thr, w2e = consts[li]
+            if layer.pool:
+                g_spikes = np.zeros(shapes[li])
+                for (b, c, oy, ox), (y, xx) in r["winners"].items():
+                    g_spikes[b, c, y, xx] += g_x[b, c, oy, ox]
+            else:
+                g_spikes = g_x
+            g_s = carry_s[li] + g_spikes * r["spike_present"][:, None]
+            z = layer.alpha * (r["v_new"] / w2e - b_thr)
+            e = np.exp(-np.abs(z))
+            g_u = g_s * layer.alpha * e / (1.0 + e) ** 2
+            g_v = carry_v[li] + g_u / w2e
+            if t == t_eval - 1 and li in seeds:
+                g_v = g_v + seeds[li]
+            thr = b_thr * w2e
+            reset_flow = beta * np.sum(r["s_prev"] * g_v)
+            grads[layer.beta.name] += np.sum(
+                (r["v_prev"] - thr * r["s_prev"] - r["cur"]) * g_v)
+            grads[layer.b.name] += -np.sum(g_u) - w2e * reset_flow
+            g_w2[li] += (-np.sum(g_u * r["v_new"]) / w2e ** 2
+                         - b_thr * reset_flow)
+            g_i = (1.0 - beta) * g_v * r["cmap"][:, None]
+            g_in, g_w = conv_oracle_grads(r["x"], w, stride, g_i)
+            grads[layer.weight.name] += g_w
+            g_x = g_in * r["present"][:, None]
+            cut = truncate > 0 and t % truncate == 0
+            carry_v[li] = np.zeros(shapes[li]) if cut else beta * g_v
+            carry_s[li] = np.zeros(shapes[li]) if cut else -thr * beta * g_v
+    for li, layer in enumerate(layers):
+        grads[layer.weight.name] += 2.0 * g_w2[li] * layer.kernel.weights
+    return grads

@@ -1,4 +1,5 @@
 import math
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_model
+from conftest import dense_bptt, make_model
 from spikesparse import autograd
 from spikesparse.autograd import (
     GradientTape,
@@ -393,6 +394,57 @@ class TestSegmentReplay:
         got = backward(tape).to_list(model.parameters())
         for a, b in zip(want[2:], got):
             assert np.array_equal(a, b)
+
+
+class TestDenseBpttOracle:
+    """``backward`` on hard ``sc`` nets against ``conftest.dense_bptt``."""
+
+    @pytest.mark.parametrize("variant, t_eval, truncate, silent, zero_b, seed", [
+        ("stride", 5, 0, None, None, None),
+        ("pool", 5, 0, None, None, None),
+        ("stride", 7, 3, None, None, None),
+        ("pool", 7, 3, None, None, 0),
+        ("stride", 1, 0, None, None, None),
+        ("pool", 1, 3, None, None, 1),
+        ("stride", 5, 0, 1, None, 1),
+        ("pool", 5, 0, 1, None, None),
+        ("stride", 5, 3, None, 0, None),
+        ("pool", 5, 0, None, 1, 0),
+    ], ids=["stride", "pool", "stride-truncate3", "pool-truncate3-seed0",
+            "stride-T1", "pool-T1-seed1", "stride-silent1-seed1",
+            "pool-silent1", "stride-b0-truncate3", "pool-b1zero-seed0"])
+    def test_matches_dense_bptt(self, variant, t_eval, truncate, silent,
+                                zero_b, seed):
+        rng = np.random.default_rng(zlib.crc32(
+            f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}-{seed}".encode()))
+        model = make_model(rng, (12, 12), [(2, "sparse", 3), (3, "sparse", 3)],
+                           3, variant=variant, b=0.02, weight_scale=0.8)
+        if silent is not None:   # a threshold this layer's potentials never reach
+            model.layers[silent].b.value[...] = 50.0
+        if zero_b is not None:
+            model.layers[zero_b].b.value[...] = 0.0
+        grids = [random_grid(rng, 12, 12, t_bins=t_eval, density=0.3)
+                 for _ in range(2)]
+        labels = rng.integers(0, 3, 2)
+        model.reset_state(2)
+        seeds = {}
+        if seed is not None:   # on about half the sites of the final potentials
+            shape = model.layers[seed].state.shape
+            seeds[seed] = rng.standard_normal(shape) * (
+                rng.random((shape[0], 1) + shape[2:]) < 0.5)
+        tape = GradientTape()
+        _, mean, counts = run_timesteps(model, grids, t_eval, recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, labels, mean)
+        for li, g in seeds.items():
+            tape.record_seed(model.layers[li].state.potentials, g)
+        got = backward(tape, truncate=truncate)
+        for li in range(2):
+            assert (counts[li] == 0) == (li == silent)
+        want = dense_bptt(model, grids, labels, t_eval, truncate, seeds)
+        for p in model.parameters():
+            err = np.max(np.abs(got.get(p) - want[p.name]))
+            assert err <= 1e-12 * np.max(np.abs(want[p.name])), p.name
 
 
 def test_network_does_not_bind_the_dense_reference_conv():

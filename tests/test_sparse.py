@@ -188,6 +188,47 @@ class TestMaxPool:
                                            if (b, xx, yy) not in got else want, have)
 
 
+    @pytest.mark.parametrize("height, width", [(1, 1), (1, 4), (3, 5), (5, 4),
+                                               (6, 7), (8, 8)])
+    @pytest.mark.parametrize("values", ["normal", "levels"])
+    def test_every_site_matches_window_loop(self, height, width, values):
+        # an every-site input pools by windows of its canonical rows; odd
+        # sides leave partial windows, and few value levels make ties
+        rng = np.random.default_rng(7 * height + width)
+        batch, channels = 2, 3
+        shape = (batch * height * width, channels)
+        vals = (rng.standard_normal(shape) if values == "normal"
+                else rng.integers(0, 2, shape).astype(np.float64))
+        x = SparseTensor2D(_grid_sites(batch, height, width), vals, batch,
+                           height, width, channels, validate=False,
+                           canonical=True, prune=False)
+        out_c, out_v, winners, h_out, w_out = _pool_sites(x)
+        assert out_c is _grid_sites(batch, h_out, w_out)
+        want_v, want_w = _window_loop_pool(x)
+        assert np.array_equal(out_v, want_v) and np.array_equal(winners, want_w)
+
+
+def _window_loop_pool(x):
+    """Max pool of an every-site tensor by a loop over the 2x2 windows: per
+    channel, the largest value of the window's sites and the first of them,
+    in canonical order, that holds it."""
+    h_out, w_out = -(-x.height // 2), -(-x.width // 2)
+    out_v = np.empty((x.batch_size * h_out * w_out, x.channels))
+    winners = np.empty(out_v.shape, np.int64)
+    for b in range(x.batch_size):
+        for oy in range(h_out):
+            for ox in range(w_out):
+                o = (b * h_out + oy) * w_out + ox
+                rows = [(b * x.height + y) * x.width + xx
+                        for y in (2 * oy, 2 * oy + 1) if y < x.height
+                        for xx in (2 * ox, 2 * ox + 1) if xx < x.width]
+                for c in range(x.channels):
+                    vals = [x.values[r, c] for r in rows]
+                    out_v[o, c] = max(vals)
+                    winners[o, c] = rows[vals.index(max(vals))]
+    return out_v, winners
+
+
 class TestDensifyRoundTrip:
     def test_empty_tensor_is_all_zeros(self):
         assert not densify(SparseTensor2D.empty(1, 3, 3, 2)).any()
