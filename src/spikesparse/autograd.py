@@ -464,9 +464,11 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             # conv: the current's adjoint goes straight into its gradients.
             # At every site the forward read all rows of x, at the coordinate
             # map only x's nonzero rows (found again, not stored)
+            g_out = rep.gather(t, g_i)
+            if not n:   # an empty support: all-zero adjoint and gradients
+                continue
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
-            g_out = rep.gather(t, g_i)
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
                                           need_input_grad=need_in)
             if need_in and rows is not None:   # back onto all rows of x

@@ -225,6 +225,11 @@ def parse_aedat(source, width=128, height=128, rebase=True) -> EventStream:
     xs = (d >> 17) & 0x7FFF
     ys = (d >> 2) & 0x7FFF
     ps = (d >> 1) & 1
+    if ts.min() < 0:
+        raise FormatError("negative event timestamp", field="tsOverflow")
+    if xs.max() >= width or ys.max() >= height:
+        raise FormatError(f"event address outside the {width}x{height} sensor",
+                          field="address")
     stream = EventStream(ts, xs, ys, ps, width, height)
     return stream.rebased() if rebase else stream
 
@@ -709,11 +714,15 @@ def _read_gesture_labels(path):
         header = fh.readline()
         if "class" not in header:
             raise FormatError(f"unexpected label header {header!r}", field="header")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
-            cls, start, end = (int(v) for v in line.split(","))
+            try:
+                cls, start, end = (int(v) for v in line.split(","))
+            except ValueError:
+                raise FormatError(f"{path} line {lineno}: expected class,start,"
+                                  f"end, got {line!r}", field="row") from None
             rows.append((cls, start, end))
     return rows
 

@@ -32,10 +32,11 @@ at ``I = 0``.  A silent neuron below a positive threshold never spikes while
 decaying, so this is exact; at ``b <= 0`` a neuron at rest spikes, so such a
 layer updates every site.
 
-Potentials are always dense.  Taped (training) and untaped forwards take the
-same steps.  Backward replays the recurrence only on the sites a layer's
-adjoint can reach, those it hands on at the step or later (every site for
-``c`` layers and soft runs); non-spiking neurons of those sites still get
+Potentials are always dense, and the last spikes are kept only as the tensor
+the step handed on.  Taped (training) and untaped forwards take the same
+steps.  Backward replays the recurrence only on the sites a layer's adjoint
+can reach, those it hands on at the step or later (every site for ``c``
+layers and soft runs); non-spiking neurons of those sites still get
 gradients through the surrogate (see :mod:`spikesparse.autograd`).
 """
 
@@ -158,14 +159,13 @@ class LIFLayerState:
     """Membrane potentials and last-step spikes for one layer.
 
     ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes`` is the last
-    emitted spike tensor (real-valued in soft-forward mode), with its sites
-    ``prev_spike_coords`` and its dense mirror ``prev_spikes_dense``.
-    ``step`` is the index of the last computed timestep, and
-    ``last_touch[b, y, x]`` the last step whose site list held the site.
+    emitted spike tensor (real-valued in soft-forward mode), the only record
+    of the spikes whose reset is pending.  ``step`` is the index of the last
+    computed timestep, and ``last_touch[b, y, x]`` the last step whose site
+    list held the site.
     """
 
-    __slots__ = ("potentials", "prev_spikes_dense", "prev_spikes",
-                 "last_touch", "step")
+    __slots__ = ("potentials", "prev_spikes", "last_touch", "step")
 
     def __init__(self, batch_size, channels, height, width):
         self.potentials = np.zeros((batch_size, channels, height, width))
@@ -176,24 +176,9 @@ class LIFLayerState:
     def shape(self):
         return self.potentials.shape
 
-    @property
-    def prev_spike_coords(self):
-        return self.prev_spikes.coords
-
-    @prev_spike_coords.setter
-    def prev_spike_coords(self, coords):
-        """Make the sites ``coords`` ``(b, x, y)`` the last spikes, with their
-        rows of ``prev_spikes_dense`` as values."""
-        batch, channels, height, width = self.shape
-        c = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
-        self.prev_spikes = SparseTensor2D(
-            c, self.prev_spikes_dense[c[:, 0], :, c[:, 2], c[:, 1]], batch,
-            height, width, channels, prune=False)
-
     def reset(self):
         batch, channels, height, width = self.shape
         self.potentials = np.zeros_like(self.potentials)
-        self.prev_spikes_dense = np.zeros_like(self.potentials)
         self.prev_spikes = SparseTensor2D.empty(batch, height, width, channels)
         self.last_touch.fill(-1)
         self.step = -1
@@ -209,13 +194,14 @@ def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
     return np.add(out, np.multiply(1.0 - beta, current, out=tmp), out=out)
 
 
-def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites,
+def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites, prev_rows,
                 soft_alpha=None, every_site=False):
     """The one LIF update: recurrence, spike decision and state commit.
 
     The canonical ``(b, x, y)`` ``sites`` get the full update, each from its
-    ``[C]`` row of ``current``; every other site must have neither input nor
-    a pending reset (``I = 0``, ``S_own = 0``), so its update is exactly
+    ``[C]`` row of ``current``; ``prev_rows`` is the row in ``sites`` of each
+    site of ``state.prev_spikes``.  Every other site must have neither input
+    nor a pending reset (``I = 0``, ``S_own = 0``), so its update is exactly
     ``beta * V``, applied as one dense multiply.  ``soft_alpha`` replaces the
     hard step by ``sigmoid(soft_alpha * u)``.  Returns the spikes on all
     ``sites`` with ``every_site``, else on those that spike.  Every step
@@ -224,7 +210,8 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites,
     """
     bi, xs, ys = sites.T
     v_prev = state.potentials[bi, :, ys, xs]
-    s_prev = state.prev_spikes_dense[bi, :, ys, xs]
+    s_prev = np.zeros_like(v_prev)
+    s_prev[prev_rows] = state.prev_spikes.values
     v_new = _lif_recurrence(v_prev, s_prev, current, beta, b * w2e)
     u = v_new / w2e - b
     if soft_alpha is None:
@@ -237,8 +224,6 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites,
                             validate=False, canonical=True, prune=not every_site)
     state.potentials = state.potentials * beta
     state.potentials[bi, :, ys, xs] = v_new
-    # the last spikes sit on touched rows, so this overwrites them all
-    state.prev_spikes_dense[bi, :, ys, xs] = s_new
     state.last_touch[bi, ys, xs] = state.step
     state.prev_spikes = spikes
     return spikes
@@ -259,7 +244,8 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     batch, channels, height, width = state.shape
     rows = i_dense.transpose(0, 2, 3, 1).reshape(-1, channels)
     spikes = _lif_update(state, rows, params.beta, params.b,
-                         wnorm2 + params.eps, _grid_sites(batch, height, width))
+                         wnorm2 + params.eps, _grid_sites(batch, height, width),
+                         state.prev_spikes.keys())
     return spikes, state
 
 
@@ -294,14 +280,13 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
     new spikes as a pruned binary sparse tensor.
     """
     batch, channels, height, width = state.shape
-    touched = (state.prev_spike_coords if params.b > 0
-               else _grid_sites(batch, height, width))
-    sites, (cur_rows, _) = _site_index((batch, height, width), cur_coords,
-                                       touched)
+    every = () if params.b > 0 else (_grid_sites(batch, height, width),)
+    sites, (cur_rows, prev_rows, *_) = _site_index(
+        (batch, height, width), cur_coords, state.prev_spikes.coords, *every)
     current = np.zeros((len(sites), channels))
     current[cur_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
-                       wnorm2 + params.eps, sites)
+                       wnorm2 + params.eps, sites, prev_rows)
 
 
 class SpikingConvLayer:
@@ -564,6 +549,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
                                        kernel, every_site)
     if every_site:
         spikes = _lif_update(state, current, beta, b, w2e, out_c,
+                             state.prev_spikes.keys(),
                              layer.alpha if soft else None, every_site=True)
     else:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),

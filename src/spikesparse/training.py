@@ -210,6 +210,8 @@ def build_model(arch, in_hw, variant="stride", readout_bias=True, alpha=3.0,
     threshold.  An arch token's ``do`` suffix forces the dropout point (it is
     always the last convolution's output, per the timestep-wise algorithm).
     """
+    if variant not in ("stride", "pool"):
+        raise ValueError(f"unknown variant {variant!r}")
     if rng is None:
         rng = np.random.default_rng(0)
     layer_specs, num_classes = parse_architecture(arch)

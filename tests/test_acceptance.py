@@ -152,9 +152,9 @@ class TestLifDynamicsOracle:
         spiked = rng.random((1, h, w)) < 0.15
         bb, yy, xx = np.nonzero(spiked)
         if len(bb):
-            state.prev_spikes_dense[bb, :, yy, xx] = 1.0
             state.potentials[bb, :, yy, xx] = thr * rng.uniform(1.0, 2.0, (len(bb), c))
-            state.prev_spike_coords = np.stack([bb, xx, yy], axis=1)
+            state.prev_spikes = SparseTensor2D(np.stack([bb, xx, yy], axis=1),
+                                               np.ones((len(bb), c)), 1, h, w, c)
         return state, beta, b, wnorm2, c, h, w
 
     def test_sparse_execution_equals_dense_simulation(self):
@@ -169,7 +169,7 @@ class TestLifDynamicsOracle:
                 cur = random_sparse(rng, 1, h, w, c, density=0.15)
                 currents.append(cur)
             v0 = state.potentials.copy()
-            s0 = state.prev_spikes_dense.copy()
+            s0 = densify(state.prev_spikes)
             ref = dense_lif_reference(v0, s0, [densify(x) for x in currents],
                                       beta, b, wnorm2)
             for step, cur in enumerate(currents):

@@ -18,7 +18,7 @@ from spikesparse.autograd import (
     softmax_xent,
 )
 from spikesparse.event_io import EventStream, build_voxel_grid
-from spikesparse.sparse import SparseTensor2D
+from spikesparse.sparse import SparseTensor2D, densify
 from spikesparse.spiking import run_timesteps
 
 
@@ -95,7 +95,7 @@ class TestClosedFormReadout:
         feats = np.zeros(model.readout.in_features)
         layer = model.layers[0]
         height = width = 2
-        s = layer.state.prev_spikes_dense[0]
+        s = densify(layer.state.prev_spikes)[0]
         feats = s.reshape(-1)
         np.testing.assert_allclose(grads.get(model.readout.weight),
                                    np.outer(residual[0], feats), atol=1e-12)
@@ -232,6 +232,30 @@ class TestTapeInvariants:
             assert grads.get(p).shape == p.value.shape
         dump = grads.dump_norms(model.parameters())
         assert "conv0.weight" in dump and "readout.weight" in dump
+
+    def test_silent_layer_calls_no_conv_gradient(self):
+        # a layer that never spikes has an empty support at every step, where
+        # its conv gradients are all zero: backward does not compute them
+        rng = np.random.default_rng(11)
+        model = make_model(rng, (8, 8), [(2, "sparse", 3), (3, "sparse", 3)], 4,
+                           b=0.05, weight_scale=1.0)
+        model.layers[1].b.value[...] = 1e6
+        grid = random_grid(rng, 8, 8, t_bins=4, density=0.3)
+        tape, _, _ = forward_with_tape(model, grid, 2)
+        handed = [sum(e.data["spikes"].n_sites for e in tape.entries
+                      if e.kind == "layer" and e.data["layer"] is layer)
+                  for layer in model.layers]
+        assert handed[0] > 0 and handed[1] == 0
+        kernels, conv_grads = [], autograd._conv_sites_grads
+
+        def spy(xs, kernel, *args, **kwargs):
+            kernels.append(kernel)
+            return conv_grads(xs, kernel, *args, **kwargs)
+
+        with mock.patch.object(autograd, "_conv_sites_grads", spy):
+            grads = backward(tape)
+        assert kernels and all(k is model.layers[0].kernel for k in kernels)
+        assert not np.any(grads.get(model.layers[1].weight))
 
     def test_mean_fanout_sum_rule(self):
         rng = np.random.default_rng(10)

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from test_event_io import ref_aedat, ref_polarity_packet
 from spikesparse import event_io
 from spikesparse.cli import (
     ConfigError,
@@ -287,6 +288,20 @@ class TestTrainEvalPipeline:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0] and "dropout_p" in err[0]
 
+    def test_checkpoint_with_unknown_variant_is_exit_2(self, tiny_cfg, tmp_path,
+                                                      capsys):
+        # same parameter sizes as a stride net: only the variant check stops it
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16)), ckpt)
+        blob = ckpt.read_bytes()
+        assert b";variant=stride;" in blob
+        ckpt.write_bytes(blob.replace(b";variant=stride;", b";variant=strid3;"))
+        assert main(["eval", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(ckpt) in err[0] and "strid3" in err[0]
+
     @pytest.mark.parametrize("row, where", [
         pytest.param(row, "line 2", id=row)
         for row in ("a.events,0", "a.events,zero,train", "a.events,0,validation",
@@ -304,6 +319,28 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(data_dir / "index.csv") in err[0] and where in err[0]
+
+    @pytest.mark.parametrize("corrupt, where", [
+        ("event", "outside the 128x128 sensor"),
+        ("label", "user01_led_labels.csv line 2"),
+    ])
+    def test_corrupt_dvs128_is_exit_2(self, tmp_path, capsys, corrupt, where):
+        x = 200 if corrupt == "event" else 5
+        for name in ("user01_led.aedat", "user24_led.aedat"):
+            (tmp_path / name).write_bytes(
+                ref_aedat(ref_polarity_packet([(1000, x, 3, 1), (2000, 7, 8, 0)])))
+            row = "1,0,abc" if corrupt == "label" else "1,0,100000"
+            (tmp_path / name.replace(".aedat", "_labels.csv")).write_text(
+                f"class,startTime_usec,endTime_usec\n{row}\n")
+        (tmp_path / "trials_to_train.txt").write_text("user01_led.aedat\n")
+        (tmp_path / "trials_to_test.txt").write_text("user24_led.aedat\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = dvs128\npath = {tmp_path}\n"
+                       "height = 128\nwidth = 128\n")
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
 
     def test_anytime_rejects_single_horizon_option(self, tiny_cfg, tmp_path,
                                                    capsys):

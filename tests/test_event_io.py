@@ -168,6 +168,18 @@ class TestParseAedat:
         data = ref_aedat(other, ref_polarity_packet([(5, 1, 2, ON)]))
         assert len(parse_aedat(data)) == 1
 
+    def test_event_outside_sensor(self):
+        data = ref_aedat(ref_polarity_packet([(5, 1, 2, ON), (6, 200, 3, ON)]))
+        with pytest.raises(FormatError) as e:
+            parse_aedat(data)
+        assert e.value.field == "address"
+
+    def test_negative_timestamp_overflow(self):
+        data = ref_aedat(ref_polarity_packet([(7, 1, 1, ON)], overflow=-1))
+        with pytest.raises(FormatError) as e:
+            parse_aedat(data, rebase=False)
+        assert e.value.field == "tsOverflow"
+
 
 class TestAedatRoundTrip:
     def test_parse_serialize_parse_identity(self):
@@ -512,6 +524,13 @@ class TestLoadDvs128:
         assert [l for _, l in train] == [0, 1]
         for grid, _ in train + test:
             assert grid.n_timesteps == 15 and grid.n_nonzero > 0
+
+    def test_malformed_label_row(self, mini_root):
+        labels = mini_root / "user01_led_labels.csv"
+        labels.write_text(labels.read_text() + "1,0,abc\n")
+        with pytest.raises(FormatError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        assert f"{labels} line 4" in str(e.value) and "'1,0,abc'" in str(e.value)
 
     def test_cache_round_trip(self, mini_root, tmp_path):
         cache = tmp_path / "cache"

@@ -28,6 +28,7 @@ from spikesparse.spiking import (
     ReadoutLayer,
     _dropout_recorded,
     _layer_forward,
+    _lif_step_lazy,
     _readout_batch,
     heaviside_spike,
     lazy_decay_advance,
@@ -101,10 +102,7 @@ class TestSurrogate:
 def fresh_state(batch=1, channels=1, height=1, width=1, v=0.0, s=0.0):
     st = LIFLayerState(batch, channels, height, width)
     st.potentials[:] = v
-    st.prev_spikes_dense[:] = s
-    if s:
-        st.prev_spike_coords = np.array([[b, x, y] for b in range(batch)
-                                         for y in range(height) for x in range(width)])
+    st.prev_spikes = sparsify(np.full(st.shape, s))
     return st
 
 
@@ -139,6 +137,33 @@ class TestLifStep:
         st = LIFLayerState(1, 1, 2, 2)
         with pytest.raises(ShapeError):
             lif_step(st, np.zeros((1, 1, 3, 3)), LIFParams(0.5, 0.3), 1.0)
+
+
+class TestPendingReset:
+    @pytest.mark.parametrize("b", [0.3, 0.0])
+    def test_lazy_and_every_site_steps_alternate(self, b):
+        # the last spikes are read at their rows of the site list: a lazy
+        # step finds them through its site index, lif_step through their
+        # keys; alternating the two on one state is a plain dense recurrence
+        rng = np.random.default_rng(12)
+        params, w2 = LIFParams(beta=0.5, b=b), 1.3
+        w2e = w2 + EPSILON
+        state = LIFLayerState(2, 3, 5, 6)
+        v, s = np.zeros(state.shape), np.zeros(state.shape)
+        pending = [0, 0]   # steps of each kind that met a pending reset
+        for step in range(16):
+            cur = random_sparse(rng, 2, 5, 6, 3, density=0.4)
+            cur = SparseTensor2D(cur.coords, 2.0 * cur.values, 2, 5, 6, 3)
+            pending[step % 2] += bool(s.any())
+            v = params.beta * (v - b * w2e * s) + (1.0 - params.beta) * densify(cur)
+            s = (v / w2e - b >= 0).astype(np.float64)
+            if step % 2:
+                spikes, _ = lif_step(state, cur, params, w2)
+            else:
+                spikes = _lif_step_lazy(state, cur.coords, cur.values, params, w2)
+            assert np.array_equal(densify(spikes), s)
+            assert np.array_equal(state.potentials, v)
+        assert min(pending) >= 6
 
 
 class TestLazyDecay:
@@ -439,7 +464,7 @@ class TestNetworkForward:
             out = forward(layer, x, *args)
             if layer.mode == "sparse":
                 steps.append((x, layer.kernel.stride,
-                              layer.state.prev_spike_coords))
+                              layer.state.prev_spikes.coords))
             return out
 
         monkeypatch.setattr(spiking, "_layer_forward", spy)
