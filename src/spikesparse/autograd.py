@@ -3,11 +3,12 @@
 The forward pass records a :class:`GradientTape`: one entry per executed
 operation (layer, dropout, readout, mean, loss) holding the saved
 intermediates backward needs; a layer entry is a whole layer step (conv, LIF
-and optional pool), replayed as pool, LIF, conv.  :func:`backward` walks the
-entries in reverse exactly once, propagating adjoints across all timesteps --
-through the membrane recurrence ``V[n] -> V[n+1]`` and through the reset
-term's dependence on the previous spikes -- so the leak and threshold of every
-layer receive gradients from every timestep.
+and optional pool), replayed as pool, LIF, conv.  :func:`backward` starts at
+the loss, the tape's last entry and the only one where an adjoint enters, and
+walks the entries in reverse exactly once, propagating adjoints across all
+timesteps -- through the membrane recurrence ``V[n] -> V[n+1]`` and through
+the reset term's dependence on the previous spikes -- so the leak and
+threshold of every layer receive gradients from every timestep.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
 sites, the spikes as the sparse tensor the step handed on, and the dense
@@ -104,13 +105,15 @@ class GradientTape:
     """Ordered record of one forward pass; replayable in reverse once.
 
     Implements the recorder protocol consumed by
-    :func:`spikesparse.spiking.run_timesteps`.
+    :func:`spikesparse.spiking.run_timesteps`, plus one :meth:`record_loss`,
+    where :func:`backward` starts: the tape holds exactly the entries of the
+    forward driver and the loss.
     """
 
     def __init__(self):
         self.entries = []
         self.used = False
-        self._last = {}   # layer index -> the layer's latest entry
+        self._last = {}   # layer index -> (its latest step, that step's v_new)
 
     # --- recorder protocol -------------------------------------------------
     def record_layer(self, layer, **data):
@@ -123,17 +126,17 @@ class GradientTape:
 
         Of the potentials the entry keeps ``v_prev`` only at the first step
         of a segment of ``_SEGMENT`` steps, or where they do not continue the
-        layer's previous entry (``chained`` is then false), and ``v_new``
-        only while it is the layer's latest entry; backward replays the
-        rest."""
-        last = self._last.get(layer.index)
-        t = 0 if last is None else last.data["t"] + 1
-        chained = last is not None and last.data.pop("v_new") is data["v_prev"]
+        layer's previous step (``chained`` is then false), and never
+        ``v_new``; backward replays the rest."""
+        v_new = data.pop("v_new")
+        t, v_last = self._last.get(layer.index, (-1, None))
+        t += 1
+        chained = v_last is data["v_prev"]
         if chained and t % _SEGMENT:
             data["v_prev"] = None
-        entry = _Entry("layer", layer=layer, t=t, chained=chained, **data)
-        self.entries.append(entry)
-        self._last[layer.index] = entry
+        self.entries.append(_Entry("layer", layer=layer, t=t, chained=chained,
+                                   **data))
+        self._last[layer.index] = (t, v_new)
 
     def record_dropout(self, x, out, mask, p):
         self.entries.append(_Entry("dropout", x=x, out=out, mask=mask, p=p))
@@ -146,24 +149,6 @@ class GradientTape:
 
     def record_loss(self, probs, labels, mean):
         self.entries.append(_Entry("loss", probs=probs, labels=labels, mean=mean))
-
-    def record_squared_loss(self, residual, mean):
-        """Seed for ``0.5 * sum((mean - target)^2)``; residual = mean - target."""
-        self.entries.append(_Entry("sqloss", residual=residual, mean=mean))
-
-    def record_seed(self, ref, g):
-        """Directly seed the adjoint of a recorded value (testing hook)."""
-        self.entries.append(_Entry("seed", ref=ref, g=g))
-
-    def branch(self, tail_entries):
-        """A new tape sharing this tape's entries with a different tail.
-
-        Entries are read-only during backward, so branches may each be
-        consumed once.
-        """
-        t = GradientTape()
-        t.entries = list(self.entries) + list(tail_entries)
-        return t
 
 
 class _AdjointStore:
@@ -183,10 +168,6 @@ class _AdjointStore:
         else:
             self._acc[key] = np.array(g, dtype=np.float64)
 
-    def peek(self, obj):
-        """The adjoint of ``obj`` so far, or ``None``; it stays stored."""
-        return self._acc.get(id(obj))
-
     def take(self, obj):
         """The adjoint of ``obj``, or ``None`` when it received none."""
         return self._acc.pop(id(obj), None)
@@ -200,11 +181,10 @@ class _LayerReplay:
     """Backward state of one layer on the sites its adjoint can reach.
 
     Adjoints enter a layer step only at the sites it handed on (its
-    ``spikes``) and, at its last step, at the nonzero sites of a ``seed`` on
-    its final potentials; the reset and the leak carry them only back in
-    time, along one site.  So at step t they are exact zeros outside the
-    sites handed on at some step >= t.  The replay orders those sites by the
-    last step that handed them on, latest first, ties in canonical order:
+    ``spikes``); the reset and the leak carry them only back in time, along
+    one site.  So at step t they are exact zeros outside the sites handed on
+    at some step >= t.  The replay orders those sites by the last step that
+    handed them on, latest first, ties in canonical order:
     the support of step t is then the first ``n[t]`` rows, the same at any
     ``_SEGMENT``.  ``rank`` maps a canonical site key to its row, and a site
     never handed on to ``n[0]``.  When the last step's support is every
@@ -216,7 +196,7 @@ class _LayerReplay:
     carried from step t+1 to step t, and row buffers; ``i``, ``s`` and
     ``tmp`` have one row more, a pad row that absent sites read."""
 
-    def __init__(self, entries, seed=None):
+    def __init__(self, entries):
         self.entries = entries
         batch, channels, height, width = entries[0].data["v_prev"].shape
         self.height, self.width = height, width
@@ -224,8 +204,6 @@ class _LayerReplay:
         last = np.full(n_sites, -1, np.int64)
         for t, e in enumerate(entries):
             last[e.data["spikes"].keys()] = t
-        if seed is not None:
-            last[np.any(seed != 0.0, axis=1).ravel()] = len(entries) - 1
         # n[t]: the number of sites with last >= t
         self.n = np.cumsum(np.bincount(last + 1, minlength=len(entries) + 1)
                            [:0:-1])[::-1].tolist()
@@ -342,8 +320,8 @@ def softmax_xent(logits, labels):
     return float(nll.mean()), probs
 
 
-def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
-    """Propagate adjoints through a recorded forward pass.
+def backward(tape: GradientTape, truncate=0) -> ParamGrads:
+    """Propagate adjoints from the tape's loss through its forward pass.
 
     ``truncate > 0`` cuts the backward recurrence every that many timesteps
     (truncated BPTT); the default differentiates the full unrolling.  A tape
@@ -352,7 +330,7 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
     if tape.used:
         raise RuntimeError("backward already ran on this tape")
     tape.used = True
-    if not tape.entries or tape.entries[-1].kind not in ("loss", "sqloss", "seed"):
+    if not tape.entries or tape.entries[-1].kind != "loss":
         raise RuntimeError("tape has no recorded loss")
 
     grads = ParamGrads()
@@ -368,14 +346,8 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
         if entry.kind == "loss":
             probs, labels = d["probs"], d["labels"]
             g_mean = (probs - _one_hot(labels, probs.shape[1]))
-            g_mean *= loss_grad / len(labels)
+            g_mean *= 1.0 / len(labels)
             adj.add(d["mean"], g_mean)
-
-        elif entry.kind == "sqloss":
-            adj.add(d["mean"], loss_grad * d["residual"])
-
-        elif entry.kind == "seed":
-            adj.add(d["ref"], loss_grad * d["g"])
 
         elif entry.kind == "mean":
             g_mean = adj.pop(d["mean"], d["mean"].shape)
@@ -408,9 +380,7 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             thr = b * w2e
             rep = replays.get(layer.index)
             if rep is None:   # met at the layer's last step
-                seed = adj.peek(d["v_new"]) if "v_new" in d else None
-                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index],
-                                                          seed)
+                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index])
             # all on the step's support rows, zero elsewhere (see _LayerReplay)
             v_prev, v_new, i_rows, s_prev = rep.step(t)
             n, carried = len(v_new), rep.carried
@@ -441,9 +411,6 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
                 np.add(g_v, np.divide(g_u, w2e, out=tmp), out=g_v)
             else:
                 np.divide(g_u, w2e, out=g_v)
-            seed = adj.take(d["v_new"]) if "v_new" in d else None
-            if seed is not None:
-                g_v += rep.dense_rows(seed, n)
             np.multiply(thr, s_prev, out=tmp)
             np.subtract(v_prev, tmp, out=tmp)
             np.subtract(tmp, i_rows, out=tmp)
@@ -465,8 +432,8 @@ def backward(tape: GradientTape, loss_grad=1.0, truncate=0) -> ParamGrads:
             # At every site the forward read all rows of x, at the coordinate
             # map only x's nonzero rows (found again, not stored)
             g_out = rep.gather(t, g_i)
-            if not n:   # an empty support: all-zero adjoint and gradients
-                continue
+            if not g_out.any():   # an empty support or a zero adjoint (below
+                continue          # silent layers): zero gradients
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,

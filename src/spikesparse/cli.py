@@ -40,7 +40,7 @@ from .event_io import (
     synth_dataset,
     synth_streams,
 )
-from .spiking import load_checkpoint
+from .spiking import load_checkpoint, parse_architecture
 from .training import (
     TrainConfig,
     _check_horizons,
@@ -260,7 +260,10 @@ def load_dataset(cfg, with_train=True):
                     raise InputError(f"{index} line {lineno}: no such events "
                                      f"file {path}")
                 if with_train or split == "test":
-                    stream = parse_portable_events(path)
+                    try:
+                        stream = parse_portable_events(path)
+                    except event_io.EventParseError as e:
+                        raise InputError(f"{path}: {e}") from None
                     pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
         return splits["train"], splits["test"]
     if d["kind"] == "dvs128":
@@ -270,13 +273,22 @@ def load_dataset(cfg, with_train=True):
     raise ConfigError([f"unknown data.kind {d['kind']!r}"])
 
 
-def _check_input_size(dataset, height, width):
-    """Exit 2 unless every grid of ``dataset`` is the model's input size."""
-    found = {(g.height, g.width) for pairs in dataset for g, _ in pairs}
+def _check_samples(dataset, height, width, num_classes):
+    """Exit 2 unless every grid of ``dataset`` is the model's input size and
+    every label one of its ``num_classes`` classes."""
+    found, labels = set(), set()
+    for pairs in dataset:
+        for g, label in pairs:
+            found.add((g.height, g.width))
+            labels.add(label)
     if found - {(height, width)}:
         h, w = min(found - {(height, width)})
         raise InputError(f"data grids are {h}x{w} but the model takes "
                          f"{height}x{width}")
+    outside = sorted(l for l in labels if not 0 <= l < num_classes)
+    if outside:
+        raise InputError(f"data label {outside[0]} is outside the model's "
+                         f"{num_classes} classes 0..{num_classes - 1}")
 
 
 def _load_training_setup(args):
@@ -289,7 +301,8 @@ def _load_training_setup(args):
     if not dataset[0]:
         listing = "index.csv" if d["kind"] == "events" else "trials_to_train.txt"
         raise InputError(f"{os.path.join(d['path'], listing)}: no train rows")
-    _check_input_size(dataset, tc.in_height, tc.in_width)
+    _check_samples(dataset, tc.in_height, tc.in_width,
+                   parse_architecture(tc.arch)[1])
     return cfg, tc, dataset
 
 
@@ -377,7 +390,7 @@ def _load_model_and_data(args, anytime=False):
     except (ValueError, KeyError) as e:
         raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
     test = load_dataset(cfg, with_train=False)[1]
-    _check_input_size([test], model.in_height, model.in_width)
+    _check_samples([test], model.in_height, model.in_width, model.num_classes)
     horizons = (cfg["eval"]["t_list"] if anytime
                 else [cfg["eval"]["t_eval"] or tc.t_train])
     try:

@@ -441,8 +441,8 @@ class BinaryVoxelGrid:
             return cls.from_bytes(fh.read())
 
 
-def build_voxel_grid(stream: EventStream, dt_us: int, n_timesteps: int,
-                     clip_us=None) -> BinaryVoxelGrid:
+def build_voxel_grid(stream: EventStream, dt_us: int,
+                     n_timesteps: int) -> BinaryVoxelGrid:
     """Bin a stream into a binary voxel grid.
 
     Bin index is ``timestamp // dt_us``; events at or past ``T * dt_us`` are
@@ -452,8 +452,6 @@ def build_voxel_grid(stream: EventStream, dt_us: int, n_timesteps: int,
     """
     if dt_us <= 0 or n_timesteps <= 0:
         raise ValueError("dt_us and n_timesteps must be positive")
-    if clip_us is not None and clip_us != dt_us * n_timesteps:
-        raise ValueError("clip_us must equal n_timesteps * dt_us")
     ts = stream.timestamps
     keep = ts < dt_us * n_timesteps
     ts = ts[keep]
@@ -709,11 +707,13 @@ def synth_dataset(classes, samples_per_class, height, width, n_timesteps,
 # DVS128 Gesture loading (optional, large download; see README)
 
 def _read_gesture_labels(path):
+    """``(class, start, end)`` rows of a ``*_labels.csv``; classes are 1..11."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline()
         if "class" not in header:
-            raise FormatError(f"unexpected label header {header!r}", field="header")
+            raise FormatError(f"{path}: unexpected label header {header!r}",
+                              field="header")
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -723,6 +723,9 @@ def _read_gesture_labels(path):
             except ValueError:
                 raise FormatError(f"{path} line {lineno}: expected class,start,"
                                   f"end, got {line!r}", field="row") from None
+            if not 1 <= cls <= 11:
+                raise FormatError(f"{path} line {lineno}: class {cls} is "
+                                  "outside 1..11", field="class")
             rows.append((cls, start, end))
     return rows
 
@@ -774,7 +777,10 @@ def load_dvs128(root, dt_us=10_000, n_timesteps=150, window_us=1_500_000,
                         continue
                 if stream is None:
                     # label times are in the recording's native time base
-                    stream = parse_aedat(aedat, rebase=False)
+                    try:
+                        stream = parse_aedat(aedat, rebase=False)
+                    except FormatError as e:
+                        raise FormatError(f"{aedat}: {e}", field=e.field) from None
                 lo, hi = np.searchsorted(stream.timestamps, [start, start + window_us])
                 sl = EventStream(stream.timestamps[lo:hi] - start,
                                  stream.xs[lo:hi], stream.ys[lo:hi],

@@ -249,13 +249,12 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     return spikes, state
 
 
-def lazy_decay_advance(state: LIFLayerState, gap: int, params: LIFParams,
-                       wnorm2=None):
+def lazy_decay_advance(state: LIFLayerState, gap: int, params: LIFParams):
     """Advance a layer through ``gap`` silent timesteps in one call.
 
     Valid when no neuron received input or spiked during the gap: each such
     step only multiplies the potential by ``beta``, and with a positive
-    threshold (``b > 0``, ``wnorm2 + eps > 0``) a sub-threshold potential
+    threshold (``b > 0``; ``|W|^2 + eps`` is positive) a sub-threshold potential
     stays sub-threshold while decaying, so no spikes are skipped.  The decay
     is applied as ``gap`` successive multiplications so the result is
     bit-identical to explicit zero-input steps.  A pending reset (a spike on

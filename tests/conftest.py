@@ -209,7 +209,7 @@ def _present_pool(s, present):
     return pooled, pooled_present, winners
 
 
-def dense_bptt(model, grids, labels, t_eval, truncate=0, seeds=None):
+def dense_bptt(model, grids, labels, t_eval, truncate=0):
     """Gradients of a hard-threshold ``sc`` network by plain dense BPTT.
 
     Written from the update equations and the gradient rules, with dense
@@ -224,14 +224,11 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0, seeds=None):
       ``alpha * sig(alpha * u) * sig(-alpha * u)`` at ``u = V / w2e - b``,
       with ``w2e = |W|^2 + 1e-8`` in the gradient graph;
     - ``truncate > 0`` cuts the recurrence below every step t with
-      ``t % truncate == 0``;
-    - ``seeds`` maps a layer index to an adjoint added to its final
-      potentials.
+      ``t % truncate == 0``.
 
     The loss is the batch mean of the softmax cross-entropy of the mean
     logits.  Returns ``{parameter name: gradient}``.
     """
-    seeds = seeds or {}
     batch = len(grids)
     layers = model.layers
     consts = []
@@ -312,8 +309,6 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0, seeds=None):
             e = np.exp(-np.abs(z))
             g_u = g_s * layer.alpha * e / (1.0 + e) ** 2
             g_v = carry_v[li] + g_u / w2e
-            if t == t_eval - 1 and li in seeds:
-                g_v = g_v + seeds[li]
             thr = b_thr * w2e
             reset_flow = beta * np.sum(r["s_prev"] * g_v)
             grads[layer.beta.name] += np.sum(

@@ -79,27 +79,23 @@ class TestClosedFormReadout:
     def test_squared_loss_least_squares_gradients(self):
         # freeze the conv stack's contribution by feeding one timestep and
         # reading the spikes it produces; the readout is then a plain linear
-        # map and 0.5*||Wf + b - y||^2 has the textbook gradient.
+        # map, and the softmax cross-entropy's logit gradient is the residual
+        # probs - onehot, as 0.5*||Wf + b - y||^2's is Wf + b - y: the
+        # weights get outer(residual, f) and the bias the residual.
         rng = np.random.default_rng(1)
         model = make_model(rng, (4, 4), [(2, "sparse", 3)], 3, b=0.01,
                            weight_scale=1.0)
         grid = random_grid(rng, 4, 4, t_bins=1, density=0.5)
-        tape = GradientTape()
-        model.reset_state(1)
-        logits_seq, mean, _ = run_timesteps(model, [grid], 1, recorder=tape)
-        target = rng.standard_normal(3)
-        residual = (mean - target)
-        tape.record_squared_loss(residual, mean)
+        tape, _, mean = forward_with_tape(model, grid, label=2)
         grads = backward(tape)
-        # reconstruct the flattened feature vector the readout saw
-        feats = np.zeros(model.readout.in_features)
-        layer = model.layers[0]
-        height = width = 2
-        s = densify(layer.state.prev_spikes)[0]
-        feats = s.reshape(-1)
+        _, probs = softmax_xent(mean, [2])
+        residual = probs[0] - np.eye(3)[2]
+        # the flattened feature vector the readout saw
+        feats = densify(model.layers[0].state.prev_spikes)[0].reshape(-1)
+        assert feats.any()
         np.testing.assert_allclose(grads.get(model.readout.weight),
-                                   np.outer(residual[0], feats), atol=1e-12)
-        np.testing.assert_allclose(grads.get(model.readout.bias), residual[0],
+                                   np.outer(residual, feats), atol=1e-12)
+        np.testing.assert_allclose(grads.get(model.readout.bias), residual,
                                    atol=1e-12)
 
     def test_alpha_zero_blocks_everything_upstream_of_spikes(self):
@@ -234,8 +230,9 @@ class TestTapeInvariants:
         assert "conv0.weight" in dump and "readout.weight" in dump
 
     def test_silent_layer_calls_no_conv_gradient(self):
-        # a layer that never spikes has an empty support at every step, where
-        # its conv gradients are all zero: backward does not compute them
+        # a layer that never spikes has an empty support at every step, and
+        # the layer below it a support on which its adjoint is all zero; both
+        # have all-zero conv gradients, which backward does not compute
         rng = np.random.default_rng(11)
         model = make_model(rng, (8, 8), [(2, "sparse", 3), (3, "sparse", 3)], 4,
                            b=0.05, weight_scale=1.0)
@@ -254,33 +251,9 @@ class TestTapeInvariants:
 
         with mock.patch.object(autograd, "_conv_sites_grads", spy):
             grads = backward(tape)
-        assert kernels and all(k is model.layers[0].kernel for k in kernels)
-        assert not np.any(grads.get(model.layers[1].weight))
-
-    def test_mean_fanout_sum_rule(self):
-        rng = np.random.default_rng(10)
-        model = make_model(rng, (4, 4), [(2, "sparse", 3)], 3, b=0.05,
-                           weight_scale=1.0)
-        soft_forward_mode(model, True)
-        grid = random_grid(rng, 4, 4, t_bins=4, density=0.4)
-        tape = GradientTape()
-        model.reset_state(1)
-        _, mean, _ = run_timesteps(model, [grid], 4, recorder=tape)
-        _, probs = softmax_xent(mean, [1])
-        seed = probs - np.eye(3)[[1]]
-        logits_entries = [e for e in tape.entries if e.kind == "readout"]
-        assert len(logits_entries) == 4
-        full = tape.branch([])
-        full.record_loss(probs, np.array([1]), mean)
-        g_full = backward(full)
-        per_t = []
-        for e in logits_entries:
-            t_tape = tape.branch([])
-            t_tape.record_seed(e.data["logits"], seed)
-            per_t.append(backward(t_tape))
-        for p in model.parameters():
-            want = sum(g.get(p) for g in per_t) / 4.0
-            np.testing.assert_allclose(g_full.get(p), want, atol=1e-12)
+        assert not kernels
+        for layer in model.layers:
+            assert not np.any(grads.get(layer.weight))
 
     def test_deterministic_gradients(self):
         rng = np.random.default_rng(11)
@@ -394,9 +367,9 @@ class TestSegmentReplay:
                 for key, value in d.items():
                     if (isinstance(value, np.ndarray)
                             and value.shape == layer.state.shape):
-                        assert key in ("v_prev", "v_new")
+                        assert key == "v_prev"
                         potentials += 1
-            assert potentials <= math.ceil(t_eval / autograd._SEGMENT) + 1
+            assert potentials <= math.ceil(t_eval / autograd._SEGMENT)
 
     def test_no_adjoint_crosses_a_reset_on_one_tape(self):
         # a state reset between two runs on one tape cuts the recurrence: the
@@ -423,24 +396,24 @@ class TestSegmentReplay:
 class TestDenseBpttOracle:
     """``backward`` on hard ``sc`` nets against ``conftest.dense_bptt``."""
 
-    @pytest.mark.parametrize("variant, t_eval, truncate, silent, zero_b, seed", [
-        ("stride", 5, 0, None, None, None),
-        ("pool", 5, 0, None, None, None),
-        ("stride", 7, 3, None, None, None),
-        ("pool", 7, 3, None, None, 0),
-        ("stride", 1, 0, None, None, None),
-        ("pool", 1, 3, None, None, 1),
-        ("stride", 5, 0, 1, None, 1),
-        ("pool", 5, 0, 1, None, None),
-        ("stride", 5, 3, None, 0, None),
-        ("pool", 5, 0, None, 1, 0),
-    ], ids=["stride", "pool", "stride-truncate3", "pool-truncate3-seed0",
-            "stride-T1", "pool-T1-seed1", "stride-silent1-seed1",
-            "pool-silent1", "stride-b0-truncate3", "pool-b1zero-seed0"])
+    @pytest.mark.parametrize("variant, t_eval, truncate, silent, zero_b", [
+        ("stride", 5, 0, None, None),
+        ("pool", 5, 0, None, None),
+        ("stride", 7, 3, None, None),
+        ("pool", 7, 3, None, None),
+        ("stride", 1, 0, None, None),
+        ("pool", 1, 3, None, None),
+        ("stride", 5, 0, 1, None),
+        ("pool", 5, 0, 1, None),
+        ("stride", 5, 3, None, 0),
+        ("pool", 5, 0, None, 1),
+    ], ids=["stride", "pool", "stride-truncate3", "pool-truncate3",
+            "stride-T1", "pool-T1", "stride-silent1", "pool-silent1",
+            "stride-b0-truncate3", "pool-b1zero"])
     def test_matches_dense_bptt(self, variant, t_eval, truncate, silent,
-                                zero_b, seed):
+                                zero_b):
         rng = np.random.default_rng(zlib.crc32(
-            f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}-{seed}".encode()))
+            f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}".encode()))
         model = make_model(rng, (12, 12), [(2, "sparse", 3), (3, "sparse", 3)],
                            3, variant=variant, b=0.02, weight_scale=0.8)
         if silent is not None:   # a threshold this layer's potentials never reach
@@ -451,21 +424,14 @@ class TestDenseBpttOracle:
                  for _ in range(2)]
         labels = rng.integers(0, 3, 2)
         model.reset_state(2)
-        seeds = {}
-        if seed is not None:   # on about half the sites of the final potentials
-            shape = model.layers[seed].state.shape
-            seeds[seed] = rng.standard_normal(shape) * (
-                rng.random((shape[0], 1) + shape[2:]) < 0.5)
         tape = GradientTape()
         _, mean, counts = run_timesteps(model, grids, t_eval, recorder=tape)
         _, probs = softmax_xent(mean, labels)
         tape.record_loss(probs, labels, mean)
-        for li, g in seeds.items():
-            tape.record_seed(model.layers[li].state.potentials, g)
         got = backward(tape, truncate=truncate)
         for li in range(2):
             assert (counts[li] == 0) == (li == silent)
-        want = dense_bptt(model, grids, labels, t_eval, truncate, seeds)
+        want = dense_bptt(model, grids, labels, t_eval, truncate)
         for p in model.parameters():
             err = np.max(np.abs(got.get(p) - want[p.name]))
             assert err <= 1e-12 * np.max(np.abs(want[p.name])), p.name

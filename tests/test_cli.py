@@ -323,13 +323,17 @@ class TestTrainEvalPipeline:
     @pytest.mark.parametrize("corrupt, where", [
         ("event", "outside the 128x128 sensor"),
         ("label", "user01_led_labels.csv line 2"),
+        ("recording", "missing AEDAT header"),
+        ("class", "user01_led_labels.csv line 2: class 12 is outside 1..11"),
     ])
     def test_corrupt_dvs128_is_exit_2(self, tmp_path, capsys, corrupt, where):
         x = 200 if corrupt == "event" else 5
+        row = {"label": "1,0,abc", "class": "12,0,100000"}.get(corrupt,
+                                                               "1,0,100000")
         for name in ("user01_led.aedat", "user24_led.aedat"):
+            blob = ref_aedat(ref_polarity_packet([(1000, x, 3, 1), (2000, 7, 8, 0)]))
             (tmp_path / name).write_bytes(
-                ref_aedat(ref_polarity_packet([(1000, x, 3, 1), (2000, 7, 8, 0)])))
-            row = "1,0,abc" if corrupt == "label" else "1,0,100000"
+                b"not a recording\n" if corrupt == "recording" else blob)
             (tmp_path / name.replace(".aedat", "_labels.csv")).write_text(
                 f"class,startTime_usec,endTime_usec\n{row}\n")
         (tmp_path / "trials_to_train.txt").write_text("user01_led.aedat\n")
@@ -341,6 +345,50 @@ class TestTrainEvalPipeline:
                      str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and where in err[0]
+        # the message names the file at fault
+        bad = ("user01_led_labels.csv" if corrupt in ("label", "class")
+               else "user01_led.aedat")
+        assert str(tmp_path / bad) in err[0]
+
+    def test_bad_events_record_names_the_file(self, tiny_cfg, tmp_path, capsys):
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+        bad = data_dir / "class1_test001.events"
+        bad.write_text("16,16\n0,1,1,0\n5,x,1,0\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"{bad}: line 3: non-numeric field in '5,x,1,0'" in err[0]
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_label_outside_the_model_classes_is_exit_2(self, tiny_cfg, run_dir,
+                                                       tmp_path, capsys, split):
+        # the model has 2 classes; a label 2 on either split is refused by
+        # train, and on the test split by eval, instead of failing in the loss
+        # or being scored as a wrong prediction
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+        index = data_dir / "index.csv"
+        rows = index.read_text().splitlines()
+        at = next(i for i, row in enumerate(rows) if row.endswith(f",1,{split}"))
+        rows[at] = rows[at].replace(f",1,{split}", f",2,{split}")
+        index.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+        capsys.readouterr()
+        commands = [["train", "--out", str(tmp_path / "run2")]]
+        if split == "test":
+            commands.append(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
+                             "--out", str(tmp_path / "r")])
+        for argv in commands:
+            assert main(argv + ["--config", str(cfg)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ")
+            assert "data label 2" in err[0] and "2 classes" in err[0]
 
     def test_anytime_rejects_single_horizon_option(self, tiny_cfg, tmp_path,
                                                    capsys):

@@ -288,10 +288,10 @@ class TestBuildVoxelGrid:
     def test_clip_drops_trailing_events(self):
         stream = EventStream([0, 19_999, 20_000, 30_000], [0, 1, 2, 3],
                              [0, 0, 0, 0], [ON] * 4, 8, 8)
-        grid = build_voxel_grid(stream, 10_000, 2, clip_us=20_000)
+        # T * dt_us = 20_000: the events at and past it are dropped
+        grid = build_voxel_grid(stream, 10_000, 2)
         assert grid.n_nonzero == 2
-        with pytest.raises(ValueError):
-            build_voxel_grid(stream, 10_000, 2, clip_us=25_000)
+        assert grid.timestep_sites(1)[0].tolist() == [1]
 
     def test_empty_stream(self):
         grid = build_voxel_grid(EventStream.empty(8, 8), 1_000, 4)
@@ -531,6 +531,14 @@ class TestLoadDvs128:
         with pytest.raises(FormatError) as e:
             load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
         assert f"{labels} line 4" in str(e.value) and "'1,0,abc'" in str(e.value)
+
+    @pytest.mark.parametrize("cls", [0, 12])
+    def test_class_outside_the_gestures(self, mini_root, cls):
+        labels = mini_root / "user24_led_labels.csv"
+        labels.write_text(labels.read_text() + f"{cls},0,100\n")
+        with pytest.raises(FormatError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        assert f"{labels} line 4" in str(e.value) and f"class {cls}" in str(e.value)
 
     def test_cache_round_trip(self, mini_root, tmp_path):
         cache = tmp_path / "cache"

@@ -484,9 +484,10 @@ class TestNetworkForward:
 
     def test_sparse_layer_routes_adjoint_to_dense_input_sites(self, monkeypatch):
         # taped on an every-site input, an sc layer gives that input the
-        # adjoint its sparsified form gets, at its nonzero sites and nowhere else
+        # adjoint its sparsified form gets, at its nonzero sites and nowhere
+        # else; the adjoint comes from a loss on the readout of its spikes
         from spikesparse import autograd
-        from spikesparse.autograd import backward
+        from spikesparse.autograd import backward, softmax_xent
         from spikesparse.spiking import SpikingConvLayer
         rng = np.random.default_rng(21)
         xd = (rng.random((2, 2, 8, 8)) < 0.2).astype(np.float64)
@@ -495,7 +496,8 @@ class TestNetworkForward:
                                xd.transpose(0, 2, 3, 1).reshape(-1, 2),
                                2, 8, 8, 2, prune=False)
         weights = rng.uniform(-0.5, 0.5, (3, 2, 3, 3))
-        g_v = rng.standard_normal((2, 3, 8, 8))
+        readout = ReadoutLayer(rng.standard_normal((4, 3 * 8 * 8)))
+        labels = np.array([1, 3])
         seen = {}
 
         class Store(autograd._AdjointStore):
@@ -510,8 +512,14 @@ class TestNetworkForward:
                                      b=0.05)
             layer.reset(2, 8, 8)
             tape = GradientTape()
-            _layer_forward(layer, x, False, tape)
-            tape.record_seed(layer.state.potentials, g_v)
+            spikes, count = _layer_forward(layer, x, False, tape)
+            assert count > 0
+            logits = _readout_batch(readout, spikes)
+            tape.record_readout(readout, spikes, logits)
+            mean = np.stack([logits]).mean(axis=0)
+            tape.record_mean([logits], mean)
+            _, probs = softmax_xent(mean, labels)
+            tape.record_loss(probs, labels, mean)
             got.append((backward(tape).get(layer.weight), seen[id(x)]))
         (w_dense, g_every), (w_sparse, g_rows) = got
         assert np.array_equal(w_dense, w_sparse)
