@@ -1,13 +1,13 @@
 """Reverse-mode differentiation through the timestep unrolling.
 
-The forward pass records a :class:`GradientTape`: one entry per executed
-operation (layer, dropout, readout, mean, loss) holding the saved
-intermediates backward needs; a layer entry is a whole layer step (conv, LIF
-and optional pool), replayed as pool, LIF, conv.  :func:`backward` starts at
-the loss, the tape's last entry and the only one where an adjoint enters, and
-walks the entries in reverse exactly once, propagating adjoints across all
-timesteps -- through the membrane recurrence ``V[n] -> V[n+1]`` and through
-the reset term's dependence on the previous spikes -- so the leak and
+The forward pass records a :class:`GradientTape`: one entry per operation
+(layer, dropout, readout, mean) in ``run_timesteps``' order, then the loss,
+each keeping only what backward reads; a layer entry is a whole layer step
+(conv, LIF and optional pool), replayed as pool, LIF, conv.  :func:`backward`
+walks the entries in reverse once from the loss, handing one adjoint from
+each entry to the one before it (readout, top layer, ..., layer 0 per step,
+as a dense BPTT does) and across all timesteps through the membrane recurrence ``V[n] -> V[n+1]``
+and the reset term's dependence on the previous spikes, so the leak and
 threshold of every layer receive gradients from every timestep.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
@@ -107,7 +107,8 @@ class GradientTape:
     Implements the recorder protocol consumed by
     :func:`spikesparse.spiking.run_timesteps`, plus one :meth:`record_loss`,
     where :func:`backward` starts: the tape holds exactly the entries of the
-    forward driver and the loss.
+    forward driver, in its order, and the loss; each entry reads the output
+    of the one before it, so backward hands one adjoint down them.
     """
 
     def __init__(self):
@@ -127,8 +128,10 @@ class GradientTape:
         Of the potentials the entry keeps ``v_prev`` only at the first step
         of a segment of ``_SEGMENT`` steps, or where they do not continue the
         layer's previous step (``chained`` is then false), and never
-        ``v_new``; backward replays the rest."""
+        ``v_new``; backward replays the rest.  Of the pool it keeps only the
+        ``winners``."""
         v_new = data.pop("v_new")
+        del data["pooled"]
         t, v_last = self._last.get(layer.index, (-1, None))
         t += 1
         chained = v_last is data["v_prev"]
@@ -139,42 +142,17 @@ class GradientTape:
         self._last[layer.index] = (t, v_new)
 
     def record_dropout(self, x, out, mask, p):
-        self.entries.append(_Entry("dropout", x=x, out=out, mask=mask, p=p))
+        self.entries.append(_Entry("dropout", mask=mask, p=p))
 
     def record_readout(self, readout, x, logits):
-        self.entries.append(_Entry("readout", readout=readout, x=x, logits=logits))
+        self.entries.append(_Entry("readout", readout=readout, x=x))
 
     def record_mean(self, logits_seq, mean):
-        self.entries.append(_Entry("mean", logits_seq=list(logits_seq), mean=mean))
+        self.entries.append(_Entry("mean", steps=len(logits_seq),
+                                   shape=mean.shape))
 
     def record_loss(self, probs, labels, mean):
-        self.entries.append(_Entry("loss", probs=probs, labels=labels, mean=mean))
-
-
-class _AdjointStore:
-    """Adjoints keyed by the identity of forward value objects.
-
-    Sparse tensors carry value-row adjoints ``(N, C)``; plain arrays carry
-    same-shape dense adjoints.
-    """
-
-    def __init__(self):
-        self._acc = {}
-
-    def add(self, obj, g):
-        key = id(obj)
-        if key in self._acc:
-            self._acc[key] += g
-        else:
-            self._acc[key] = np.array(g, dtype=np.float64)
-
-    def take(self, obj):
-        """The adjoint of ``obj``, or ``None`` when it received none."""
-        return self._acc.pop(id(obj), None)
-
-    def pop(self, obj, shape):
-        g = self.take(obj)
-        return np.zeros(shape) if g is None else g
+        self.entries.append(_Entry("loss", probs=probs, labels=labels))
 
 
 class _LayerReplay:
@@ -334,45 +312,45 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
         raise RuntimeError("tape has no recorded loss")
 
     grads = ParamGrads()
-    adj = _AdjointStore()
     norm_grads = {}  # layer index -> accumulated d(loss)/d(|W|^2)
     by_layer, replays = {}, {}  # layer index -> its entries in order, replay
     for entry in tape.entries:
         if entry.kind == "layer":
             by_layer.setdefault(entry.data["layer"].index, []).append(entry)
 
+    # the adjoints of the mean logits, of each step's logits, and of the
+    # input of the entry just walked (None where nothing reached it)
+    g_mean = g_logits = g = None
     for entry in reversed(tape.entries):
         d = entry.data
         if entry.kind == "loss":
             probs, labels = d["probs"], d["labels"]
             g_mean = (probs - _one_hot(labels, probs.shape[1]))
             g_mean *= 1.0 / len(labels)
-            adj.add(d["mean"], g_mean)
 
-        elif entry.kind == "mean":
-            g_mean = adj.pop(d["mean"], d["mean"].shape)
-            share = g_mean / len(d["logits_seq"])
-            for lg in d["logits_seq"]:
-                adj.add(lg, share)
+        elif entry.kind == "mean":   # a run with no loss after it gets zeros
+            if g_mean is None:
+                g_mean = np.zeros(d["shape"])
+            g_logits, g_mean = g_mean / d["steps"], None
 
         elif entry.kind == "readout":
             readout, x = d["readout"], d["x"]
-            g_logits = adj.pop(d["logits"], d["logits"].shape)
+            g = None
             if readout.bias is not None:
                 grads.add(readout.bias, g_logits.sum(axis=0))
             if x.n_sites:
                 w, flat = readout.weight.value, _flat_indices(x).ravel()
                 glr = g_logits[np.repeat(x.coords[:, 0], x.channels)]
                 wcols = w[:, flat].T                       # (N*C, classes)
-                adj.add(x, (glr * wcols).sum(axis=1).reshape(x.values.shape))
+                g = (glr * wcols).sum(axis=1).reshape(x.values.shape)
                 g_w = np.zeros_like(w.T)                   # (features, classes)
                 np.add.at(g_w, flat, x.values.reshape(-1, 1) * glr)
                 grads.add(readout.weight, g_w.T)
 
         elif entry.kind == "dropout":
-            x, out, mask, p = d["x"], d["out"], d["mask"], d["p"]
-            # the mask has the shape of the stored values
-            adj.add(x, adj.pop(out, mask.shape) * mask * (1.0 / (1.0 - p)))
+            mask = d["mask"]   # shaped like the stored values
+            g = ((np.zeros(mask.shape) if g is None else g) * mask
+                 * (1.0 / (1.0 - d["p"])))
 
         elif entry.kind == "layer":
             layer, t, x, out_c = d["layer"], d["t"], d["x"], d["out_c"]
@@ -386,19 +364,18 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             n, carried = len(v_new), rep.carried
             # the spikes' adjoint: the reset term carried from step t+1, plus
             # what the pool, the next layer or the readout sent them
-            g_s, spikes, pooled = rep.g_s[:n], d["spikes"], d["pooled"]
+            g_s, spikes, winners = rep.g_s[:n], d["spikes"], d["winners"]
             g_s[carried:] = 0.0
-            if pooled is None:
-                g_rows = adj.take(spikes)
-            else:
-                g_rows = _pool_sites_grads(spikes, d["winners"],
-                                           adj.pop(pooled, pooled.values.shape))
-            if g_rows is not None:
+            if winners is not None:   # the pooled scalars' adjoint
+                g = _pool_sites_grads(spikes, winners, np.zeros(winners.shape)
+                                      if g is None else g)
+            if g is not None:
                 r = rep.rows_of(spikes.coords, n)
                 if r is None:
-                    g_s += g_rows
+                    g_s += g
                 else:   # spike coordinates are unique sites: += cannot collide
-                    g_s[r] += g_rows
+                    g_s[r] += g
+                g = None
             # LIF, in the layer's buffers: `tmp` holds u, then the products
             # that are summed, then g_i; `sur` turns into g_u
             tmp = rep.tmp[:n]
@@ -439,11 +416,11 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
                                           need_input_grad=need_in)
             if need_in and rows is not None:   # back onto all rows of x
-                g_in, g_rows = np.zeros_like(x.values), g_in
-                g_in[rows] = g_rows
+                g = np.zeros_like(x.values)
+                g[rows] = g_in
+            else:
+                g = g_in   # None at layer 0
             grads.add(layer.weight, g_w)
-            if need_in:
-                adj.add(x, g_in)
 
     # route the accumulated norm adjoints into the weights: d|W|^2/dW = 2W
     for g_w2, layer in norm_grads.values():

@@ -420,25 +420,40 @@ class BinaryVoxelGrid:
     def from_bytes(cls, data) -> "BinaryVoxelGrid":
         if data[:8] != _VOX_MAGIC:
             raise FormatError("bad voxel cache magic", field="magic")
+        if len(data) < 8 + 32:
+            raise PartialReadError("truncated voxel cache header", byte_offset=8)
         c, t_bins, height, width, dt_us, n = struct.unpack_from("<IIIIQQ", data, 8)
         if c != 1:
             raise FormatError(f"unsupported channel count {c}", field="channels")
+        if max(t_bins, height, width) > 1 << 16:   # records hold u16 t, x, y
+            raise FormatError(f"grid extent {t_bins}x{height}x{width} beyond "
+                              "the records' u16 range", field="extent")
         body = data[8 + 32:]
         if len(body) < 7 * n:
             raise PartialReadError("truncated voxel records", byte_offset=8 + 32)
         rec = np.frombuffer(body, count=n,
                             dtype=[("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
-        return cls(rec["t"], rec["x"], rec["y"], rec["v"], t_bins, height, width,
-                   dt_us, canonical=True)
+        try:
+            return cls(rec["t"], rec["x"], rec["y"], rec["v"], t_bins, height,
+                       width, dt_us, canonical=True)
+        except ValueError as e:
+            raise FormatError(f"bad voxel record: {e}", field="records") from None
 
-    def save(self, path):
-        with open(path, "wb") as fh:
+    def save(self, path):   # whole or not at all: a killed write leaves a .part
+        part = f"{path}.part"
+        with open(part, "wb") as fh:
             fh.write(self.to_bytes())
+        os.replace(part, path)
 
     @classmethod
     def load(cls, path) -> "BinaryVoxelGrid":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())
+            data = fh.read()
+        try:
+            return cls.from_bytes(data)
+        except FormatError as e:   # the message names the file
+            e.args = (f"{path}: {e}",)
+            raise
 
 
 def build_voxel_grid(stream: EventStream, dt_us: int,
@@ -505,7 +520,11 @@ def _parse_index_line(line, lineno):
     if not m:
         raise DatasetIndexError(f"line {lineno}: no user<NN> subject id in {path!r}")
     subject = int(m.group(1))
-    label = int(parts[1]) if len(parts) > 1 and parts[1] else None
+    try:
+        label = int(parts[1]) if len(parts) > 1 and parts[1] else None
+    except ValueError:
+        raise DatasetIndexError(f"line {lineno}: non-integer label "
+                                f"{parts[1]!r}") from None
     illum = parts[2] if len(parts) > 2 and parts[2] else None
     if illum is None:
         stem = os.path.basename(path).split(".")[0]

@@ -210,16 +210,21 @@ def _present_pool(s, present):
 
 
 def dense_bptt(model, grids, labels, t_eval, truncate=0):
-    """Gradients of a hard-threshold ``sc`` network by plain dense BPTT.
+    """Gradients of a hard-threshold network of ``sc`` and ``c`` layers by
+    plain dense BPTT.
 
     Written from the update equations and the gradient rules, with dense
     ``[B, C, H, W]`` arrays and per-site conv loops, from reset states:
 
-    - an ``sc`` layer's current is masked to the coordinate map of its
-      input's present sites (those with a nonzero channel);
-    - a spike tensor holds its present sites, every channel of them; the
-      adjoint from the readout or the next conv reaches a tensor only there,
-      and a pooled scalar's adjoint goes to the site that won it;
+    - an ``sc`` layer reads only its input's nonzero sites (those with a
+      nonzero channel), and its current is masked to their coordinate map;
+      a ``c`` layer reads every site its input holds and computes at every
+      output site;
+    - a tensor holds its present sites, every channel of them: the input's
+      nonzero sites, an ``sc`` layer's spiking sites, every site of a ``c``
+      layer, zero ones included; the adjoint from the readout or the next
+      conv reaches a tensor only at the sites that read it, and a pooled
+      scalar's adjoint goes to the site that won it;
     - the spike step's derivative is the surrogate
       ``alpha * sig(alpha * u) * sig(-alpha * u)`` at ``u = V / w2e - b``,
       with ``w2e = |W|^2 + 1e-8`` in the gradient graph;
@@ -233,7 +238,7 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
     layers = model.layers
     consts = []
     for layer in layers:
-        assert layer.mode == "sparse" and not model.soft
+        assert not model.soft
         w = layer.kernel.weights
         consts.append((w, layer.kernel.stride, float(layer.beta.value),
                        float(layer.b.value), float(np.sum(w * w)) + 1e-8))
@@ -259,9 +264,12 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
         rec = []
         for li, layer in enumerate(layers):
             w, stride, beta, b_thr, w2e = consts[li]
-            cmap = np.zeros((batch,) + shapes[li][2:], bool)
-            bb, yy, xx = np.nonzero(present)
-            cmap[bb, yy // stride, xx // stride] = True
+            every = layer.mode == "dense"
+            cmap = np.full((batch,) + shapes[li][2:], every)
+            if not every:
+                present = np.any(x != 0.0, axis=1)
+                bb, yy, xx = np.nonzero(present)
+                cmap[bb, yy // stride, xx // stride] = True
             cur = conv_oracle(x, w, stride) * cmap[:, None]
             v_prev, s_prev = v_state[li], s_state[li]
             v_new = beta * (v_prev - b_thr * w2e * s_prev) + (1.0 - beta) * cur
@@ -269,7 +277,7 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
             r = dict(x=x, present=present, cmap=cmap, cur=cur, v_prev=v_prev,
                      s_prev=s_prev, v_new=v_new)
             v_state[li], s_state[li] = v_new, spikes
-            x, present = spikes, np.any(spikes != 0.0, axis=1)
+            x, present = spikes, np.any(spikes != 0.0, axis=1) | every
             r["spike_present"] = present
             if layer.pool:
                 x, present, r["winners"] = _present_pool(spikes, present)

@@ -348,14 +348,30 @@ class TestSegmentReplay:
     def test_sparse_tape_keeps_no_dense_spikes_and_few_potentials(self):
         rng = np.random.default_rng(31)
         model = make_model(rng, (12, 12), [(2, "sparse", 3), (3, "sparse", 3)],
-                           3, variant="pool", b=0.05, weight_scale=0.8)
+                           3, variant="pool", dropout_p=0.5, b=0.05,
+                           weight_scale=0.8)
         t_eval = 37
         grids = [random_grid(rng, 12, 12, t_bins=t_eval, density=0.2)
                  for _ in range(2)]
+        labels = np.array([0, 2])
         tape = GradientTape()
         model.reset_state(2)
-        _, _, counts = run_timesteps(model, grids, t_eval, recorder=tape)
+        _, mean, counts = run_timesteps(model, grids, t_eval, training=True,
+                                        rng=np.random.default_rng(0),
+                                        recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, labels, mean)
         assert np.all(counts > 0)
+        # each entry keeps only what backward reads: no forward output kept
+        # to key an adjoint by, no pooled output beside its winners
+        kept = {"readout": {"readout", "x"}, "dropout": {"mask", "p"},
+                "mean": {"steps", "shape"}, "loss": {"probs", "labels"}}
+        for e in tape.entries:
+            if e.kind == "layer":
+                assert "pooled" not in e.data and e.data["winners"] is not None
+            else:
+                assert set(e.data) == kept[e.kind], e.kind
+        assert {e.kind for e in tape.entries} == set(kept) | {"layer"}
         for layer in model.layers:
             entries = [e.data for e in tape.entries
                        if e.kind == "layer" and e.data["layer"] is layer]
@@ -393,28 +409,36 @@ class TestSegmentReplay:
             assert np.array_equal(a, b)
 
 
-class TestDenseBpttOracle:
-    """``backward`` on hard ``sc`` nets against ``conftest.dense_bptt``."""
+_BPTT_CASES = [
+    pytest.param("stride", 5, 0, None, None, id="stride"),
+    pytest.param("pool", 5, 0, None, None, id="pool"),
+    pytest.param("stride", 7, 3, None, None, id="stride-truncate3"),
+    pytest.param("pool", 7, 3, None, None, id="pool-truncate3"),
+    pytest.param("stride", 1, 0, None, None, id="stride-T1"),
+    pytest.param("pool", 1, 3, None, None, id="pool-T1"),
+    pytest.param("stride", 5, 0, 1, None, id="stride-silent1"),
+    pytest.param("pool", 5, 0, 1, None, id="pool-silent1"),
+    pytest.param("stride", 5, 3, None, 0, id="stride-b0-truncate3"),
+    pytest.param("pool", 5, 0, None, 1, id="pool-b1zero"),
+]
+_MODES = {"sc": "sparse", "c": "dense"}
 
-    @pytest.mark.parametrize("variant, t_eval, truncate, silent, zero_b", [
-        ("stride", 5, 0, None, None),
-        ("pool", 5, 0, None, None),
-        ("stride", 7, 3, None, None),
-        ("pool", 7, 3, None, None),
-        ("stride", 1, 0, None, None),
-        ("pool", 1, 3, None, None),
-        ("stride", 5, 0, 1, None),
-        ("pool", 5, 0, 1, None),
-        ("stride", 5, 3, None, 0),
-        ("pool", 5, 0, None, 1),
-    ], ids=["stride", "pool", "stride-truncate3", "pool-truncate3",
-            "stride-T1", "pool-T1", "stride-silent1", "pool-silent1",
-            "stride-b0-truncate3", "pool-b1zero"])
-    def test_matches_dense_bptt(self, variant, t_eval, truncate, silent,
+
+class TestDenseBpttOracle:
+    """``backward`` on hard nets of ``sc`` and ``c`` layers against
+    ``conftest.dense_bptt``."""
+
+    # sc-sc cases keep their bare ids
+    @pytest.mark.parametrize("modes, variant, t_eval, truncate, silent, zero_b", [
+        pytest.param(modes, *case.values,
+                     id=case.id if modes == "sc-sc" else f"{modes}-{case.id}")
+        for modes in ("sc-sc", "c-sc", "sc-c", "c-c") for case in _BPTT_CASES])
+    def test_matches_dense_bptt(self, modes, variant, t_eval, truncate, silent,
                                 zero_b):
         rng = np.random.default_rng(zlib.crc32(
             f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}".encode()))
-        model = make_model(rng, (12, 12), [(2, "sparse", 3), (3, "sparse", 3)],
+        first, second = (_MODES[m] for m in modes.split("-"))
+        model = make_model(rng, (12, 12), [(2, first, 3), (3, second, 3)],
                            3, variant=variant, b=0.02, weight_scale=0.8)
         if silent is not None:   # a threshold this layer's potentials never reach
             model.layers[silent].b.value[...] = 50.0

@@ -350,6 +350,34 @@ class TestTrainEvalPipeline:
                else "user01_led.aedat")
         assert str(tmp_path / bad) in err[0]
 
+    @pytest.mark.parametrize("corrupt, where", [
+        ("header", "truncated voxel cache header"),
+        ("record", "bad voxel record"),
+    ], ids=["header", "record"])
+    def test_corrupt_voxel_cache_is_exit_2(self, tmp_path, capsys, corrupt, where):
+        stream = event_io.EventStream([1000, 2000], [5, 7], [3, 8], [1, 0], 128, 128)
+        for name in ("user01_led.aedat", "user24_led.aedat"):
+            (tmp_path / name).write_bytes(event_io.encode_aedat(stream))
+            (tmp_path / name.replace(".aedat", "_labels.csv")).write_text(
+                "class,startTime_usec,endTime_usec\n1,0,100000\n")
+        (tmp_path / "trials_to_train.txt").write_text("user01_led.aedat\n")
+        (tmp_path / "trials_to_test.txt").write_text("user24_led.aedat\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = dvs128\npath = {tmp_path}\n"
+                       "height = 128\nwidth = 128\n")
+        train = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert main(train) == 0   # voxelizes both recordings into the cache
+        cache = tmp_path / ".voxcache"
+        bad = cache / sorted(os.listdir(cache))[0]
+        blob = bad.read_bytes()
+        # cut to 20 bytes, or a width of 1 that puts the record x = 5 off it
+        bad.write_bytes(blob[:20] if corrupt == "header"
+                        else blob[:20] + (1).to_bytes(4, "little") + blob[24:])
+        capsys.readouterr()
+        assert main(train) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: {where}")
+
     def test_bad_events_record_names_the_file(self, tiny_cfg, tmp_path, capsys):
         data_dir = tmp_path / "files"
         assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0

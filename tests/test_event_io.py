@@ -1,4 +1,5 @@
 import hashlib
+import os
 import struct
 
 import numpy as np
@@ -352,6 +353,32 @@ class TestVoxelCacheFile:
         with pytest.raises(PartialReadError):
             BinaryVoxelGrid.from_bytes(blob[:-3])
 
+    @pytest.mark.parametrize("corrupt, error, message", [
+        ("header", PartialReadError, "truncated voxel cache header"),
+        ("record", FormatError, "bad voxel record: cell coordinate out of range"),
+        ("extent", FormatError, "grid extent 2x8x4294967295"),
+    ], ids=["header", "record", "extent"])
+    def test_corrupt_file_names_itself(self, tmp_path, corrupt, error, message):
+        grid = build_voxel_grid(EventStream([5], [6], [1], [ON], 8, 8), 1_000, 2)
+        blob = bytearray(grid.to_bytes())
+        if corrupt == "header":
+            blob = blob[:20]
+        else:   # the width field: 4 puts the record at x = 6 off the grid
+            blob[20:24] = struct.pack("<I", 4 if corrupt == "record" else 2 ** 32 - 1)
+        path = tmp_path / "g.vox"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(error) as e:
+            BinaryVoxelGrid.load(path)
+        assert str(e.value).startswith(f"{path}: {message}")
+
+    def test_save_replaces_the_file_whole(self, tmp_path):
+        path = tmp_path / "g.vox"
+        path.write_bytes(b"stale")
+        grid = build_voxel_grid(EventStream([5], [6], [1], [ON], 8, 8), 1_000, 2)
+        grid.save(path)
+        assert BinaryVoxelGrid.load(path).equals(grid)
+        assert os.listdir(tmp_path) == ["g.vox"]
+
 
 class TestSplitDvs128:
     def test_boundary_subjects(self):
@@ -369,6 +396,8 @@ class TestSplitDvs128:
     def test_labels_and_comments(self):
         idx = split_dvs128("# index\nuser01_natural.aedat,3\n\nuser25_led.aedat,7,led\n")
         assert idx.train[0].label == 3 and idx.test[0].label == 7
+        with pytest.raises(DatasetIndexError, match="^line 2: non-integer label 'x'$"):
+            split_dvs128(["user02_led.aedat,1", "user01_led.aedat,x"])
 
 
 class TestSynthDataset:

@@ -482,54 +482,6 @@ class TestNetworkForward:
                 reached |= {tuple(c) for c in out_coords(spiking_sites, stride)}
                 assert {tuple(c) for c in spikes} <= reached
 
-    def test_sparse_layer_routes_adjoint_to_dense_input_sites(self, monkeypatch):
-        # taped on an every-site input, an sc layer gives that input the
-        # adjoint its sparsified form gets, at its nonzero sites and nowhere
-        # else; the adjoint comes from a loss on the readout of its spikes
-        from spikesparse import autograd
-        from spikesparse.autograd import backward, softmax_xent
-        from spikesparse.spiking import SpikingConvLayer
-        rng = np.random.default_rng(21)
-        xd = (rng.random((2, 2, 8, 8)) < 0.2).astype(np.float64)
-        b, y, x = np.indices((2, 8, 8)).reshape(3, -1)
-        every = SparseTensor2D(np.stack([b, x, y], axis=1),
-                               xd.transpose(0, 2, 3, 1).reshape(-1, 2),
-                               2, 8, 8, 2, prune=False)
-        weights = rng.uniform(-0.5, 0.5, (3, 2, 3, 3))
-        readout = ReadoutLayer(rng.standard_normal((4, 3 * 8 * 8)))
-        labels = np.array([1, 3])
-        seen = {}
-
-        class Store(autograd._AdjointStore):
-            def add(self, obj, g):
-                seen[id(obj)] = np.array(g)
-                super().add(obj, g)
-
-        monkeypatch.setattr(autograd, "_AdjointStore", Store)
-        got = []
-        for x in (every, sparsify(xd)):
-            layer = SpikingConvLayer(1, ConvKernel2D(weights.copy()), beta=0.7,
-                                     b=0.05)
-            layer.reset(2, 8, 8)
-            tape = GradientTape()
-            spikes, count = _layer_forward(layer, x, False, tape)
-            assert count > 0
-            logits = _readout_batch(readout, spikes)
-            tape.record_readout(readout, spikes, logits)
-            mean = np.stack([logits]).mean(axis=0)
-            tape.record_mean([logits], mean)
-            _, probs = softmax_xent(mean, labels)
-            tape.record_loss(probs, labels, mean)
-            got.append((backward(tape).get(layer.weight), seen[id(x)]))
-        (w_dense, g_every), (w_sparse, g_rows) = got
-        assert np.array_equal(w_dense, w_sparse)
-        g_dense = densify(SparseTensor2D(every.coords, g_every,
-                                         2, 8, 8, 2, prune=False))
-        assert np.array_equal(g_dense, densify(SparseTensor2D(
-            sparsify(xd).coords, g_rows, 2, 8, 8, 2, prune=False)))
-        absent = ~np.any(xd != 0, axis=1)
-        assert np.any(g_dense) and not np.any(g_dense.transpose(0, 2, 3, 1)[absent])
-
     @pytest.mark.parametrize("mode, soft", [("dense", False), ("sparse", True)])
     def test_every_site_spikes_share_one_read_only_site_array(self, mode, soft):
         # a c layer or a soft step convolves and emits at every site; all its
