@@ -121,17 +121,14 @@ class GradientTape:
         """One layer step: its input ``x``; the conv output, ``current`` rows
         at ``out_c``, and whether the conv ran at ``every_site``; the spikes
         before the step ``s_prev`` and the emitted ``spikes``, both sparse
-        tensors; the ``pooled`` output and its ``winners`` (``None`` without a
-        pool); the ``beta, b, w2e`` of the step; and the potentials
-        ``v_prev -> v_new``.
+        tensors; the pool's ``winners`` (``None`` without a pool); the
+        ``beta, b, w2e`` of the step; and the potentials ``v_prev -> v_new``.
 
         Of the potentials the entry keeps ``v_prev`` only at the first step
         of a segment of ``_SEGMENT`` steps, or where they do not continue the
         layer's previous step (``chained`` is then false), and never
-        ``v_new``; backward replays the rest.  Of the pool it keeps only the
-        ``winners``."""
+        ``v_new``; backward replays the rest."""
         v_new = data.pop("v_new")
-        del data["pooled"]
         t, v_last = self._last.get(layer.index, (-1, None))
         t += 1
         chained = v_last is data["v_prev"]
@@ -141,15 +138,14 @@ class GradientTape:
                                    **data))
         self._last[layer.index] = (t, v_new)
 
-    def record_dropout(self, x, out, mask, p):
+    def record_dropout(self, mask, p):
         self.entries.append(_Entry("dropout", mask=mask, p=p))
 
-    def record_readout(self, readout, x, logits):
+    def record_readout(self, readout, x):
         self.entries.append(_Entry("readout", readout=readout, x=x))
 
-    def record_mean(self, logits_seq, mean):
-        self.entries.append(_Entry("mean", steps=len(logits_seq),
-                                   shape=mean.shape))
+    def record_mean(self, steps, shape):
+        self.entries.append(_Entry("mean", steps=steps, shape=shape))
 
     def record_loss(self, probs, labels, mean):
         self.entries.append(_Entry("loss", probs=probs, labels=labels))
@@ -489,12 +485,10 @@ def finite_diff_check(model, sample, h=1e-4, max_params=None, rng=None) -> float
 
         def at(theta):
             p.value.flat[i] = theta
-            model.refresh_norms()
             return loss_value()
 
         numeric = central_difference(at, orig, h)
         p.value.flat[i] = orig
-        model.refresh_norms()
         analytic = grads.get(p).flat[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, rel)

@@ -255,13 +255,12 @@ def encode_aedat(stream: EventStream, source_id=1) -> bytes:
 
 
 def _as_text(source) -> str:
-    if isinstance(source, (str, os.PathLike)) and "\n" not in str(source):
-        if isinstance(source, os.PathLike) or os.path.exists(source):
-            with open(source, "r", encoding="ascii") as fh:
-                return fh.read()
-    if isinstance(source, str):
-        return source
-    return source.read()
+    """A path-like object or a ``str`` without a newline names a file."""
+    if isinstance(source, os.PathLike) or (
+            isinstance(source, str) and "\n" not in source):
+        with open(source, "r", encoding="ascii") as fh:
+            return fh.read()
+    return source if isinstance(source, str) else source.read()
 
 
 def _portable_columns(body: str):
@@ -536,9 +535,9 @@ def _parse_index_line(line, lineno):
 def split_dvs128(index_source) -> DatasetIndex:
     """Partition an index of DVS128 Gesture samples by subject.
 
-    Subjects 1-23 train, 24-29 test.  ``index_source`` is a path, text, or an
-    iterable of lines ``path[,label[,illumination]]`` where the file name
-    contains ``user<NN>``.
+    Subjects 1-23 train, 24-29 test.  ``index_source`` is a path, text
+    holding a newline, or an iterable of lines ``path[,label[,illumination]]``
+    where the file name contains ``user<NN>``.
     """
     if isinstance(index_source, (str, os.PathLike)):
         text = _as_text(index_source)

@@ -157,15 +157,15 @@ class SparseTensor2D:
 
 
 class ConvKernel2D:
-    """Bias-free square convolution kernel with cached squared weight norm.
+    """Bias-free square convolution kernel.
 
     ``weights[c_out, c_in, dx, dy]`` is the tap at horizontal offset ``dx``
     and vertical offset ``dy`` (both in ``0..k-1``, centre at ``k // 2``).
-    The squared Frobenius norm over all four axes is cached; call
-    :meth:`refresh_norm` after mutating ``weights`` in place.
+    Every read of :attr:`wnorm2`, the squared Frobenius norm over all four
+    axes, computes it from the weights as they are.
     """
 
-    __slots__ = ("_weights", "stride", "_wnorm2")
+    __slots__ = ("_weights", "stride")
 
     def __init__(self, weights, stride=1):
         w = np.asarray(weights, dtype=np.float64)
@@ -177,7 +177,6 @@ class ConvKernel2D:
             raise ShapeError("stride must be 1 or 2")
         self._weights = w
         self.stride = int(stride)
-        self._wnorm2 = float(np.sum(w * w))
 
     @property
     def weights(self):
@@ -197,18 +196,18 @@ class ConvKernel2D:
 
     @property
     def wnorm2(self) -> float:
-        return self._wnorm2
+        w = self._weights
+        return float((w * w).sum())   # np.sum's reduction, without its wrapper
 
     def set_weights(self, weights):
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != self._weights.shape:
             raise ShapeError("kernel shape cannot change")
-        self._weights = w
-        self.refresh_norm()
+        self._weights[...] = w
 
     def refresh_norm(self) -> float:
-        self._wnorm2 = float(np.sum(self._weights * self._weights))
-        return self._wnorm2
+        """Return :attr:`wnorm2`, which is always current."""
+        return self.wnorm2
 
 
 def _site_index(shape, *coords, stride=1):

@@ -302,8 +302,6 @@ class SpikingConvLayer:
         self.index = index
         self.kernel = kernel
         self.weight = Param(f"conv{index}.weight", kernel.weights)
-        kernel._weights = self.weight.value  # shared storage
-        kernel.refresh_norm()
         self.beta = Param(f"conv{index}.beta", beta)
         self.b = Param(f"conv{index}.b", b)
         self.alpha = alpha
@@ -417,6 +415,21 @@ def parse_architecture(arch: str):
     return layers, num_classes
 
 
+def _arch_geometry(arch, in_hw):
+    """Each conv layer's weight shape ``(filters, c_in, k, k)`` and mode, and
+    the readout's ``(classes, features)``, of ``arch`` on an ``in_hw`` input."""
+    h, w = in_hw
+    if not (h > 0 and w > 0):
+        raise ValueError(f"input size must be positive, got {h}x{w}")
+    layer_specs, num_classes = parse_architecture(arch)
+    convs, c_in = [], 1
+    for filters, mode, k, _do in layer_specs:
+        convs.append(((filters, c_in, k, k), mode))
+        c_in = filters
+        h, w = _ceil_div(h, 2), _ceil_div(w, 2)   # stride 2, or a 2x2 pool
+    return convs, (num_classes, c_in * h * w)
+
+
 class SpikingNet:
     """Stack of spiking conv layers plus a per-timestep readout.
 
@@ -479,8 +492,7 @@ class SpikingNet:
         return sum(p.value.size for p in self.parameters())
 
     def refresh_norms(self):
-        for layer in self.layers:
-            layer.kernel.refresh_norm()
+        """No-op: every read of a layer's ``kernel.wnorm2`` is current."""
 
     def reset_state(self, batch_size=1):
         h, w = self.in_height, self.in_width
@@ -541,7 +553,8 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     state = layer.state
     kernel = layer.kernel
     beta, b = layer.beta.item(), layer.b.item()
-    w2e = kernel.wnorm2 + EPSILON
+    w2 = kernel.wnorm2
+    w2e = w2 + EPSILON
     v_prev, s_prev = state.potentials, state.prev_spikes
     every_site = soft or layer.mode == "dense"
     out_c, current, _, _ = _conv_sites(x if every_site else _nonzero_rows(x)[0],
@@ -551,8 +564,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
                              state.prev_spikes.keys(),
                              layer.alpha if soft else None, every_site=True)
     else:
-        spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(),
-                                kernel.wnorm2)
+        spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(), w2)
     count = int(np.count_nonzero(spikes.values))
 
     pooled = winners = None
@@ -565,7 +577,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, every_site=every_site,
             v_prev=v_prev, s_prev=s_prev, v_new=state.potentials, spikes=spikes,
-            pooled=pooled, winners=winners, beta=beta, b=b, w2e=w2e)
+            winners=winners, beta=beta, b=b, w2e=w2e)
     return (spikes if pooled is None else pooled), count
 
 
@@ -605,12 +617,12 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
             x = _dropout_recorded(x, model.dropout_p, rng, recorder)
         logits = _readout_batch(model.readout, x)
         if recorder is not None:
-            recorder.record_readout(model.readout, x, logits)
+            recorder.record_readout(model.readout, x)
         logits_seq.append(logits)
     stacked = np.stack(logits_seq)
     mean = stacked.mean(axis=0)
     if recorder is not None:
-        recorder.record_mean(logits_seq, mean)
+        recorder.record_mean(len(logits_seq), mean.shape)
     return stacked, mean, counts
 
 
@@ -624,7 +636,7 @@ def _dropout_recorded(x, p, rng, recorder):
                          x.batch_size, x.height, x.width, x.channels,
                          validate=False, canonical=True, prune=False)
     if recorder is not None:
-        recorder.record_dropout(x, out, mask, p)
+        recorder.record_dropout(mask, p)
     return out
 
 
@@ -665,21 +677,21 @@ def load_checkpoint(path) -> SpikingNet:
         raise ValueError("not a spikesparse checkpoint")
     nl = blob.index(b"\n")
     fields = dict(kv.split("=", 1) for kv in blob[8:nl].decode("ascii").split(";"))
+    in_hw = int(fields["height"]), int(fields["width"])
+    bias = bool(int(fields["bias"]))
+    # the header's float32 count, checked before any parameter is allocated
+    convs, (classes, features) = _arch_geometry(fields["arch"], in_hw)
+    count = (sum(f * c * k * k + 2 for (f, c, k, _), _ in convs)
+             + classes * (features + bias))
+    if 4 * count != len(blob) - (nl + 1):
+        raise ValueError("checkpoint size does not match architecture")
     from .training import build_model  # deferred: avoids a module cycle
-    model = build_model(fields["arch"],
-                        (int(fields["height"]), int(fields["width"])),
-                        variant=fields["variant"],
-                        readout_bias=bool(int(fields["bias"])),
-                        alpha=float(fields["alpha"]),
+    model = build_model(fields["arch"], in_hw, variant=fields["variant"],
+                        readout_bias=bias, alpha=float(fields["alpha"]),
                         dropout_p=float(fields["dropout"]),
                         rng=np.random.default_rng(0))
-    off = nl + 1
+    vals = np.frombuffer(blob, dtype="<f4", offset=nl + 1)
     for p in model.parameters():
-        n = p.value.size
-        vals = np.frombuffer(blob, dtype="<f4", count=n, offset=off)
-        p.value[...] = vals.reshape(p.value.shape)
-        off += 4 * n
-    if off != len(blob):
-        raise ValueError("checkpoint size does not match architecture")
-    model.refresh_norms()
+        p.value[...] = vals[:p.value.size].reshape(p.value.shape)
+        vals = vals[p.value.size:]
     return model

@@ -29,6 +29,7 @@ from .spiking import (
     ReadoutLayer,
     SpikingConvLayer,
     SpikingNet,
+    _arch_geometry,
     parse_architecture,
     run_timesteps,
     save_checkpoint,
@@ -214,21 +215,15 @@ def build_model(arch, in_hw, variant="stride", readout_bias=True, alpha=3.0,
         raise ValueError(f"unknown variant {variant!r}")
     if rng is None:
         rng = np.random.default_rng(0)
-    layer_specs, num_classes = parse_architecture(arch)
-    h, w = in_hw
-    c_in = 1
+    convs, (num_classes, feat) = _arch_geometry(arch, in_hw)
     layers = []
-    for i, (filters, mode, k, _do) in enumerate(layer_specs):
-        fan_in = c_in * k * k
-        s = math.sqrt(1.0 / fan_in)
-        weights = rng.uniform(-s, s, size=(filters, c_in, k, k))
+    for i, (shape, mode) in enumerate(convs):
+        s = math.sqrt(1.0 / math.prod(shape[1:]))
+        weights = rng.uniform(-s, s, size=shape)
         stride = 2 if variant == "stride" else 1
         kern = ConvKernel2D(weights, stride)
         layers.append(SpikingConvLayer(i, kern, beta_init, b_init, alpha,
                                        mode, pool=(variant == "pool")))
-        c_in = filters
-        h, w = -(-h // 2), -(-w // 2)
-    feat = c_in * h * w
     s = math.sqrt(1.0 / feat)
     weights = rng.uniform(-s, s, size=(num_classes, feat))
     readout = ReadoutLayer(weights, np.zeros(num_classes) if readout_bias else None)
@@ -303,7 +298,6 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
             clip_grad_norm(grads, config.grad_clip_norm)
             radam_step(params, grads, opt, lr, config.weight_decay)
             project_params(model)
-            model.refresh_norms()
             total_loss += loss * len(grids)
             correct += int((np.argmax(mean, axis=1) == labels).sum())
             spikes += int(counts.sum())

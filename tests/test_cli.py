@@ -288,6 +288,22 @@ class TestTrainEvalPipeline:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(ckpt) in err[0] and "dropout_p" in err[0]
 
+    @pytest.mark.parametrize("size", [b"height=0;width=16",
+                                      b"height=1000000;width=1000000"])
+    def test_checkpoint_with_bad_input_size_is_exit_2(self, tiny_cfg, tmp_path,
+                                                      capsys, size):
+        # a size with no grid, and one whose parameters would take terabytes
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16)), ckpt)
+        blob = ckpt.read_bytes()
+        assert b";height=16;width=16;" in blob
+        ckpt.write_bytes(blob.replace(b"height=16;width=16", size))
+        assert main(["eval", "--config", tiny_cfg, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: corrupt checkpoint {ckpt}: ")
+
     def test_checkpoint_with_unknown_variant_is_exit_2(self, tiny_cfg, tmp_path,
                                                       capsys):
         # same parameter sizes as a stride net: only the variant check stops it

@@ -230,6 +230,10 @@ class TestPortableFormat:
         p.write_text(text)
         assert parse_portable_events(p).equals(stream)
 
+    def test_missing_path_is_not_read_as_text(self):
+        with pytest.raises(FileNotFoundError, match="no/such/file.events"):
+            parse_portable_events("no/such/file.events")
+
     def test_loose_lines_parse_like_canonical_ones(self):
         # spaces, "\r\n", blank lines, signs and a missing final newline
         # leave the array parser to the line-by-line one
@@ -392,6 +396,10 @@ class TestSplitDvs128:
             split_dvs128(["user30_led.aedat"])
         with pytest.raises(DatasetIndexError):
             split_dvs128(["sample_led.aedat"])
+
+    def test_missing_path_is_not_read_as_text(self):
+        with pytest.raises(FileNotFoundError, match="no/such/index.csv"):
+            split_dvs128("no/such/index.csv")
 
     def test_labels_and_comments(self):
         idx = split_dvs128("# index\nuser01_natural.aedat,3\n\nuser25_led.aedat,7,led\n")

@@ -294,14 +294,16 @@ class TestConvKernel:
         with pytest.raises(ShapeError):
             ConvKernel2D(np.ones((2, 1, 3, 3)), stride=3)
 
-    def test_norm_cache_refresh(self):
+    def test_norm_follows_weights(self):
         kern = ConvKernel2D(np.ones((1, 1, 3, 3)))
         assert kern.wnorm2 == 9.0
+        w = kern.weights
         kern.set_weights(2 * np.ones((1, 1, 3, 3)))
-        assert kern.wnorm2 == 36.0
+        assert kern.weights is w and kern.wnorm2 == 36.0
         kern.weights[:] = 0.0
-        kern.refresh_norm()
         assert kern.wnorm2 == 0.0
+        kern.weights[0, 0, 1, 2] = -3.0
+        assert kern.wnorm2 == kern.refresh_norm() == 9.0
 
 
 class TestDensePath:

@@ -6,7 +6,12 @@ import pytest
 from conftest import make_model, simulate_reference
 from spikesparse.autograd import ParamGrads
 from spikesparse.event_io import synth_dataset
-from spikesparse.spiking import Param, load_checkpoint, save_checkpoint
+from spikesparse.spiking import (
+    Param,
+    load_checkpoint,
+    run_timesteps,
+    save_checkpoint,
+)
 from spikesparse.training import (
     OptimizerState,
     TrainConfig,
@@ -119,6 +124,25 @@ class TestRadam:
         opt = OptimizerState([p])
         radam_step([p], g, opt, lr=0.1)
         assert not np.array_equal(p.value, np.array([1.0, 2.0]))
+
+    def test_stepped_weights_reach_the_neuron(self):
+        # the threshold and reset of the next forward read the norm of the
+        # weights as stepped in place, as a clone built from them does
+        rng = np.random.default_rng(3)
+        model = build_model("2sc3-4sc3-3", (16, 16), rng=rng, b_init=0.1)
+        params = model.parameters()
+        grads = [rng.normal(size=p.value.shape) for p in params]
+        radam_step(params, grads, OptimizerState(params), lr=0.05)
+        project_params(model)
+        grid = tiny_dataset()[0][0][0]
+        finals = []
+        for net in (model, model.clone()):
+            net.reset_state(1)
+            _, _, counts = run_timesteps(net, [grid], 6)
+            assert counts.all()
+            finals.append([layer.state.potentials for layer in net.layers])
+        for mine, cloned in zip(*finals):
+            assert np.array_equal(mine, cloned)
 
 
 class TestSchedule:
@@ -426,3 +450,13 @@ class TestCheckpoint:
         a = evaluate(model, data[1], cfg.t_train)
         b = evaluate(loaded, data[1], cfg.t_train)
         assert abs(a - b) < 0.35  # same predictions up to f32 rounding
+
+    def test_set_weights_reach_the_parameter_and_the_checkpoint(self, tmp_path):
+        model = build_model("2sc3-2", (16, 16))
+        layer = model.layers[0]
+        w = np.full(layer.weight.value.shape, 0.25)
+        layer.kernel.set_weights(w)
+        assert np.array_equal(layer.weight.value, w)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        assert np.array_equal(load_checkpoint(path).layers[0].weight.value, w)
