@@ -15,10 +15,11 @@ pool and the sparse LIF step; an every-site conv or pool takes its output
 sites from the cached ``_grid_sites``.  Each conv call builds one
 ``[k*k, N_out]`` kernel map (the "rulebook") in a single gather, for
 forward and backward alike; backward rebuilds it rather than storing it.
-The forward adds each tap's product over all output rows, reading absent
-taps from one zero row appended to the input values, so it needs no
-scatter (see ``_conv_sites`` for the taps that keep the matched rows);
-backward gathers and scatters the matched rows of each tap.
+The forward takes every tap's product at the output rows that some tap
+reaches in one stacked matmul, absent taps reading one zero row appended to
+the input values, and sums them over taps in tap order, so it needs no
+scatter (see ``_conv_sites``); backward gathers and scatters the matched
+rows of each tap.
 
 ``dense_conv2d`` and its adjoints share the sparse path's tap conventions;
 they are the reference for the tests and ``perfbench/reference.py`` only.
@@ -259,9 +260,9 @@ def _kernel_map(out_c, x: SparseTensor2D, k, stride):
     ``t = dx * k + dy`` of each output site reads, ``x.n_sites`` where it
     reads no site.  All taps are looked up in one gather through a dense
     site->row index of ``x``, padded by ``k // 2`` so that out-of-grid taps
-    read an absent site.  The taps' matmuls stay one per tap, in tap order:
-    batching them into one GEMM (im2col) would change the reduction order,
-    and so the rounding and the spikes.
+    read an absent site.  The forward keeps one product per tap and sums
+    them in tap order: one GEMM over all taps (im2col) would change the
+    reduction order, and so the rounding and the spikes.
     """
     pad = k // 2
     hp, wp = x.height + 2 * pad, x.width + 2 * pad
@@ -278,43 +279,40 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False):
     """Unpruned convolution at the coordinate map of ``x``, or with
     ``every_site`` at every output site: (out coords, out values, extent).
 
-    Each tap with matches adds its product over all output rows at once,
-    ``out_v += padded[rows_in] @ w_t``, where ``padded`` is ``x.values`` with
-    a zero row appended at index ``x.n_sites``, the kernel map's absent tap.
-    Two cases keep the product on the matched rows only, as the per-tap loop
-    computed it: a tap that matches exactly one row, and ``c_out == 1``.
-    NumPy runs a one-row product on gemv/dot rather than gemm, and with
-    ``c_out == 1`` every product is a gemv whose rounding depends on its row
-    count, so an all-rows product would round some rows differently.  In the
-    other cases gemm rounds each row alike at any row count, and the zero
-    rows add exact zeros; ``TestKernelMapMatchesTapLoop`` holds the result
-    bit-equal to the per-tap loop.  A tap that matches under a quarter of
-    the output rows also keeps the matched rows: there, as at an every-site
-    output over a sparse input, gathering every row costs more than the
-    scatter it saves.
+    The *live* output rows, those some tap reaches, take every tap's product
+    in one stacked matmul of ``padded[kmap[:, live]]``, the ``[k*k, N_live,
+    C_in]`` rows that each tap reads (``padded`` is ``x.values`` with a zero
+    row appended at ``x.n_sites``, the kernel map's absent tap), by
+    ``w_taps``, whose ``w_taps[t]`` is the strided view ``w[:, :, dx, dy].T``
+    of tap ``t = dx * k + dy`` (a contiguous copy can round otherwise: it
+    does at 16 input channels).  The products are summed over taps in tap order from
+    +0.0; the zero rows add exact zeros.  Each tap keeps its own product,
+    which NumPy rounds as the tap's own 2D product, save where that depends
+    on the row count: a one-row product runs on gemv/dot rather than gemm,
+    and with ``c_out == 1`` every product is a gemv.  So a tap that matches
+    one row, and every tap when ``c_out == 1``, takes its product on its
+    matched rows.  ``TestKernelMapMatchesTapLoop`` holds the result
+    bit-equal to the per-tap loop.
     """
     s, k = kernel.stride, kernel.k
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
     out_c = (_grid_sites(x.batch_size, h_out, w_out) if every_site else
              _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)[0])
-    w = kernel.weights
     out_v = np.zeros((len(out_c), kernel.out_channels))
     kmap = _kernel_map(out_c, x, k, s)
-    matched = (kmap < x.n_sites).sum(axis=1)
+    live = np.flatnonzero((kmap < x.n_sites).any(axis=0))
+    rows_in = kmap[:, live]
+    w_taps = kernel.weights.reshape(kernel.out_channels, kernel.in_channels, k * k).T
     padded = np.concatenate([x.values, np.zeros((1, x.channels))])
-    for t, rows_in in enumerate(kmap):
-        if not matched[t]:
-            continue
-        w_t = w[:, :, t // k, t % k].T
-        if (matched[t] == 1 or kernel.out_channels == 1
-                or 4 * matched[t] < len(out_c)):
-            # gemv/dot products (one row, or c_out == 1) round by row count:
-            # keep them on the matched rows, as the per-tap loop had them;
-            # so too a tap matching under a quarter of the rows, for speed
-            rows_out = np.flatnonzero(rows_in < x.n_sites)
-            out_v[rows_out] += x.values[rows_in[rows_out]] @ w_t
-        else:
-            out_v += padded[rows_in] @ w_t
+    prods = np.matmul(padded[rows_in], w_taps)
+    hit = rows_in < x.n_sites
+    matched = hit.sum(axis=1)
+    for t in np.flatnonzero(matched == 1 if kernel.out_channels > 1 else matched):
+        rows = np.flatnonzero(hit[t])
+        prods[t, rows] = x.values[rows_in[t, rows]] @ w_taps[t]
+    # NumPy sums a reduce to one element pairwise, not in tap order
+    out_v[live] = (np.add.reduce(prods, axis=0, initial=0.0) if prods[0].size != 1
+                   else sum(prods, np.zeros((1, 1))))
     return out_c, out_v, h_out, w_out
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,26 +385,49 @@ def _loop_pool_grad(x, winners, g_out):
 class TestKernelMapMatchesTapLoop:
     @settings(max_examples=150, deadline=None)
     @given(_sparse_inputs("normal", max_channels=8), st.sampled_from([1, 3, 5]),
-           st.sampled_from([1, 2]), st.integers(1, 4), st.booleans())
+           st.sampled_from([1, 2]), st.integers(1, 4), st.booleans(), st.booleans())
     def test_conv_values_and_grads_bit_identical(self, drawn, k, stride, c_out,
-                                                 every_site):
+                                                 every_site_in, every_site):
+        # the input form is drawn apart from the output sites, so an every-site
+        # output is also computed over a sparse input, as a `c` layer after
+        # events or after an `sc` layer does; bytes, so that a -0.0 fails too
         x, rng = drawn
-        if every_site:
+        if every_site_in:
             x = _every_site(x)
         kernel = ConvKernel2D(rng.standard_normal((c_out, x.channels, k, k)), stride)
         out_c, out_v, h_out, w_out = _conv_sites(x, kernel, every_site)
-        assert np.array_equal(out_c, out_coords(x.coords, stride))
         if every_site:
             assert out_c is _grid_sites(x.batch_size, h_out, w_out)
+        else:
+            assert np.array_equal(out_c, out_coords(x.coords, stride))
         assert (h_out, w_out) == (-(-x.height // stride), -(-x.width // stride))
-        assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
+        assert out_v.tobytes() == _loop_conv_values(x, kernel, out_c).tobytes()
         g_out = rng.standard_normal(out_v.shape)
         g_w, g_in = _conv_sites_grads(x, kernel, out_c, g_out)
         ref_w, ref_in = _loop_conv_grads(x, kernel, out_c, g_out)
-        assert np.array_equal(g_w, ref_w) and np.array_equal(g_in, ref_in)
+        assert g_w.tobytes() == ref_w.tobytes() and g_in.tobytes() == ref_in.tobytes()
         g_w_only, no_in = _conv_sites_grads(x, kernel, out_c, g_out,
                                             need_input_grad=False)
-        assert np.array_equal(g_w_only, ref_w) and no_in is None
+        assert g_w_only.tobytes() == ref_w.tobytes() and no_in is None
+
+    def test_every_site_output_over_sparse_input_stays_small(self):
+        # 50 sites on a 2x128x128 grid convolved at every output site: only the
+        # rows some tap reaches may be stacked, not all k * k * N_out of them
+        rng = np.random.default_rng(18)
+        flat = rng.choice(2 * 128 * 128, 50, replace=False)
+        b, y, xs = np.unravel_index(flat, (2, 128, 128))
+        x = SparseTensor2D(np.stack([b, xs, y], axis=1), rng.standard_normal((50, 1)),
+                           2, 128, 128, 1)
+        kernel = ConvKernel2D(rng.standard_normal((4, 1, 5, 5)), stride=2)
+        _grid_sites(2, 64, 64)   # the cached output sites are not the call's
+        tracemalloc.start()
+        try:
+            _conv_sites(x, kernel, every_site=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kmap_bytes = 5 * 5 * 2 * 64 * 64 * np.dtype(np.int32).itemsize
+        assert peak < 4 * kmap_bytes
 
     @pytest.mark.parametrize("c_out", [1, 3])
     @pytest.mark.parametrize("c_in", [2, 3, 4])
@@ -416,6 +441,33 @@ class TestKernelMapMatchesTapLoop:
             kernel = ConvKernel2D(rng.standard_normal((c_out, c_in, 3, 3)))
             out_c, out_v, _, _ = _conv_sites(x, kernel)
             assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
+
+    @pytest.mark.parametrize("c_in", [1, 2])
+    def test_one_output_row_sums_taps_in_tap_order(self, c_in):
+        # a 2x2 block at stride 2 reaches one output row through four taps of
+        # a 5x5 kernel: with c_out == 1 the sum over taps has one element,
+        # which a NumPy reduce would sum pairwise
+        rng = np.random.default_rng(c_in)
+        for _ in range(20):
+            x = SparseTensor2D(np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]]),
+                               rng.standard_normal((4, c_in)), 1, 2, 2, c_in)
+            kernel = ConvKernel2D(rng.standard_normal((1, c_in, 5, 5)), stride=2)
+            out_c, out_v, _, _ = _conv_sites(x, kernel)
+            assert out_v.tobytes() == _loop_conv_values(x, kernel, out_c).tobytes()
+
+    @pytest.mark.parametrize("every_site", [False, True])
+    def test_wide_input_bit_identical(self, every_site):
+        # at 16 input channels a contiguous copy of a tap's weights rounds
+        # otherwise than the tap's strided view, which the loop multiplies by
+        rng = np.random.default_rng(16)
+        for _ in range(5):
+            mask = rng.random((2, 9, 9)) < 0.4
+            b, y, xs = np.nonzero(mask)
+            x = SparseTensor2D(np.stack([b, xs, y], axis=1),
+                               rng.standard_normal((len(b), 16)), 2, 9, 9, 16)
+            kernel = ConvKernel2D(rng.standard_normal((4, 16, 3, 3)))
+            out_c, out_v, _, _ = _conv_sites(x, kernel, every_site)
+            assert out_v.tobytes() == _loop_conv_values(x, kernel, out_c).tobytes()
 
     @settings(max_examples=150, deadline=None)
     @given(_sparse_inputs("levels"), st.booleans())
