@@ -1,23 +1,29 @@
 """Reverse-mode differentiation through the timestep unrolling.
 
 The forward pass records a :class:`GradientTape`: one entry per operation
-(layer, dropout, readout, mean) in ``run_timesteps``' order, then the loss,
-each keeping only what backward reads; a layer entry is a whole layer step
-(conv, LIF and optional pool), replayed as pool, LIF, conv.  :func:`backward`
-walks the entries in reverse once from the loss, handing one adjoint from
-each entry to the one before it (readout, top layer, ..., layer 0 per step,
-as a dense BPTT does) and across all timesteps through the membrane recurrence ``V[n] -> V[n+1]``
-and the reset term's dependence on the previous spikes, so the leak and
-threshold of every layer receive gradients from every timestep.
+(input, layer, dropout, readout, mean) in ``run_timesteps``' order, then the
+loss, each keeping only what backward reads; a layer entry is a whole layer
+step (conv, LIF and optional pool), replayed as pool, LIF, conv.  An input
+entry names a step's network input by the voxel grids and the bin, ``(grids,
+t)``, and the layer entry after it keeps no copy of that input: backward
+slices it from the grids again, as it reads the weights again, so neither may
+change between the forward and the backward.  :func:`backward` walks the
+entries in reverse once from the loss, handing one adjoint from each entry
+to the one before it (readout, top layer, ..., layer 0 per step, as a dense
+BPTT does) and across all timesteps through the membrane recurrence
+``V[n] -> V[n+1]`` and the reset term's dependence on the previous spikes,
+so the leak and threshold of every layer receive gradients from every
+timestep.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
-sites, the spikes as the sparse tensor the step handed on, and the dense
-potentials only at the first step of each segment of ``_SEGMENT`` steps.
-Backward replays a segment's potentials once, from that stored start, with
-the forward's recurrence, and carries the recurrence adjoints of each layer
-from step t+1 to step t (checkpointing over time: Chen et al., "Training
-deep nets with sublinear memory cost", arXiv 1604.06174).  The gradients
-are bit-identical to storing every potential.
+sites, its input only where the entry before it cannot rebuild it, the
+spikes as the sparse tensor the step handed on, and the dense potentials
+only at the first step of each segment of ``_SEGMENT`` steps.  Backward
+replays a segment's potentials once, from that stored start, with the
+forward's recurrence, and carries the recurrence adjoints of each layer from
+step t+1 to step t (checkpointing over time: Chen et al., "Training deep
+nets with sublinear memory cost", arXiv 1604.06174).  The gradients are
+bit-identical to storing every potential and every input.
 
 Backward runs each layer's LIF adjoint on its support only.  Adjoints enter
 a layer step at the sites it handed on (its spike tensor: the spiking sites
@@ -47,7 +53,13 @@ from __future__ import annotations
 import numpy as np
 
 from .sparse import _conv_sites_grads, _nonzero_rows, _pool_sites_grads
-from .spiking import _flat_indices, _lif_recurrence, _surrogate_into, run_timesteps
+from .spiking import (
+    _batch_slice,
+    _flat_indices,
+    _lif_recurrence,
+    _surrogate_into,
+    run_timesteps,
+)
 
 __all__ = [
     "ParamGrads",
@@ -109,6 +121,12 @@ class GradientTape:
     where :func:`backward` starts: the tape holds exactly the entries of the
     forward driver, in its order, and the loss; each entry reads the output
     of the one before it, so backward hands one adjoint down them.
+
+    Each step starts with :meth:`record_input`, which keeps only the voxel
+    grids and the bin; the layer entry recorded right after it drops its
+    input ``x``, and backward rebuilds it by slicing the grids again.  The
+    grids must therefore stay unchanged until :func:`backward` has run.
+    A layer entry after any other entry keeps its ``x``.
     """
 
     def __init__(self):
@@ -117,6 +135,11 @@ class GradientTape:
         self._last = {}   # layer index -> (its latest step, that step's v_new)
 
     # --- recorder protocol -------------------------------------------------
+    def record_input(self, grids, t):
+        """Bin ``t`` of the voxel ``grids``, the network input of one step;
+        backward slices it again for the layer entry recorded next."""
+        self.entries.append(_Entry("input", grids=grids, t=t))
+
     def record_layer(self, layer, **data):
         """One layer step: its input ``x``; the conv output, ``current`` rows
         at ``out_c``, and whether the conv ran at ``every_site``; the spikes
@@ -127,8 +150,11 @@ class GradientTape:
         Of the potentials the entry keeps ``v_prev`` only at the first step
         of a segment of ``_SEGMENT`` steps, or where they do not continue the
         layer's previous step (``chained`` is then false), and never
-        ``v_new``; backward replays the rest."""
+        ``v_new``; backward replays the rest.  Right after an input entry it
+        keeps no ``x`` (``None``), which backward slices from the grids."""
         v_new = data.pop("v_new")
+        if self.entries and self.entries[-1].kind == "input":
+            data["x"] = None
         t, v_last = self._last.get(layer.index, (-1, None))
         t += 1
         chained = v_last is data["v_prev"]
@@ -315,9 +341,12 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             by_layer.setdefault(entry.data["layer"].index, []).append(entry)
 
     # the adjoints of the mean logits, of each step's logits, and of the
-    # input of the entry just walked (None where nothing reached it)
+    # input of the entry just walked (None where nothing reached it; an
+    # input entry takes none and is read only by the layer entry after it)
     g_mean = g_logits = g = None
-    for entry in reversed(tape.entries):
+    entries = tape.entries
+    for i in range(len(entries) - 1, -1, -1):
+        entry = entries[i]
         d = entry.data
         if entry.kind == "loss":
             probs, labels = d["probs"], d["labels"]
@@ -407,6 +436,9 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             g_out = rep.gather(t, g_i)
             if not g_out.any():   # an empty support or a zero adjoint (below
                 continue          # silent layers): zero gradients
+            if x is None:   # the step's network input: slice the grids again
+                inp = entries[i - 1].data
+                x = _batch_slice(inp["grids"], inp["t"])
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,

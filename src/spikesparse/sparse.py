@@ -215,16 +215,20 @@ def _site_index(shape, *coords, stride=1):
     """The one site->row index: marks the sites ``(b, x // stride, y // stride)``
     of each ``(N, 3)`` ``(b, x, y)`` array in ``coords`` on a ``(B, H, W)``
     occupancy map; returns their union as ``(b, x, y)`` rows in canonical
-    ``(b, y, x)`` order (that of ``np.nonzero``) and, per array, the row of
-    each of its sites in that union."""
+    ``(b, y, x)`` order (that of one flat scan of the map) and, per array,
+    the row of each of its sites in that union."""
     sites = [(c[:, 0], c[:, 2] // stride, c[:, 1] // stride) for c in coords]
     occupied = np.zeros(shape, bool)
     for site in sites:
         occupied[site] = True
-    b, y, x = np.nonzero(occupied)
+    flat = np.flatnonzero(occupied)
+    union = np.empty((len(flat), 3), np.intp)
+    b, x, y = union.T
+    _, yx = np.divmod(flat, shape[1] * shape[2], out=(b, None))
+    np.divmod(yx, shape[2], out=(y, x))
     row = np.empty(shape, np.intp)
-    row[b, y, x] = np.arange(len(b))
-    return np.stack([b, x, y], axis=1), [row[site] for site in sites]
+    row.reshape(-1)[flat] = np.arange(len(flat))
+    return union, [row[site] for site in sites]
 
 
 @lru_cache(maxsize=32)

@@ -525,23 +525,25 @@ class SpikingNet:
 
 
 def _batch_slice(grids, t) -> SparseTensor2D:
-    """One timestep of a batch of voxel grids as a single sparse tensor."""
+    """One timestep of a batch of voxel grids as a single sparse tensor,
+    each grid's sites written into one block of its coordinates and values."""
     height, width = grids[0].height, grids[0].width
-    coords, values = [], []
-    for b, grid in enumerate(grids):
-        xs, ys, vs = grid.timestep_sites(t)
-        if len(xs):
-            c = np.empty((len(xs), 3), np.int64)
-            c[:, 0] = b
-            c[:, 1] = xs
-            c[:, 2] = ys
-            coords.append(c)
-            values.append(vs.astype(np.float64).reshape(-1, 1))
-    if not coords:
+    sites = [grid.timestep_sites(t) for grid in grids]
+    n = sum(len(xs) for xs, _, _ in sites)
+    if not n:
         return SparseTensor2D.empty(len(grids), height, width, 1)
-    return SparseTensor2D(np.concatenate(coords), np.concatenate(values),
-                          len(grids), height, width, 1, validate=False,
-                          canonical=True, prune=False)
+    coords = np.empty((n, 3), np.int64)
+    values = np.empty((n, 1))
+    lo = 0
+    for b, (xs, ys, vs) in enumerate(sites):
+        hi = lo + len(xs)
+        coords[lo:hi, 0] = b
+        coords[lo:hi, 1] = xs
+        coords[lo:hi, 2] = ys
+        values[lo:hi, 0] = vs
+        lo = hi
+    return SparseTensor2D(coords, values, len(grids), height, width, 1,
+                          validate=False, canonical=True, prune=False)
 
 
 def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
@@ -588,12 +590,17 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     States are *not* reset here, so consecutive calls continue a run.  With
     ``training=True`` a fresh dropout mask is drawn per timestep from ``rng``.
     Every layer keeps dense potentials and computes at the sites its kind
-    picks (see the module docstring), with or without a ``recorder``.
+    picks (see the module docstring), with or without a ``recorder``.  A
+    recorder gets each step's input as ``record_input(grids, t)`` ahead of
+    that step's layer entries and may slice it again later, so the grids
+    must not change until it is done with them.
     Returns ``(per-timestep logits [T, B, classes], mean logits, per-layer
     spike counts)``.
     """
     if t_eval < 1:
         raise ValueError("t_eval must be >= 1")
+    if not grids:
+        raise ValueError("run_timesteps needs at least one grid")
     for grid in grids:
         if (grid.height, grid.width) != (model.in_height, model.in_width):
             raise ValueError(
@@ -610,6 +617,8 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
         raise ValueError("training with dropout needs an rng for the masks")
     for t in range(start, start + t_eval):
         x = _batch_slice(grids, t)
+        if recorder is not None:
+            recorder.record_input(grids, t)
         for li, layer in enumerate(model.layers):
             x, c = _layer_forward(layer, x, model.soft, recorder)
             counts[li] += c

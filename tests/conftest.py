@@ -209,12 +209,14 @@ def _present_pool(s, present):
     return pooled, pooled_present, winners
 
 
-def dense_bptt(model, grids, labels, t_eval, truncate=0):
+def dense_bptt(model, grids, labels, t_eval, truncate=0, start=0):
     """Gradients of a hard-threshold network of ``sc`` and ``c`` layers by
     plain dense BPTT.
 
     Written from the update equations and the gradient rules, with dense
-    ``[B, C, H, W]`` arrays and per-site conv loops, from reset states:
+    ``[B, C, H, W]`` arrays and per-site conv loops, from reset states run
+    untaped through bins ``0 .. start-1`` and differentiated over bins
+    ``start .. start+t_eval-1``:
 
     - an ``sc`` layer reads only its input's nonzero sites (those with a
       nonzero channel), and its current is masked to their coordinate map;
@@ -229,7 +231,8 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
       ``alpha * sig(alpha * u) * sig(-alpha * u)`` at ``u = V / w2e - b``,
       with ``w2e = |W|^2 + 1e-8`` in the gradient graph;
     - ``truncate > 0`` cuts the recurrence below every step t with
-      ``t % truncate == 0``.
+      ``t % truncate == 0``, counted from ``start``; the potentials and
+      spikes of the warm-up are constants.
 
     The loss is the batch mean of the softmax cross-entropy of the mean
     logits.  Returns ``{parameter name: gradient}``.
@@ -255,7 +258,7 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
     v_state = [np.zeros(sh) for sh in shapes]
     s_state = [np.zeros(sh) for sh in shapes]
     steps, logits = [], []
-    for t in range(t_eval):
+    for t in range(start + t_eval):
         x = np.zeros((batch, 1, model.in_height, model.in_width))
         for b, grid in enumerate(grids):
             xs, ys, vs = grid.timestep_sites(t)
@@ -282,8 +285,9 @@ def dense_bptt(model, grids, labels, t_eval, truncate=0):
             if layer.pool:
                 x, present, r["winners"] = _present_pool(spikes, present)
             rec.append(r)
-        steps.append((rec, x, present))
-        logits.append(x.reshape(batch, -1) @ w_r.T + bias)
+        if t >= start:
+            steps.append((rec, x, present))
+            logits.append(x.reshape(batch, -1) @ w_r.T + bias)
     mean = np.mean(logits, axis=0)
     probs = np.exp(mean - mean.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)

@@ -362,11 +362,15 @@ class TestSegmentReplay:
         assert np.all(counts > 0)
         # each entry keeps only what backward reads: no forward output kept
         # to key an adjoint by, no pooled output beside its winners
-        kept = {"readout": {"readout", "x"}, "dropout": {"mask", "p"},
-                "mean": {"steps", "shape"}, "loss": {"probs", "labels"}}
-        for e in tape.entries:
+        # and a step's input only as its grids and bin: the layer entry
+        # after it keeps no copy, which backward slices again
+        kept = {"input": {"grids", "t"}, "readout": {"readout", "x"},
+                "dropout": {"mask", "p"}, "mean": {"steps", "shape"},
+                "loss": {"probs", "labels"}}
+        for before, e in zip([None] + tape.entries, tape.entries):
             if e.kind == "layer":
                 assert "pooled" not in e.data and e.data["winners"] is not None
+                assert (e.data["x"] is None) == (before.kind == "input")
             else:
                 assert set(e.data) == kept[e.kind], e.kind
         assert {e.kind for e in tape.entries} == set(kept) | {"layer"}
@@ -408,16 +412,20 @@ class TestSegmentReplay:
 
 
 _BPTT_CASES = [
-    pytest.param("stride", 5, 0, None, None, id="stride"),
-    pytest.param("pool", 5, 0, None, None, id="pool"),
-    pytest.param("stride", 7, 3, None, None, id="stride-truncate3"),
-    pytest.param("pool", 7, 3, None, None, id="pool-truncate3"),
-    pytest.param("stride", 1, 0, None, None, id="stride-T1"),
-    pytest.param("pool", 1, 3, None, None, id="pool-T1"),
-    pytest.param("stride", 5, 0, 1, None, id="stride-silent1"),
-    pytest.param("pool", 5, 0, 1, None, id="pool-silent1"),
-    pytest.param("stride", 5, 3, None, 0, id="stride-b0-truncate3"),
-    pytest.param("pool", 5, 0, None, 1, id="pool-b1zero"),
+    pytest.param("stride", 5, 0, None, None, 0, id="stride"),
+    pytest.param("pool", 5, 0, None, None, 0, id="pool"),
+    pytest.param("stride", 7, 3, None, None, 0, id="stride-truncate3"),
+    pytest.param("pool", 7, 3, None, None, 0, id="pool-truncate3"),
+    pytest.param("stride", 1, 0, None, None, 0, id="stride-T1"),
+    pytest.param("pool", 1, 3, None, None, 0, id="pool-T1"),
+    pytest.param("stride", 5, 0, 1, None, 0, id="stride-silent1"),
+    pytest.param("pool", 5, 0, 1, None, 0, id="pool-silent1"),
+    pytest.param("stride", 5, 3, None, 0, 0, id="stride-b0-truncate3"),
+    pytest.param("pool", 5, 0, None, 1, 0, id="pool-b1zero"),
+    # a taped run after an untaped warm-up: backward slices each step's
+    # input again, at its own bin
+    pytest.param("stride", 5, 0, None, None, 3, id="stride-start3"),
+    pytest.param("pool", 6, 4, None, None, 2, id="pool-truncate4-start2"),
 ]
 _MODES = {"sc": "sparse", "c": "dense"}
 
@@ -427,14 +435,16 @@ class TestDenseBpttOracle:
     ``conftest.dense_bptt``."""
 
     # sc-sc cases keep their bare ids
-    @pytest.mark.parametrize("modes, variant, t_eval, truncate, silent, zero_b", [
-        pytest.param(modes, *case.values,
-                     id=case.id if modes == "sc-sc" else f"{modes}-{case.id}")
-        for modes in ("sc-sc", "c-sc", "sc-c", "c-c") for case in _BPTT_CASES])
+    @pytest.mark.parametrize(
+        "modes, variant, t_eval, truncate, silent, zero_b, start", [
+            pytest.param(modes, *case.values,
+                         id=case.id if modes == "sc-sc" else f"{modes}-{case.id}")
+            for modes in ("sc-sc", "c-sc", "sc-c", "c-c") for case in _BPTT_CASES])
     def test_matches_dense_bptt(self, modes, variant, t_eval, truncate, silent,
-                                zero_b):
+                                zero_b, start):
+        key = f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}"
         rng = np.random.default_rng(zlib.crc32(
-            f"{variant}-{t_eval}-{truncate}-{silent}-{zero_b}".encode()))
+            (key + (f"-{start}" if start else "")).encode()))
         first, second = (_MODES[m] for m in modes.split("-"))
         model = make_model(rng, (12, 12), [(2, first, 3), (3, second, 3)],
                            3, variant=variant, b=0.02, weight_scale=0.8)
@@ -442,18 +452,21 @@ class TestDenseBpttOracle:
             model.layers[silent].b.value[...] = 50.0
         if zero_b is not None:
             model.layers[zero_b].b.value[...] = 0.0
-        grids = [random_grid(rng, 12, 12, t_bins=t_eval, density=0.3)
+        grids = [random_grid(rng, 12, 12, t_bins=start + t_eval, density=0.3)
                  for _ in range(2)]
         labels = rng.integers(0, 3, 2)
         model.reset_state(2)
+        if start:
+            run_timesteps(model, grids, start)
         tape = GradientTape()
-        _, mean, counts = run_timesteps(model, grids, t_eval, recorder=tape)
+        _, mean, counts = run_timesteps(model, grids, t_eval, start=start,
+                                        recorder=tape)
         _, probs = softmax_xent(mean, labels)
         tape.record_loss(probs, labels, mean)
         got = backward(tape, truncate=truncate)
         for li in range(2):
             assert (counts[li] == 0) == (li == silent)
-        want = dense_bptt(model, grids, labels, t_eval, truncate)
+        want = dense_bptt(model, grids, labels, t_eval, truncate, start)
         for p in model.parameters():
             err = np.max(np.abs(got.get(p) - want[p.name]))
             assert err <= 1e-12 * np.max(np.abs(want[p.name])), p.name

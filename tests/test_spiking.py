@@ -392,6 +392,12 @@ class TestNetworkForward:
         with pytest.raises(ValueError, match=f"{height}x{width} .* 8x8"):
             run_timesteps(model, grids, 4)
 
+    def test_empty_batch_rejected(self):
+        model = make_model(np.random.default_rng(11), (8, 8),
+                           [(2, "sparse", 3)], 3)
+        with pytest.raises(ValueError, match="at least one grid"):
+            run_timesteps(model, [], 4)
+
     def test_state_split_invariance(self):
         rng = np.random.default_rng(12)
         for trial in range(10):
