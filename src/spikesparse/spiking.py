@@ -42,6 +42,7 @@ gradients through the surrogate (see :mod:`spikesparse.autograd`).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -75,6 +76,7 @@ __all__ = [
     "run_timesteps",
     "network_forward",
     "parse_architecture",
+    "build_model",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -392,7 +394,8 @@ def parse_architecture(arch: str):
     Every token but the last is ``<filters>(sc|c)<kernel>[do]``: filter
     count, sparse or dense convolution, odd kernel size, and an optional
     trailing ``do`` marking the dropout point (only valid on the last
-    convolution).  The final token is the class count.
+    convolution).  The final token is the class count.  Filter and class
+    counts must be positive.
     """
     tokens = arch.split("-")
     if len(tokens) < 2:
@@ -401,12 +404,16 @@ def parse_architecture(arch: str):
         num_classes = int(tokens[-1])
     except ValueError:
         raise ValueError(f"bad class count {tokens[-1]!r} in {arch!r}") from None
+    if num_classes < 1:
+        raise ValueError(f"class count must be positive in {arch!r}")
     layers = []
     for i, tok in enumerate(tokens[:-1]):
         m = _ARCH_TOKEN.match(tok)
         if not m:
             raise ValueError(f"bad layer token {tok!r} in {arch!r}")
         filters, kind, k, do = int(m.group(1)), m.group(2), int(m.group(3)), m.group(4)
+        if filters < 1:
+            raise ValueError(f"filter count must be positive in {tok!r}")
         if k % 2 == 0:
             raise ValueError(f"kernel size must be odd in {tok!r}")
         if do and i != len(tokens) - 2:
@@ -430,11 +437,39 @@ def _arch_geometry(arch, in_hw):
     return convs, (num_classes, c_in * h * w)
 
 
+def build_model(arch, in_hw, variant="stride", readout_bias=True, alpha=3.0,
+                dropout_p=0.5, rng=None, beta_init=0.7, b_init=0.3) -> SpikingNet:
+    """Instantiate a network from its architecture string.
+
+    Conv and readout weights are drawn from uniform(-s, s) with
+    ``s = sqrt(1 / fan_in)``; every layer starts at the same leak and
+    threshold.  An arch token's ``do`` suffix forces the dropout point (it is
+    always the last convolution's output, per the timestep-wise algorithm).
+    """
+    if variant not in ("stride", "pool"):
+        raise ValueError(f"unknown variant {variant!r}")
+    if rng is None:
+        rng = np.random.default_rng(0)
+    convs, (num_classes, feat) = _arch_geometry(arch, in_hw)
+    stride = 2 if variant == "stride" else 1
+    layers = []
+    for i, (shape, mode) in enumerate(convs):
+        s = math.sqrt(1.0 / math.prod(shape[1:]))
+        weights = rng.uniform(-s, s, size=shape)
+        kern = ConvKernel2D(weights, stride)
+        layers.append(SpikingConvLayer(i, kern, beta_init, b_init, alpha,
+                                       mode, pool=(variant == "pool")))
+    s = math.sqrt(1.0 / feat)
+    weights = rng.uniform(-s, s, size=(num_classes, feat))
+    readout = ReadoutLayer(weights, np.zeros(num_classes) if readout_bias else None)
+    return SpikingNet(arch, layers, readout, in_hw, variant, dropout_p, alpha)
+
+
 class SpikingNet:
     """Stack of spiking conv layers plus a per-timestep readout.
 
-    Build with :func:`spikesparse.training.init_model` or directly from
-    parts.  ``soft`` switches the forward to the sigmoid surrogate (see
+    Build with :func:`build_model` or directly from parts.  ``soft``
+    switches the forward to the sigmoid surrogate (see
     :func:`spikesparse.autograd.soft_forward_mode`).
     """
 
@@ -508,17 +543,20 @@ class SpikingNet:
         return c, h, w
 
     def clone(self) -> "SpikingNet":
-        layers = []
-        for l in self.layers:
-            kern = ConvKernel2D(l.kernel.weights.copy(), l.kernel.stride)
-            layers.append(SpikingConvLayer(l.index, kern, l.beta.value.copy(),
-                                           l.b.value.copy(), l.alpha, l.mode,
-                                           l.pool))
-        bias = None if self.readout.bias is None else self.readout.bias.value.copy()
-        readout = ReadoutLayer(self.readout.weight.value.copy(), bias)
-        net = SpikingNet(self.arch, layers, readout,
-                         (self.in_height, self.in_width), self.variant,
-                         self.dropout_p, self.alpha)
+        """A copy with its own parameters, built by :func:`build_model` from
+        the fields a checkpoint header stores.  Raises ``ValueError`` when
+        the built net's parameter names or shapes differ from this net's."""
+        net = build_model(self.arch, (self.in_height, self.in_width),
+                          variant=self.variant,
+                          readout_bias=self.readout.bias is not None,
+                          alpha=self.alpha, dropout_p=self.dropout_p)
+        mine, built = self.parameters(), net.parameters()
+        if ([(p.name, p.value.shape) for p in mine]
+                != [(p.name, p.value.shape) for p in built]):
+            raise ValueError(
+                f"the net's parameters do not match its arch {self.arch!r}")
+        for src, dst in zip(mine, built):
+            dst.value[...] = src.value
         net.soft = self.soft
         net.detach_norm = self.detach_norm
         return net
@@ -599,6 +637,8 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     """
     if t_eval < 1:
         raise ValueError("t_eval must be >= 1")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
     if not grids:
         raise ValueError("run_timesteps needs at least one grid")
     for grid in grids:
@@ -694,11 +734,9 @@ def load_checkpoint(path) -> SpikingNet:
              + classes * (features + bias))
     if 4 * count != len(blob) - (nl + 1):
         raise ValueError("checkpoint size does not match architecture")
-    from .training import build_model  # deferred: avoids a module cycle
     model = build_model(fields["arch"], in_hw, variant=fields["variant"],
                         readout_bias=bias, alpha=float(fields["alpha"]),
-                        dropout_p=float(fields["dropout"]),
-                        rng=np.random.default_rng(0))
+                        dropout_p=float(fields["dropout"]))
     vals = np.frombuffer(blob, dtype="<f4", offset=nl + 1)
     for p in model.parameters():
         p.value[...] = vals[:p.value.size].reshape(p.value.shape)

@@ -24,12 +24,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .autograd import GradientTape, ParamGrads, backward, softmax_xent
-from .sparse import ConvKernel2D
 from .spiking import (
-    ReadoutLayer,
-    SpikingConvLayer,
     SpikingNet,
-    _arch_geometry,
+    build_model,
     parse_architecture,
     run_timesteps,
     save_checkpoint,
@@ -202,34 +199,6 @@ def clip_grad_norm(grads, max_norm=5.0):
 # ---------------------------------------------------------------------------
 # model construction
 
-def build_model(arch, in_hw, variant="stride", readout_bias=True, alpha=3.0,
-                dropout_p=0.5, rng=None, beta_init=0.7, b_init=0.3) -> SpikingNet:
-    """Instantiate a network from its architecture string.
-
-    Conv and readout weights are drawn from uniform(-s, s) with
-    ``s = sqrt(1 / fan_in)``; every layer starts at the same leak and
-    threshold.  An arch token's ``do`` suffix forces the dropout point (it is
-    always the last convolution's output, per the timestep-wise algorithm).
-    """
-    if variant not in ("stride", "pool"):
-        raise ValueError(f"unknown variant {variant!r}")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    convs, (num_classes, feat) = _arch_geometry(arch, in_hw)
-    layers = []
-    for i, (shape, mode) in enumerate(convs):
-        s = math.sqrt(1.0 / math.prod(shape[1:]))
-        weights = rng.uniform(-s, s, size=shape)
-        stride = 2 if variant == "stride" else 1
-        kern = ConvKernel2D(weights, stride)
-        layers.append(SpikingConvLayer(i, kern, beta_init, b_init, alpha,
-                                       mode, pool=(variant == "pool")))
-    s = math.sqrt(1.0 / feat)
-    weights = rng.uniform(-s, s, size=(num_classes, feat))
-    readout = ReadoutLayer(weights, np.zeros(num_classes) if readout_bias else None)
-    return SpikingNet(arch, layers, readout, in_hw, variant, dropout_p, alpha)
-
-
 def init_model(config: TrainConfig, rng=None) -> SpikingNet:
     """Model per the config: trainable leak/threshold start at the configured
     initial values; weight draws are deterministic for a given seed."""
@@ -272,7 +241,7 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
     dropout_rng = np.random.default_rng(dropout_ss)
 
     history = []
-    best_acc, best_model = -1.0, model.clone()
+    best_acc, best_model = -1.0, model   # epoch 0 replaces it: accuracy >= 0
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         lr = schedule_lr(config, epoch)

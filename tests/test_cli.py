@@ -455,6 +455,8 @@ class TestTrainEvalPipeline:
     @pytest.mark.parametrize("extra, key, command", [
         ("[train]\nschedule = foo\n", "schedule", "train"),
         ("[model]\narch = 4xx5-4\n", "4xx5", "train"),
+        ("[model]\narch = 0sc5-4\n", "0sc5", "train"),
+        ("[model]\narch = 4sc5-0\n", "4sc5-0", "train"),
         ("[train]\ndropout_p = 1.0\n", "dropout_p", "train"),
         ("[train]\nstep_every = 0\n", "step_every", "train"),
         ("[train]\nschedule = cosine\ncosine_period = 0\n", "cosine_period",

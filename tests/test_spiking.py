@@ -398,6 +398,15 @@ class TestNetworkForward:
         with pytest.raises(ValueError, match="at least one grid"):
             run_timesteps(model, [], 4)
 
+    def test_negative_start_rejected(self):
+        # bin -2 would read the grid's last bin, and bin -1 nothing
+        rng = np.random.default_rng(11)
+        model = make_model(rng, (8, 8), [(2, "sparse", 3)], 3)
+        grid = random_grid(rng, 8, 8, t_bins=4)
+        model.reset_state(1)
+        with pytest.raises(ValueError, match="start must be >= 0"):
+            network_forward(model, grid, 3, start=-2)
+
     def test_state_split_invariance(self):
         rng = np.random.default_rng(12)
         for trial in range(10):
@@ -584,6 +593,7 @@ class TestParseArchitecture:
         assert layers[0][1] == "dense" and layers[1][3] is True
 
     def test_bad_strings(self):
-        for bad in ["", "4sc5", "4xc5-11", "4sc4-11", "4sc5do-8sc3-11"]:
+        for bad in ["", "4sc5", "4xc5-11", "4sc4-11", "4sc5do-8sc3-11",
+                    "0sc5-4", "4sc5-0", "4sc5-0sc3-4"]:
             with pytest.raises(ValueError):
                 parse_architecture(bad)

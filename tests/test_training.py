@@ -8,6 +8,7 @@ from spikesparse.autograd import ParamGrads
 from spikesparse.event_io import synth_dataset
 from spikesparse.spiking import (
     Param,
+    SpikingNet,
     load_checkpoint,
     run_timesteps,
     save_checkpoint,
@@ -128,21 +129,38 @@ class TestRadam:
     def test_stepped_weights_reach_the_neuron(self):
         # the threshold and reset of the next forward read the norm of the
         # weights as stepped in place, as a clone built from them does
-        rng = np.random.default_rng(3)
-        model = build_model("2sc3-4sc3-3", (16, 16), rng=rng, b_init=0.1)
-        params = model.parameters()
-        grads = [rng.normal(size=p.value.shape) for p in params]
-        radam_step(params, grads, OptimizerState(params), lr=0.05)
-        project_params(model)
         grid = tiny_dataset()[0][0][0]
-        finals = []
-        for net in (model, model.clone()):
-            net.reset_state(1)
-            _, _, counts = run_timesteps(net, [grid], 6)
-            assert counts.all()
-            finals.append([layer.state.potentials for layer in net.layers])
-        for mine, cloned in zip(*finals):
-            assert np.array_equal(mine, cloned)
+        for arch, variant, bias in (("2sc3-4sc3-3", "stride", True),
+                                    ("2c3-4sc3-3", "pool", False)):
+            rng = np.random.default_rng(3)
+            model = build_model(arch, (16, 16), variant=variant,
+                                readout_bias=bias, rng=rng, b_init=0.1)
+            params = model.parameters()
+            grads = [rng.normal(size=p.value.shape) for p in params]
+            radam_step(params, grads, OptimizerState(params), lr=0.05)
+            project_params(model)
+            clone = model.clone()
+            assert not any(np.shares_memory(p.value, q.value)
+                           for p, q in zip(params, clone.parameters()))
+            runs = []
+            for net in (model, clone):
+                net.reset_state(1)
+                _, _, counts = run_timesteps(net, [grid], 6)
+                assert counts.all()
+                runs.append((counts, [layer.state.potentials
+                                      for layer in net.layers]))
+            (counts, finals), (cloned_counts, cloned_finals) = runs
+            assert np.array_equal(counts, cloned_counts)
+            for mine, cloned in zip(finals, cloned_finals):
+                assert np.array_equal(mine, cloned)
+
+    def test_clone_rejects_a_net_unlike_its_arch(self):
+        # two layers under a one-layer arch string: a checkpoint of it could
+        # not be loaded, and a clone must not copy only part of it
+        full = build_model("2sc3-4sc3-3", (16, 16))
+        net = SpikingNet("2sc3-3", full.layers, full.readout, (16, 16))
+        with pytest.raises(ValueError, match="do not match its arch"):
+            net.clone()
 
 
 class TestSchedule:
