@@ -2,18 +2,18 @@
 
 The forward pass records a :class:`GradientTape`: one entry per operation
 (input, layer, dropout, readout, mean) in ``run_timesteps``' order, then the
-loss, each keeping only what backward reads; a layer entry is a whole layer
-step (conv, LIF and optional pool), replayed as pool, LIF, conv.  An input
-entry names a step's network input by the voxel grids and the bin, ``(grids,
-t)``, and the layer entry after it keeps no copy of that input: backward
-slices it from the grids again, as it reads the weights again, so neither may
-change between the forward and the backward.  :func:`backward` walks the
-entries in reverse once from the loss, handing one adjoint from each entry
-to the one before it (readout, top layer, ..., layer 0 per step, as a dense
-BPTT does) and across all timesteps through the membrane recurrence
-``V[n] -> V[n+1]`` and the reset term's dependence on the previous spikes,
-so the leak and threshold of every layer receive gradients from every
-timestep.
+loss, each keeping what backward cannot read from its layer again; a layer
+entry is a whole layer step (conv, LIF and optional pool), replayed as pool,
+LIF, conv.  An input entry names a step's network input by the voxel grids
+and the bin, ``(grids, t)``, and the layer entry after it keeps no copy of
+that input: backward slices it from the grids again, as it reads the weights,
+leak and threshold from the layer again, so none may change between the
+forward and the backward.  :func:`backward` walks the entries in reverse
+once from the loss, handing one adjoint from each entry to the one before it
+(readout, top layer, ..., layer 0 per step, as a dense BPTT does) and across
+all timesteps through the membrane recurrence ``V[n] -> V[n+1]`` and the
+reset term's dependence on the previous spikes, so the leak and threshold of
+every layer receive gradients from every timestep.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
 sites, its input only where the entry before it cannot rebuild it, the
@@ -54,6 +54,7 @@ import numpy as np
 
 from .sparse import _conv_sites_grads, _nonzero_rows, _pool_sites_grads
 from .spiking import (
+    EPSILON,
     _batch_slice,
     _flat_indices,
     _lif_recurrence,
@@ -125,8 +126,10 @@ class GradientTape:
     Each step starts with :meth:`record_input`, which keeps only the voxel
     grids and the bin; the layer entry recorded right after it drops its
     input ``x``, and backward rebuilds it by slicing the grids again.  The
-    grids must therefore stay unchanged until :func:`backward` has run.
-    A layer entry after any other entry keeps its ``x``.
+    grids, like each layer's weights, leak and threshold, which backward
+    reads from the layer, must therefore stay unchanged until
+    :func:`backward` has run.  A layer entry after any other entry keeps
+    its ``x``.
     """
 
     def __init__(self):
@@ -144,8 +147,8 @@ class GradientTape:
         """One layer step: its input ``x``; the conv output, ``current`` rows
         at ``out_c``, and whether the conv ran at ``every_site``; the spikes
         before the step ``s_prev`` and the emitted ``spikes``, both sparse
-        tensors; the pool's ``winners`` (``None`` without a pool); the
-        ``beta, b, w2e`` of the step; and the potentials ``v_prev -> v_new``.
+        tensors; the pool's ``winners`` (``None`` without a pool); and the
+        potentials ``v_prev -> v_new``.
 
         Of the potentials the entry keeps ``v_prev`` only at the first step
         of a segment of ``_SEGMENT`` steps, or where they do not continue the
@@ -191,13 +194,18 @@ class _LayerReplay:
     site, the rows are in canonical order and every-site tensors are read
     as they are.
 
-    It keeps the layer's entries by step, the potentials of one segment
-    replayed from the segment's stored start, the recurrence adjoints
-    carried from step t+1 to step t, and row buffers; ``i``, ``s`` and
-    ``tmp`` have one row more, a pad row that absent sites read."""
+    It keeps the layer's entries by step, its leak, threshold and ``|W|^2 +
+    eps``, the potentials of one segment replayed from the segment's stored
+    start, the recurrence adjoints carried from step t+1 to step t, the
+    adjoint ``g_w2`` of ``|W|^2``, and row buffers; ``i``, ``s`` and ``tmp``
+    have one row more, a pad row that absent sites read."""
 
     def __init__(self, entries):
         self.entries = entries
+        self.layer = layer = entries[0].data["layer"]
+        self.beta, self.b = layer.beta.item(), layer.b.item()
+        self.w2e = layer.kernel.wnorm2 + EPSILON
+        self.g_w2 = 0.0
         batch, channels, height, width = entries[0].data["v_prev"].shape
         self.height, self.width = height, width
         n_sites = batch * height * width
@@ -281,9 +289,9 @@ class _LayerReplay:
             v = self.v[0, :self.n[start]]
             v[...] = self.dense_rows(self.entries[start].data["v_prev"], self.n[start])
             for j in range(start, t + 1):
-                dj, n = self.entries[j].data, self.n[j]
+                n = self.n[j]
                 i, s = self._inputs(j)
-                v = _lif_recurrence(v[:n], s, i, dj["beta"], dj["b"] * dj["w2e"],
+                v = _lif_recurrence(v[:n], s, i, self.beta, self.b * self.w2e,
                                     out=self.v[j - start + 1, :n],
                                     tmp=self.tmp[:n])
             self.start = start
@@ -334,7 +342,6 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
         raise RuntimeError("tape has no recorded loss")
 
     grads = ParamGrads()
-    norm_grads = {}  # layer index -> accumulated d(loss)/d(|W|^2)
     by_layer, replays = {}, {}  # layer index -> its entries in order, replay
     for entry in tape.entries:
         if entry.kind == "layer":
@@ -379,11 +386,11 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
 
         elif entry.kind == "layer":
             layer, t, x, out_c = d["layer"], d["t"], d["x"], d["out_c"]
-            beta, b, w2e = d["beta"], d["b"], d["w2e"]
-            thr = b * w2e
             rep = replays.get(layer.index)
             if rep is None:   # met at the layer's last step
                 rep = replays[layer.index] = _LayerReplay(by_layer[layer.index])
+            beta, b, w2e = rep.beta, rep.b, rep.w2e
+            thr = b * w2e
             # all on the step's support rows, zero elsewhere (see _LayerReplay)
             v_prev, v_new, i_rows, s_prev = rep.step(t)
             n, carried = len(v_new), rep.carried
@@ -420,10 +427,8 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             reset_flow = np.sum(np.multiply(s_prev, g_v, out=tmp)) * beta
             grads.add(layer.b, -np.sum(g_u) - w2e * reset_flow)
             if not layer.detach_norm:
-                g_w2 = (-np.sum(np.multiply(g_u, v_new, out=tmp)) / (w2e * w2e)
-                        - b * reset_flow)
-                prev = norm_grads.get(layer.index)
-                norm_grads[layer.index] = ((prev[0] if prev else 0.0) + g_w2, layer)
+                rep.g_w2 += (-np.sum(np.multiply(g_u, v_new, out=tmp)) / (w2e * w2e)
+                             - b * reset_flow)
             g_i = np.multiply(1.0 - beta, g_v, out=tmp)
             cut = truncate > 0 and t % truncate == 0
             rep.carried = n if d["chained"] and not cut else 0
@@ -450,9 +455,10 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
                 g = g_in   # None at layer 0
             grads.add(layer.weight, g_w)
 
-    # route the accumulated norm adjoints into the weights: d|W|^2/dW = 2W
-    for g_w2, layer in norm_grads.values():
-        grads.add(layer.weight, 2.0 * g_w2 * layer.kernel.weights)
+    # route each layer's norm adjoint into its weights: d|W|^2/dW = 2W
+    for rep in replays.values():
+        if not rep.layer.detach_norm:
+            grads.add(rep.layer.weight, 2.0 * rep.g_w2 * rep.layer.kernel.weights)
     return grads
 
 

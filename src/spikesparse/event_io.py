@@ -159,6 +159,15 @@ class EventStream:
                 and np.array_equal(self.polarities, other.polarities))
 
 
+def _write_whole(path, data: bytes):
+    """Write ``data`` to ``<path>.part``, then move it onto ``path``, so a
+    failed or killed write leaves any earlier file at ``path`` whole."""
+    part = f"{path}.part"
+    with open(part, "wb") as fh:
+        fh.write(data)
+    os.replace(part, path)
+
+
 def _as_bytes(source) -> bytes:
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
@@ -438,11 +447,8 @@ class BinaryVoxelGrid:
         except ValueError as e:
             raise FormatError(f"bad voxel record: {e}", field="records") from None
 
-    def save(self, path):   # whole or not at all: a killed write leaves a .part
-        part = f"{path}.part"
-        with open(part, "wb") as fh:
-            fh.write(self.to_bytes())
-        os.replace(part, path)
+    def save(self, path):
+        _write_whole(path, self.to_bytes())
 
     @classmethod
     def load(cls, path) -> "BinaryVoxelGrid":

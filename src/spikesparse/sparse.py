@@ -117,10 +117,6 @@ class SparseTensor2D:
         return cls(np.empty((0, 3), np.int64), np.empty((0, channels)),
                    batch_size, height, width, channels, validate=False, canonical=True)
 
-    @classmethod
-    def from_dense(cls, dense):
-        return sparsify(dense)
-
     @property
     def n_sites(self) -> int:
         return len(self.coords)
@@ -133,9 +129,6 @@ class SparseTensor2D:
         """Canonical site keys ``(b*H + y)*W + x``; ascending for canonical order."""
         c = self.coords
         return (c[:, 0] * self.height + c[:, 2]) * self.width + c[:, 1]
-
-    def to_dense(self):
-        return densify(self)
 
     def equals(self, other) -> bool:
         return (self.batch_size == other.batch_size
@@ -205,10 +198,6 @@ class ConvKernel2D:
         if w.shape != self._weights.shape:
             raise ShapeError("kernel shape cannot change")
         self._weights[...] = w
-
-    def refresh_norm(self) -> float:
-        """Return :attr:`wnorm2`, which is always current."""
-        return self.wnorm2
 
 
 def _site_index(shape, *coords, stride=1):

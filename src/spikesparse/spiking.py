@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .event_io import _write_whole
 from .sparse import (
     ConvKernel2D,
     ShapeError,
@@ -171,19 +172,13 @@ class LIFLayerState:
 
     def __init__(self, batch_size, channels, height, width):
         self.potentials = np.zeros((batch_size, channels, height, width))
-        self.last_touch = np.empty((batch_size, height, width), np.int64)
-        self.reset()
+        self.prev_spikes = SparseTensor2D.empty(batch_size, height, width, channels)
+        self.last_touch = np.full((batch_size, height, width), -1, np.int64)
+        self.step = -1
 
     @property
     def shape(self):
         return self.potentials.shape
-
-    def reset(self):
-        batch, channels, height, width = self.shape
-        self.potentials = np.zeros_like(self.potentials)
-        self.prev_spikes = SparseTensor2D.empty(batch, height, width, channels)
-        self.last_touch.fill(-1)
-        self.step = -1
 
 
 def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
@@ -329,11 +324,7 @@ class SpikingConvLayer:
         return c, h, w
 
     def reset(self, batch_size, in_h, in_w):
-        c, h, w = self.state_geometry(in_h, in_w)
-        if self.state is not None and self.state.shape == (batch_size, c, h, w):
-            self.state.reset()
-        else:
-            self.state = LIFLayerState(batch_size, c, h, w)
+        self.state = LIFLayerState(batch_size, *self.state_geometry(in_h, in_w))
 
 
 class ReadoutLayer:
@@ -385,7 +376,7 @@ def _readout_batch(readout: ReadoutLayer, x: SparseTensor2D):
 # ---------------------------------------------------------------------------
 # the network
 
-_ARCH_TOKEN = re.compile(r"^(\d+)(sc|c)(\d+)(do)?$")
+_ARCH_TOKEN = re.compile(r"([0-9]+)(sc|c)([0-9]+)(do)?")
 
 
 def parse_architecture(arch: str):
@@ -395,20 +386,19 @@ def parse_architecture(arch: str):
     count, sparse or dense convolution, odd kernel size, and an optional
     trailing ``do`` marking the dropout point (only valid on the last
     convolution).  The final token is the class count.  Filter and class
-    counts must be positive.
+    counts are ASCII digits and must be positive.
     """
     tokens = arch.split("-")
     if len(tokens) < 2:
         raise ValueError(f"architecture {arch!r} needs conv layers and a class count")
-    try:
-        num_classes = int(tokens[-1])
-    except ValueError:
-        raise ValueError(f"bad class count {tokens[-1]!r} in {arch!r}") from None
+    if not re.fullmatch(r"[0-9]+", tokens[-1]):
+        raise ValueError(f"bad class count {tokens[-1]!r} in {arch!r}")
+    num_classes = int(tokens[-1])
     if num_classes < 1:
         raise ValueError(f"class count must be positive in {arch!r}")
     layers = []
     for i, tok in enumerate(tokens[:-1]):
-        m = _ARCH_TOKEN.match(tok)
+        m = _ARCH_TOKEN.fullmatch(tok)
         if not m:
             raise ValueError(f"bad layer token {tok!r} in {arch!r}")
         filters, kind, k, do = int(m.group(1)), m.group(2), int(m.group(3)), m.group(4)
@@ -526,9 +516,6 @@ class SpikingNet:
     def num_parameters(self) -> int:
         return sum(p.value.size for p in self.parameters())
 
-    def refresh_norms(self):
-        """No-op: every read of a layer's ``kernel.wnorm2`` is current."""
-
     def reset_state(self, batch_size=1):
         h, w = self.in_height, self.in_width
         for layer in self.layers:
@@ -545,21 +532,27 @@ class SpikingNet:
     def clone(self) -> "SpikingNet":
         """A copy with its own parameters, built by :func:`build_model` from
         the fields a checkpoint header stores.  Raises ``ValueError`` when
-        the built net's parameter names or shapes differ from this net's."""
+        the built net's parameter names or shapes, or its layers' mode,
+        stride or pool, differ from this net's."""
         net = build_model(self.arch, (self.in_height, self.in_width),
                           variant=self.variant,
                           readout_bias=self.readout.bias is not None,
                           alpha=self.alpha, dropout_p=self.dropout_p)
-        mine, built = self.parameters(), net.parameters()
-        if ([(p.name, p.value.shape) for p in mine]
-                != [(p.name, p.value.shape) for p in built]):
+        if _structure(self) != _structure(net):
             raise ValueError(
-                f"the net's parameters do not match its arch {self.arch!r}")
-        for src, dst in zip(mine, built):
+                f"the net's layers or parameters do not match its arch {self.arch!r}")
+        for src, dst in zip(self.parameters(), net.parameters()):
             dst.value[...] = src.value
         net.soft = self.soft
         net.detach_norm = self.detach_norm
         return net
+
+
+def _structure(net: SpikingNet):
+    """What :meth:`SpikingNet.clone` rebuilds from the arch string: each
+    parameter's name and shape, and each layer's mode, stride and pool."""
+    return ([(p.name, p.value.shape) for p in net.parameters()],
+            [(layer.mode, layer.kernel.stride, layer.pool) for layer in net.layers])
 
 
 def _batch_slice(grids, t) -> SparseTensor2D:
@@ -592,16 +585,14 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     one entry, with the state before it (``v_prev``, ``s_prev``) and after."""
     state = layer.state
     kernel = layer.kernel
-    beta, b = layer.beta.item(), layer.b.item()
     w2 = kernel.wnorm2
-    w2e = w2 + EPSILON
     v_prev, s_prev = state.potentials, state.prev_spikes
     every_site = soft or layer.mode == "dense"
     out_c, current, _, _ = _conv_sites(x if every_site else _nonzero_rows(x)[0],
                                        kernel, every_site)
     if every_site:
-        spikes = _lif_update(state, current, beta, b, w2e, out_c,
-                             state.prev_spikes.keys(),
+        spikes = _lif_update(state, current, layer.beta.item(), layer.b.item(),
+                             w2 + EPSILON, out_c, state.prev_spikes.keys(),
                              layer.alpha if soft else None, every_site=True)
     else:
         spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(), w2)
@@ -617,7 +608,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, every_site=every_site,
             v_prev=v_prev, s_prev=s_prev, v_new=state.potentials, spikes=spikes,
-            winners=winners, beta=beta, b=b, w2e=w2e)
+            winners=winners)
     return (spikes if pooled is None else pooled), count
 
 
@@ -712,11 +703,9 @@ def save_checkpoint(model: SpikingNet, path):
               f"width={model.in_width};variant={model.variant};"
               f"bias={int(model.readout.bias is not None)};"
               f"alpha={model.alpha!r};dropout={model.dropout_p!r}\n")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(header.encode("ascii"))
-        for p in model.parameters():
-            fh.write(p.value.astype("<f4").tobytes())
+    _write_whole(path, b"".join([_CKPT_MAGIC, header.encode("ascii")]
+                                + [p.value.astype("<f4").tobytes()
+                                   for p in model.parameters()]))
 
 
 def load_checkpoint(path) -> SpikingNet:

@@ -360,20 +360,23 @@ class TestSegmentReplay:
         _, probs = softmax_xent(mean, labels)
         tape.record_loss(probs, labels, mean)
         assert np.all(counts > 0)
-        # each entry keeps only what backward reads: no forward output kept
-        # to key an adjoint by, no pooled output beside its winners
-        # and a step's input only as its grids and bin: the layer entry
-        # after it keeps no copy, which backward slices again
+        # each entry keeps only what backward cannot read from its layer
+        # again: no forward output kept to key an adjoint by, no pooled
+        # output beside its winners, no copy of the layer's leak, threshold
+        # or weight norm, and a step's input only as its grids and bin: the
+        # layer entry after it keeps no copy, which backward slices again
         kept = {"input": {"grids", "t"}, "readout": {"readout", "x"},
                 "dropout": {"mask", "p"}, "mean": {"steps", "shape"},
-                "loss": {"probs", "labels"}}
+                "loss": {"probs", "labels"},
+                "layer": {"layer", "t", "chained", "x", "out_c", "current",
+                          "every_site", "v_prev", "s_prev", "spikes",
+                          "winners"}}
         for before, e in zip([None] + tape.entries, tape.entries):
+            assert set(e.data) == kept[e.kind], e.kind
             if e.kind == "layer":
-                assert "pooled" not in e.data and e.data["winners"] is not None
+                assert e.data["winners"] is not None
                 assert (e.data["x"] is None) == (before.kind == "input")
-            else:
-                assert set(e.data) == kept[e.kind], e.kind
-        assert {e.kind for e in tape.entries} == set(kept) | {"layer"}
+        assert {e.kind for e in tape.entries} == set(kept)
         for layer in model.layers:
             entries = [e.data for e in tape.entries
                        if e.kind == "layer" and e.data["layer"] is layer]

@@ -457,6 +457,7 @@ class TestTrainEvalPipeline:
         ("[model]\narch = 4xx5-4\n", "4xx5", "train"),
         ("[model]\narch = 0sc5-4\n", "0sc5", "train"),
         ("[model]\narch = 4sc5-0\n", "4sc5-0", "train"),
+        ("[model]\narch = \u0664sc5-3\n", "\u0664sc5", "train"),
         ("[train]\ndropout_p = 1.0\n", "dropout_p", "train"),
         ("[train]\nstep_every = 0\n", "step_every", "train"),
         ("[train]\nschedule = cosine\ncosine_period = 0\n", "cosine_period",
@@ -498,7 +499,7 @@ class TestTrainEvalPipeline:
     def test_invalid_training_config_is_exit_3(self, tmp_path, capsys, extra, key,
                                                command):
         bad = tmp_path / "bad.ini"
-        bad.write_text(TINY + extra)
+        bad.write_text(TINY + extra, encoding="utf-8")
         argv = command.split() + ["--config", str(bad), "--out", str(tmp_path / "x")]
         if command.split()[0] in ("eval", "sparsity", "anytime"):
             ckpt = tmp_path / "model.ckpt"

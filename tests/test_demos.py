@@ -8,7 +8,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# demos 04 and 05 train for about a minute each, so only the quick ones run
+# demos 04 and 05 train (about 10 and 20 s on 2 vCPUs), so tier-1 runs only
+# the quick ones; CI runs the training demos in a step of their own
 @pytest.mark.parametrize("demo", ["01_events_and_voxels.py",
                                   "02_sparse_convolution.py",
                                   "03_lif_neuron.py"])

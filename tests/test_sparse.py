@@ -305,7 +305,7 @@ class TestConvKernel:
         kern.weights[:] = 0.0
         assert kern.wnorm2 == 0.0
         kern.weights[0, 0, 1, 2] = -3.0
-        assert kern.wnorm2 == kern.refresh_norm() == 9.0
+        assert kern.wnorm2 == 9.0
 
 
 class TestDensePath:

@@ -593,7 +593,11 @@ class TestParseArchitecture:
         assert layers[0][1] == "dense" and layers[1][3] is True
 
     def test_bad_strings(self):
+        # counts are ASCII digits only: no "_", sign, space, other script's
+        # digit or trailing newline, all of which int() or "$" would take
         for bad in ["", "4sc5", "4xc5-11", "4sc4-11", "4sc5do-8sc3-11",
-                    "0sc5-4", "4sc5-0", "4sc5-0sc3-4"]:
+                    "0sc5-4", "4sc5-0", "4sc5-0sc3-4", "4sc5-1_1", "4sc5-+3",
+                    "4sc5- 3", "\u0664sc5-3", "4sc\u0665-3", "4sc5\n-3",
+                    "2sc3-3\n"]:
             with pytest.raises(ValueError):
                 parse_architecture(bad)

@@ -162,6 +162,18 @@ class TestRadam:
         with pytest.raises(ValueError, match="do not match its arch"):
             net.clone()
 
+    def test_clone_rejects_a_layer_mode_unlike_its_arch(self):
+        net = build_model("2sc3-3", (16, 16))
+        net.layers[0].mode = "dense"
+        with pytest.raises(ValueError, match="do not match its arch"):
+            net.clone()
+
+    def test_clone_rejects_a_pool_unlike_its_arch(self):
+        net = build_model("2sc3-3", (16, 16))
+        net.layers[0].pool = True
+        with pytest.raises(ValueError, match="do not match its arch"):
+            net.clone()
+
 
 class TestSchedule:
     def test_step_decay(self):
@@ -468,6 +480,22 @@ class TestCheckpoint:
         a = evaluate(model, data[1], cfg.t_train)
         b = evaluate(loaded, data[1], cfg.t_train)
         assert abs(a - b) < 0.35  # same predictions up to f32 rounding
+
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(build_model("2sc3-2", (16, 16)), path)
+        saved = path.read_bytes()
+        model = build_model("2sc3-2", (16, 16), rng=np.random.default_rng(1))
+
+        def failing_parameters():   # raises after yielding its first array
+            yield model.layers[0].weight
+            raise OSError("write interrupted")
+
+        model.parameters = failing_parameters
+        with pytest.raises(OSError, match="interrupted"):
+            save_checkpoint(model, path)
+        assert path.read_bytes() == saved
+        assert load_checkpoint(path).arch == "2sc3-2"
 
     def test_set_weights_reach_the_parameter_and_the_checkpoint(self, tmp_path):
         model = build_model("2sc3-2", (16, 16))
