@@ -515,7 +515,7 @@ class DatasetIndex:
         return self.train + self.test
 
 
-_SUBJECT_RE = re.compile(r"user(\d+)")
+_SUBJECT_RE = re.compile(r"user([0-9]+)")
 
 
 def _parse_index_line(line, lineno):
@@ -525,11 +525,12 @@ def _parse_index_line(line, lineno):
     if not m:
         raise DatasetIndexError(f"line {lineno}: no user<NN> subject id in {path!r}")
     subject = int(m.group(1))
-    try:
-        label = int(parts[1]) if len(parts) > 1 and parts[1] else None
-    except ValueError:
-        raise DatasetIndexError(f"line {lineno}: non-integer label "
-                                f"{parts[1]!r}") from None
+    label = parts[1] if len(parts) > 1 and parts[1] else None
+    if label is not None:
+        if not re.fullmatch(r"[0-9]+", label):
+            raise DatasetIndexError(f"line {lineno}: label {label!r} is not a "
+                                    f"non-negative integer")
+        label = int(label)
     illum = parts[2] if len(parts) > 2 and parts[2] else None
     if illum is None:
         stem = os.path.basename(path).split(".")[0]

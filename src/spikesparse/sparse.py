@@ -13,13 +13,16 @@ convolution is the same call at every output site (``_grid_sites``).  One
 site index, an occupancy map (``_site_index``), gives the sites of conv,
 pool and the sparse LIF step; an every-site conv or pool takes its output
 sites from the cached ``_grid_sites``.  Each conv call builds one
-``[k*k, N_out]`` kernel map (the "rulebook") in a single gather, for
-forward and backward alike; backward rebuilds it rather than storing it.
-The forward takes every tap's product at the output rows that some tap
-reaches in one stacked matmul, absent taps reading one zero row appended to
-the input values, and sums them over taps in tap order, so it needs no
-scatter (see ``_conv_sites``); backward gathers and scatters the matched
-rows of each tap.
+``[k*k, N]`` kernel map (the "rulebook") of its output rows in a single
+gather, for forward and backward alike; backward rebuilds it rather than
+storing it.  The forward takes every tap's product at the output rows that
+some tap reaches in one stacked matmul, absent taps reading one zero row
+appended to the input values, and sums them over taps in tap order, so it
+needs no scatter (see ``_conv_sites``).  Backward builds its kernel map at
+the output rows whose adjoint is nonzero, keeps those that some tap
+reaches, gathers their input rows once, and takes every tap's weight
+gradient in one matmul and every tap's input gradient in another, summed
+onto the input rows in tap order (see ``_conv_sites_grads``).
 
 ``dense_conv2d`` and its adjoints share the sparse path's tap conventions;
 they are the reference for the tests and ``perfbench/reference.py`` only.
@@ -316,18 +319,40 @@ def _conv_sites_grads(x: SparseTensor2D, kernel: ConvKernel2D, out_c, g_out,
     ``g_out`` is aligned to the rows of ``out_c``.  The kernel map is rebuilt
     rather than saved: it is deterministic, and keeping it for every conv of
     the unrolling would cost more memory than the rebuild costs time.
+
+    Only the *live* output rows carry gradient: those whose ``g_out`` row is
+    nonzero (below an ``sc`` layer most rows are exact zeros off the
+    adjoint's support) and that some tap reaches.  The kernel map is built
+    at those rows only, and its ``[k*k, N_live, C_in]`` rows of ``padded``
+    (``x.values`` with a zero row appended at ``x.n_sites``, the absent
+    tap) are gathered once.  One matmul of ``g_out[live].T`` by that stack
+    gives the ``[k*k, C_out, C_in]`` weight gradient of every tap
+    ``t = dx * k + dy``; one matmul of ``g_out[live]`` by ``w_taps``, whose
+    ``w_taps[t]`` is ``w[:, :, dx, dy]``, gives the input gradient of every
+    (tap, row) pair, which ``np.bincount`` sums onto the input rows in tap
+    order, as a per-tap loop would.  A product over rows some of which read
+    the zero row need not round as one over the matched rows, so results
+    may differ from the per-tap loop in the last bits
+    (``TestKernelMapMatchesTapLoop`` bounds the difference).
     """
     w, k = kernel.weights, kernel.k
-    g_w = np.zeros_like(w)
-    g_in = np.zeros_like(x.values) if need_input_grad else None
-    for t, rows_in in enumerate(_kernel_map(out_c, x, k, kernel.stride)):
-        rows_out = np.flatnonzero(rows_in < x.n_sites)
-        if len(rows_out):
-            rows_in, dx, dy = rows_in[rows_out], t // k, t % k
-            g_rows = g_out[rows_out]
-            g_w[:, :, dx, dy] += g_rows.T @ x.values[rows_in]
-            if need_input_grad:
-                g_in[rows_in] += g_rows @ w[:, :, dx, dy]
+    n, c_in = x.n_sites, x.channels
+    live = np.flatnonzero(g_out.any(axis=1))
+    rows_in = _kernel_map(out_c[live], x, k, kernel.stride)
+    reached = rows_in.min(axis=0) < n
+    live, rows_in = live[reached], rows_in[:, reached]
+    g_live = g_out[live]
+    padded = np.concatenate([x.values, np.zeros((1, c_in))])
+    g_taps = np.matmul(g_live.T, np.take(padded, rows_in, axis=0))
+    g_w = g_taps.transpose(1, 2, 0).reshape(w.shape)
+    if not need_input_grad:
+        return g_w, None
+    w_taps = w.reshape(kernel.out_channels, c_in, k * k).transpose(2, 0, 1)
+    g_rows = np.matmul(g_live, w_taps).reshape(-1, c_in)
+    rows = rows_in.ravel().astype(np.intp)   # tap-major: each row's sum in tap order
+    g_in = np.empty_like(x.values)
+    for c in range(c_in):
+        g_in[:, c] = np.bincount(rows, g_rows[:, c], n + 1)[:n]
     return g_w, g_in
 
 

@@ -404,8 +404,21 @@ class TestSplitDvs128:
     def test_labels_and_comments(self):
         idx = split_dvs128("# index\nuser01_natural.aedat,3\n\nuser25_led.aedat,7,led\n")
         assert idx.train[0].label == 3 and idx.test[0].label == 7
-        with pytest.raises(DatasetIndexError, match="^line 2: non-integer label 'x'$"):
+        with pytest.raises(DatasetIndexError,
+                           match="^line 2: label 'x' is not a non-negative integer$"):
             split_dvs128(["user02_led.aedat,1", "user01_led.aedat,x"])
+
+    @pytest.mark.parametrize("line, message", [
+        # the subject and the label take ASCII digits only: no other
+        # script's digits, no sign, no space inside, no underscore
+        ("user\u0660\u0662_fluorescent.aedat,-3", "no user<NN> subject id"),
+        ("user02_led.aedat,-3", "label '-3' is not"),
+        ("user25_led.aedat, +4", "label '\\+4' is not"),
+        ("user03_x.aedat,1_0", "label '1_0' is not"),
+    ])
+    def test_non_digit_subject_or_label_rejected(self, line, message):
+        with pytest.raises(DatasetIndexError, match=f"^line 2: {message}"):
+            split_dvs128(["user01_led.aedat,1", line])
 
 
 class TestSynthDataset:

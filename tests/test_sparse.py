@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import conv_oracle, coord_map_mask, random_sparse
+from conftest import conv_oracle, conv_oracle_grads, coord_map_mask, random_sparse
 from spikesparse.sparse import (
     ConvKernel2D,
     ShapeError,
@@ -382,15 +382,45 @@ def _loop_pool_grad(x, winners, g_out):
     return g_in
 
 
+# the stacked conv gradients round otherwise than the per-tap loop in the last
+# bits: a tap's product runs over rows some of which read the zero pad row
+GRAD_RTOL = 1e-13
+
+
+def _assert_near_loop(got, ref):
+    """``got`` within ``GRAD_RTOL`` of the largest entry of ``ref``; exactly
+    zero where ``ref`` is all zero."""
+    assert got.shape == ref.shape
+    bound = GRAD_RTOL * np.abs(ref).max(initial=0.0)
+    assert np.abs(got - ref).max(initial=0.0) <= bound
+
+
+def _tap_reach(x, k, stride, out_c):
+    """Which rows of ``out_c`` some tap reaches, and which rows of ``x`` some
+    tap of some output site reads."""
+    out_reached, in_reached = np.zeros(len(out_c), bool), np.zeros(x.n_sites, bool)
+    for dx in range(k):
+        for dy in range(k):
+            m = _loop_tap_matches(out_c, x.keys(), x.height, x.width, dx, dy,
+                                  stride, k // 2)
+            if m is not None:
+                out_reached[m[0]] = in_reached[m[1]] = True
+    return out_reached, in_reached
+
+
+_INPUT_FORMS = (_sparse_inputs("normal", max_channels=8), st.sampled_from([1, 3, 5]),
+                st.sampled_from([1, 2]), st.integers(1, 4), st.booleans(), st.booleans())
+
+
 class TestKernelMapMatchesTapLoop:
+    # the input form is drawn apart from the output sites, so an every-site
+    # output is also computed over a sparse input, as a `c` layer after events
+    # or after an `sc` layer does
     @settings(max_examples=150, deadline=None)
-    @given(_sparse_inputs("normal", max_channels=8), st.sampled_from([1, 3, 5]),
-           st.sampled_from([1, 2]), st.integers(1, 4), st.booleans(), st.booleans())
-    def test_conv_values_and_grads_bit_identical(self, drawn, k, stride, c_out,
-                                                 every_site_in, every_site):
-        # the input form is drawn apart from the output sites, so an every-site
-        # output is also computed over a sparse input, as a `c` layer after
-        # events or after an `sc` layer does; bytes, so that a -0.0 fails too
+    @given(*_INPUT_FORMS)
+    def test_conv_values_bit_identical(self, drawn, k, stride, c_out,
+                                       every_site_in, every_site):
+        # bytes, so that a -0.0 fails too
         x, rng = drawn
         if every_site_in:
             x = _every_site(x)
@@ -402,13 +432,64 @@ class TestKernelMapMatchesTapLoop:
             assert np.array_equal(out_c, out_coords(x.coords, stride))
         assert (h_out, w_out) == (-(-x.height // stride), -(-x.width // stride))
         assert out_v.tobytes() == _loop_conv_values(x, kernel, out_c).tobytes()
-        g_out = rng.standard_normal(out_v.shape)
+
+    @settings(max_examples=150, deadline=None)
+    @given(*_INPUT_FORMS, st.sampled_from([1.0, 0.3, 0.0]))
+    def test_conv_grads_near_tap_loop(self, drawn, k, stride, c_out, every_site_in,
+                                      every_site, g_density):
+        # g_density < 1 leaves rows of g_out exactly zero, as off the support
+        # of an `sc` layer's adjoint, and zeros single channels of others
+        x, rng = drawn
+        if every_site_in:
+            x = _every_site(x)
+        kernel = ConvKernel2D(rng.standard_normal((c_out, x.channels, k, k)), stride)
+        out_c = _conv_sites(x, kernel, every_site)[0]
+        g_out = rng.standard_normal((len(out_c), c_out))
+        g_out[rng.random(len(out_c)) >= g_density] = 0.0
+        if g_density < 1.0:
+            g_out[rng.random(g_out.shape) < 0.3] = 0.0
         g_w, g_in = _conv_sites_grads(x, kernel, out_c, g_out)
         ref_w, ref_in = _loop_conv_grads(x, kernel, out_c, g_out)
-        assert g_w.tobytes() == ref_w.tobytes() and g_in.tobytes() == ref_in.tobytes()
+        _assert_near_loop(g_w, ref_w)
+        _assert_near_loop(g_in, ref_in)
+        unreached = ~_tap_reach(x, k, stride, out_c)[1]
+        assert g_in[unreached].tobytes() == np.zeros_like(g_in[unreached]).tobytes()
         g_w_only, no_in = _conv_sites_grads(x, kernel, out_c, g_out,
                                             need_input_grad=False)
-        assert g_w_only.tobytes() == ref_w.tobytes() and no_in is None
+        assert g_w_only.tobytes() == g_w.tobytes() and no_in is None
+
+    @pytest.mark.parametrize("g_form", ["few_rows", "all_zero", "unreached_row"])
+    @pytest.mark.parametrize("c_in, c_out, k, hw, density", [
+        (16, 8, 3, 16, 0.3),    # a deep layer at the paper's widest, 16 channels
+        (1, 4, 5, 32, 0.05),    # the first layer over sparse events
+    ])
+    def test_grads_on_support_rows(self, c_in, c_out, k, hw, density, g_form):
+        # g_out nonzero on a few rows only, as below an `sc` layer, all zero, or
+        # nonzero on an every-site output row that no tap reaches (its
+        # receptive field holds no input site), which must add nothing
+        rng = np.random.default_rng(c_in * 100 + k)
+        x = random_sparse(rng, batch=2, height=hw, width=hw, channels=c_in,
+                          density=density)
+        if c_in == 1:
+            x.values[:] = 1.0   # binary events
+        kernel = ConvKernel2D(rng.standard_normal((c_out, c_in, k, k)), stride=2)
+        out_c = _conv_sites(x, kernel, every_site=g_form == "unreached_row")[0]
+        g_out = np.zeros((len(out_c), c_out))
+        if g_form != "all_zero":
+            reached = _tap_reach(x, k, 2, out_c)[0]
+            rows = list(rng.choice(np.flatnonzero(reached), 3, replace=False))
+            if g_form == "unreached_row":
+                rows.append(np.flatnonzero(~reached)[0])
+            g_out[rows] = rng.standard_normal((len(rows), c_out))
+        g_w, g_in = _conv_sites_grads(x, kernel, out_c, g_out)
+        ref_w, ref_in = _loop_conv_grads(x, kernel, out_c, g_out)
+        _assert_near_loop(g_w, ref_w)
+        _assert_near_loop(g_in, ref_in)
+        g_dense = np.zeros((2, c_out, hw // 2, hw // 2))
+        g_dense[out_c[:, 0], :, out_c[:, 2], out_c[:, 1]] = g_out
+        oracle_x, oracle_w = conv_oracle_grads(densify(x), kernel.weights, 2, g_dense)
+        _assert_near_loop(g_w, oracle_w)
+        _assert_near_loop(g_in, oracle_x[x.coords[:, 0], :, x.coords[:, 2], x.coords[:, 1]])
 
     def test_every_site_output_over_sparse_input_stays_small(self):
         # 50 sites on a 2x128x128 grid convolved at every output site: only the
