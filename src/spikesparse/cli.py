@@ -15,8 +15,9 @@ Every report written by a subcommand embeds the hash of the exact config it
 ran under (``# config_hash=...`` comment line in CSVs, a ``config_hash`` key
 in JSON), so results remain attributable.
 
-Exit codes: 0 success, 2 missing or unreadable input, 3 config validation
-failure or a training run whose loss or gradient stopped being finite.
+Exit codes: 0 success, 2 missing or unreadable input or an unwritable
+output, 3 config validation failure or a training run whose loss or
+gradient stopped being finite.
 Errors print one line to stderr.
 """
 
@@ -520,7 +521,7 @@ def main(argv=None) -> int:
     except FloatingPointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, InputError, event_io.FormatError,
+    except (OSError, InputError, event_io.FormatError,
             event_io.EventParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

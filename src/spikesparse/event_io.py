@@ -22,6 +22,7 @@ Voxel grids round-trip through a small binary cache file (see
 
 from __future__ import annotations
 
+import contextlib
 import io
 import os
 import re
@@ -161,11 +162,17 @@ class EventStream:
 
 def _write_whole(path, data: bytes):
     """Write ``data`` to ``<path>.part``, then move it onto ``path``, so a
-    failed or killed write leaves any earlier file at ``path`` whole."""
+    failed or killed write leaves any earlier file at ``path`` whole; a
+    failed write or move removes the ``.part`` file."""
     part = f"{path}.part"
-    with open(part, "wb") as fh:
-        fh.write(data)
-    os.replace(part, path)
+    try:
+        with open(part, "wb") as fh:
+            fh.write(data)
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def _as_bytes(source) -> bytes:
@@ -346,7 +353,9 @@ class BinaryVoxelGrid:
     """Sparse binary ``C(=1) x T x H x W`` grid of event presence.
 
     Cells hold +1 (an ON event was latest in the bin) or -1 (OFF).  Entries
-    are kept sorted by ``(t, y, x)`` -- the cache-file record order.
+    are kept sorted by ``(t, y, x)`` -- the cache-file record order.  The
+    constructor always checks, so a disordered cache file loads sorted and a
+    duplicate cell is rejected.
     """
 
     __slots__ = ("t", "x", "y", "values", "n_timesteps", "height", "width",
@@ -354,8 +363,7 @@ class BinaryVoxelGrid:
 
     channels = 1
 
-    def __init__(self, t, x, y, values, n_timesteps, height, width, dt_us,
-                 *, canonical=False):
+    def __init__(self, t, x, y, values, n_timesteps, height, width, dt_us):
         t = np.asarray(t, dtype=np.int32)
         x = np.asarray(x, dtype=np.int32)
         y = np.asarray(y, dtype=np.int32)
@@ -369,11 +377,11 @@ class BinaryVoxelGrid:
                 raise ValueError("cell coordinate out of range")
             if not np.isin(v, (-1, 1)).all():
                 raise ValueError("grid values must be +1 or -1")
-        if not canonical and len(t) > 1:
-            order = np.lexsort((x, y, t))
-            t, x, y, v = t[order], x[order], y[order], v[order]
         keys = (t.astype(np.int64) * height + y) * width + x
-        if len(keys) > 1 and np.any(keys[1:] == keys[:-1]):
+        if np.any(keys[1:] < keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            t, x, y, v, keys = t[order], x[order], y[order], v[order], keys[order]
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("duplicate grid cells")
         self.t, self.x, self.y, self.values = t, x, y, v
         self.n_timesteps = int(n_timesteps)
@@ -443,7 +451,7 @@ class BinaryVoxelGrid:
                             dtype=[("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
         try:
             return cls(rec["t"], rec["x"], rec["y"], rec["v"], t_bins, height,
-                       width, dt_us, canonical=True)
+                       width, dt_us)
         except ValueError as e:
             raise FormatError(f"bad voxel record: {e}", field="records") from None
 
@@ -477,7 +485,7 @@ def build_voxel_grid(stream: EventStream, dt_us: int,
     ts = ts[keep]
     if len(ts) == 0:
         return BinaryVoxelGrid([], [], [], [], n_timesteps, stream.height,
-                               stream.width, dt_us, canonical=True)
+                               stream.width, dt_us)
     xs, ys, ps = stream.xs[keep], stream.ys[keep], stream.polarities[keep]
     bins = (ts // dt_us).astype(np.int64)
     keys = (bins * stream.height + ys) * stream.width + xs
@@ -487,7 +495,7 @@ def build_voxel_grid(stream: EventStream, dt_us: int,
     rows = order[last]
     values = np.where(ps[rows] == ON, 1, -1).astype(np.int8)
     return BinaryVoxelGrid(bins[rows], xs[rows], ys[rows], values, n_timesteps,
-                           stream.height, stream.width, dt_us, canonical=True)
+                           stream.height, stream.width, dt_us)
 
 
 # ---------------------------------------------------------------------------

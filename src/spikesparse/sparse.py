@@ -72,14 +72,15 @@ class SparseTensor2D:
         Required when ``values`` is empty and C cannot be inferred.
 
     Entries are kept in a canonical order sorted by ``(b, y, x)``, so two
-    traversals of the same tensor always visit sites identically.
+    traversals of the same tensor always visit sites identically.  This
+    constructor always prunes, range-checks, sorts and rejects duplicates; the
+    library wraps what it built through :meth:`_canonical`, which checks nothing.
     """
 
     __slots__ = ("coords", "values", "batch_size", "height", "width", "channels")
 
-    def __init__(self, coords, values, batch_size, height, width, channels=None,
-                 *, validate=True, canonical=False, prune=True):
-        coords = np.ascontiguousarray(np.asarray(coords, dtype=np.int64).reshape(-1, 3))
+    def __init__(self, coords, values, batch_size, height, width, channels=None):
+        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values.reshape(-1, 1)
@@ -91,34 +92,37 @@ class SparseTensor2D:
         if coords.shape[0] != values.shape[0]:
             raise ShapeError(
                 f"{coords.shape[0]} coordinates but {values.shape[0]} value rows")
-        if prune and len(values):
-            keep = np.any(values != 0.0, axis=1)
-            if not keep.all():
-                coords, values = coords[keep], values[keep]
-        if validate and len(coords):
+        keep = np.any(values != 0.0, axis=1)
+        coords, values = coords[keep], values[keep]
+        if len(coords):
             b, x, y = coords[:, 0], coords[:, 1], coords[:, 2]
             if b.min() < 0 or b.max() >= batch_size:
                 raise ShapeError("batch index out of range")
             if x.min() < 0 or x.max() >= width or y.min() < 0 or y.max() >= height:
                 raise ShapeError("site coordinate out of range")
-        if not canonical and len(coords) > 1:
-            order = np.lexsort((coords[:, 1], coords[:, 2], coords[:, 0]))
-            coords, values = coords[order], values[order]
-        if validate and len(coords) > 1:
-            keys = (coords[:, 0] * height + coords[:, 2]) * width + coords[:, 1]
-            if np.any(keys[1:] == keys[:-1]):
-                raise ShapeError("duplicate site coordinates")
-        self.coords = coords
-        self.values = np.ascontiguousarray(values)
-        self.batch_size = int(batch_size)
-        self.height = int(height)
-        self.width = int(width)
-        self.channels = int(channels)
+        order = np.lexsort((coords[:, 1], coords[:, 2], coords[:, 0]))
+        self.coords, self.values = coords[order], values[order]
+        self.batch_size, self.channels = int(batch_size), int(channels)
+        self.height, self.width = int(height), int(width)
+        keys = self.keys()
+        if np.any(keys[1:] == keys[:-1]):
+            raise ShapeError("duplicate site coordinates")
+
+    @classmethod
+    def _canonical(cls, coords, values, batch_size, height, width, channels):
+        """Wrap arrays the library built, as they are, checking nothing.  The
+        caller holds them to the contract: ``coords`` unique int64 ``(N, 3)``
+        rows in canonical order and in range, ``values`` C-contiguous float64
+        ``[N, C]`` (zero rows kept as given), and int extents."""
+        self = cls.__new__(cls)
+        self.coords, self.values, self.channels = coords, values, channels
+        self.batch_size, self.height, self.width = batch_size, height, width
+        return self
 
     @classmethod
     def empty(cls, batch_size, height, width, channels):
-        return cls(np.empty((0, 3), np.int64), np.empty((0, channels)),
-                   batch_size, height, width, channels, validate=False, canonical=True)
+        return cls._canonical(np.empty((0, 3), np.int64), np.empty((0, channels)),
+                              batch_size, height, width, channels)
 
     @property
     def n_sites(self) -> int:
@@ -296,11 +300,11 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False):
              _site_index((x.batch_size, h_out, w_out), x.coords, stride=s)[0])
     out_v = np.zeros((len(out_c), kernel.out_channels))
     kmap = _kernel_map(out_c, x, k, s)
-    live = np.flatnonzero((kmap < x.n_sites).any(axis=0))
+    live = np.flatnonzero(kmap.min(axis=0) < x.n_sites)
     rows_in = kmap[:, live]
     w_taps = kernel.weights.reshape(kernel.out_channels, kernel.in_channels, k * k).T
     padded = np.concatenate([x.values, np.zeros((1, x.channels))])
-    prods = np.matmul(padded[rows_in], w_taps)
+    prods = np.matmul(np.take(padded, rows_in, axis=0), w_taps)
     hit = rows_in < x.n_sites
     matched = hit.sum(axis=1)
     for t in np.flatnonzero(matched == 1 if kernel.out_channels > 1 else matched):
@@ -369,7 +373,7 @@ def sparse_conv2d(x: SparseTensor2D, kernel: ConvKernel2D) -> SparseTensor2D:
             f"input has {x.channels} channels, kernel expects {kernel.in_channels}")
     out_c, out_v, h_out, w_out = _conv_sites(x, kernel)
     return SparseTensor2D(out_c, out_v, x.batch_size, h_out, w_out,
-                          kernel.out_channels, validate=False, canonical=True)
+                          kernel.out_channels)
 
 
 def _pool_sites(x: SparseTensor2D):
@@ -420,8 +424,7 @@ def sparse_max_pool2d(x: SparseTensor2D) -> SparseTensor2D:
     """2x2, stride-2 max pooling: channel-wise max over the *present* entries
     of each window; windows with no present entry stay absent."""
     out_c, out_v, _, h_out, w_out = _pool_sites(x)
-    return SparseTensor2D(out_c, out_v, x.batch_size, h_out, w_out, x.channels,
-                          validate=False, canonical=True)
+    return SparseTensor2D(out_c, out_v, x.batch_size, h_out, w_out, x.channels)
 
 
 def densify(x: SparseTensor2D):
@@ -442,8 +445,7 @@ def sparsify(dense) -> SparseTensor2D:
     coords = np.stack([b, x, y], axis=1)
     values = dense[b, :, y, x]
     # np.nonzero yields (b, y, x) order and only the rows with a nonzero
-    return SparseTensor2D(coords, values, batch, height, width, channels,
-                          validate=False, canonical=True, prune=False)
+    return SparseTensor2D._canonical(coords, values, batch, height, width, channels)
 
 
 def _nonzero_rows(x: SparseTensor2D):
@@ -453,9 +455,8 @@ def _nonzero_rows(x: SparseTensor2D):
     if x.n_sites < x.batch_size * x.height * x.width:
         return x, None
     rows = np.flatnonzero(np.any(x.values != 0.0, axis=1))
-    return SparseTensor2D(x.coords[rows], x.values[rows], x.batch_size,
-                          x.height, x.width, x.channels, validate=False,
-                          canonical=True, prune=False), rows
+    return SparseTensor2D._canonical(x.coords[rows], x.values[rows], x.batch_size,
+                                     x.height, x.width, x.channels), rows
 
 
 def count_nonzero(x: SparseTensor2D):

@@ -217,8 +217,9 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites, prev_rows,
         s_new = _sigmoid(soft_alpha * u)
     state.step += 1
     batch, channels, height, width = state.shape
-    spikes = SparseTensor2D(sites, s_new, batch, height, width, channels,
-                            validate=False, canonical=True, prune=not every_site)
+    keep = slice(None) if every_site else s_new.any(axis=1)   # hard: the spiking sites
+    spikes = SparseTensor2D._canonical(sites[keep], s_new[keep], batch, height,
+                                       width, channels)
     state.potentials = state.potentials * beta
     state.potentials[bi, :, ys, xs] = v_new
     state.last_touch[bi, ys, xs] = state.step
@@ -573,8 +574,7 @@ def _batch_slice(grids, t) -> SparseTensor2D:
         coords[lo:hi, 2] = ys
         values[lo:hi, 0] = vs
         lo = hi
-    return SparseTensor2D(coords, values, len(grids), height, width, 1,
-                          validate=False, canonical=True, prune=False)
+    return SparseTensor2D._canonical(coords, values, len(grids), height, width, 1)
 
 
 def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
@@ -601,9 +601,8 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     pooled = winners = None
     if layer.pool:
         pc, pv, winners, ph, pw = _pool_sites(spikes)
-        pooled = SparseTensor2D(pc, pv, spikes.batch_size, ph, pw,
-                                spikes.channels, validate=False, canonical=True,
-                                prune=False)
+        pooled = SparseTensor2D._canonical(pc, pv, spikes.batch_size, ph, pw,
+                                           spikes.channels)
     if recorder is not None:
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, every_site=every_site,
@@ -672,9 +671,8 @@ def _dropout_recorded(x, p, rng, recorder):
     ``0 <= p < 1`` and scaled by ``1 / (1 - p)``; the mask goes on the tape
     when there is one."""
     mask = rng.random(x.values.shape) >= p
-    out = SparseTensor2D(x.coords, x.values * mask * (1.0 / (1.0 - p)),
-                         x.batch_size, x.height, x.width, x.channels,
-                         validate=False, canonical=True, prune=False)
+    out = SparseTensor2D._canonical(x.coords, x.values * mask * (1.0 / (1.0 - p)),
+                                    x.batch_size, x.height, x.width, x.channels)
     if recorder is not None:
         recorder.record_dropout(mask, p)
     return out

@@ -150,14 +150,14 @@ def every_site_forward(model, grids, t_eval):
             assert layer.mode == "sparse" and not model.soft
             out_c, rows, _, _ = _conv_sites(x, layer.kernel)
             batch, channels, height, width = layer.state.shape
-            current = SparseTensor2D(out_c, rows, batch, height, width, channels,
-                                     prune=False)
+            current = SparseTensor2D._canonical(out_c, rows, batch, height, width,
+                                                channels)
             x, _ = lif_step(layer.state, current, layer.lif_params(),
                             layer.kernel.wnorm2)
             counts[li] += np.count_nonzero(x.values)
             if layer.pool:
                 pc, pv, _, ph, pw = _pool_sites(x)
-                x = SparseTensor2D(pc, pv, batch, ph, pw, channels, prune=False)
+                x = SparseTensor2D._canonical(pc, pv, batch, ph, pw, channels)
         logits.append(_readout_batch(model.readout, x))
     return np.stack(logits), counts
 

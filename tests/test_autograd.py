@@ -17,9 +17,10 @@ from spikesparse.autograd import (
     soft_forward_mode,
     softmax_xent,
 )
-from spikesparse.event_io import EventStream, build_voxel_grid
+from spikesparse import spiking
+from spikesparse.event_io import EventStream, build_voxel_grid, synth_dataset
 from spikesparse.sparse import SparseTensor2D, densify
-from spikesparse.spiking import run_timesteps
+from spikesparse.spiking import build_model, run_timesteps
 
 
 def random_grid(rng, height=4, width=4, t_bins=3, density=0.3):
@@ -299,6 +300,64 @@ def _taped_step(model, grids, labels, t_eval, start=0, truncate=0, seed=0):
     tape.record_loss(probs, labels, mean)
     grads = backward(tape, truncate=truncate)
     return [logits, counts] + grads.to_list(model.parameters())
+
+
+class TestWrappedTensorContract:
+    """``SparseTensor2D._canonical`` checks nothing, so every tensor the
+    forward and backward wrap through it is held here to its contract."""
+
+    @pytest.mark.parametrize("arch, variant, soft, dropout_p", [
+        ("2sc5-4sc3-4", "stride", False, 0.0),
+        ("2sc5-4sc3-4", "pool", False, 0.0),
+        ("2c5-4c3-4", "pool", False, 0.0),
+        ("2sc5-4sc3-4", "stride", True, 0.0),
+        ("2sc5-4sc3-4", "stride", False, 0.5),
+    ], ids=["desk-stride", "desk-pool", "c-pool", "soft", "dropout"])
+    def test_wrapped_tensors_hold_the_contract(self, monkeypatch, arch, variant,
+                                               soft, dropout_p):
+        wrapped, hard_spikes = [], []
+        wrap, lif_update = SparseTensor2D._canonical.__func__, spiking._lif_update
+
+        def spy_wrap(cls, *args):
+            wrapped.append(wrap(cls, *args))
+            return wrapped[-1]
+
+        def spy_lif_update(*args, every_site=False, **kwargs):
+            spikes = lif_update(*args, every_site=every_site, **kwargs)
+            if not every_site:
+                hard_spikes.append(spikes)
+            return spikes
+
+        monkeypatch.setattr(SparseTensor2D, "_canonical", classmethod(spy_wrap))
+        monkeypatch.setattr(spiking, "_lif_update", spy_lif_update)
+        train, _ = synth_dataset(4, 1, 64, 64, 8, 10_000, 3)
+        grids, labels = [g for g, _ in train], [label for _, label in train]
+        model = build_model(arch, (64, 64), variant, dropout_p=dropout_p,
+                            rng=np.random.default_rng(1), b_init=0.15)
+        soft_forward_mode(model, soft)
+        model.reset_state(len(grids))
+        tape = GradientTape()
+        _, mean, _ = run_timesteps(model, grids, 8, training=dropout_p > 0,
+                                   rng=np.random.default_rng(2), recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, np.array(labels), mean)
+        backward(tape)
+
+        assert wrapped and any(x.n_sites for x in wrapped)
+        for x in wrapped:
+            c, v = x.coords, x.values
+            assert c.dtype == np.int64 and c.flags.c_contiguous
+            assert c.ndim == 2 and c.shape[1] == 3
+            assert np.all(np.diff(x.keys()) > 0)
+            assert np.all((c >= 0) & (c < [x.batch_size, x.width, x.height]))
+            assert v.dtype == np.float64 and v.flags.c_contiguous
+            assert v.shape == (x.n_sites, x.channels)
+            assert all(type(n) is int for n in
+                       (x.batch_size, x.height, x.width, x.channels))
+        assert bool(hard_spikes) == (not soft and "sc" in arch)
+        for spikes in hard_spikes:
+            assert any(spikes is x for x in wrapped)
+            assert spikes.values.any(axis=1).all()
 
 
 class TestSegmentReplay:

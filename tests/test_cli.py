@@ -159,6 +159,28 @@ class TestConvert:
         assert "--clip" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    "convert-into-dir", "convert-from-dir", "synth-over-file", "train-over-file",
+    "init-config-into-dir"])
+def test_unusable_path_is_exit_2(tiny_cfg, tmp_path, capsys, command):
+    src = tmp_path / "a.events"
+    src.write_text("16,16\n100,2,3,1\n")
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_text("not a directory\n")
+    adir, afile = str(tmp_path / "adir"), str(tmp_path / "afile")
+    argv, named = {
+        "convert-into-dir": (["convert", str(src), adir], adir),
+        "convert-from-dir": (["convert", adir, str(tmp_path / "x.vox")], adir),
+        "synth-over-file": (["synth", "--config", tiny_cfg, "--out", afile], afile),
+        "train-over-file": (["train", "--config", tiny_cfg, "--out", afile], afile),
+        "init-config-into-dir": (["init-config", "--out", adir], adir),
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert not list(tmp_path.rglob("*.part"))
+
+
 class TestSynthCommand:
     def test_writes_indexed_dataset(self, tiny_cfg, tmp_path):
         out = tmp_path / "data"
@@ -369,7 +391,8 @@ class TestTrainEvalPipeline:
     @pytest.mark.parametrize("corrupt, where", [
         ("header", "truncated voxel cache header"),
         ("record", "bad voxel record"),
-    ], ids=["header", "record"])
+        ("duplicate", "bad voxel record: duplicate grid cells"),
+    ], ids=["header", "record", "duplicate"])
     def test_corrupt_voxel_cache_is_exit_2(self, tmp_path, capsys, corrupt, where):
         stream = event_io.EventStream([1000, 2000], [5, 7], [3, 8], [1, 0], 128, 128)
         for name in ("user01_led.aedat", "user24_led.aedat"):
@@ -386,9 +409,15 @@ class TestTrainEvalPipeline:
         cache = tmp_path / ".voxcache"
         bad = cache / sorted(os.listdir(cache))[0]
         blob = bad.read_bytes()
-        # cut to 20 bytes, or a width of 1 that puts the record x = 5 off it
-        bad.write_bytes(blob[:20] if corrupt == "header"
-                        else blob[:20] + (1).to_bytes(4, "little") + blob[24:])
+        # cut to 20 bytes, a width of 1 that puts the record x = 5 off it, or
+        # three records (first, second, first) that hold one cell twice
+        if corrupt == "header":
+            blob = blob[:20]
+        elif corrupt == "record":
+            blob = blob[:20] + (1).to_bytes(4, "little") + blob[24:]
+        else:
+            blob = blob[:32] + (3).to_bytes(8, "little") + blob[40:54] + blob[40:47]
+        bad.write_bytes(blob)
         capsys.readouterr()
         assert main(train) == 2
         err = capsys.readouterr().err.splitlines()

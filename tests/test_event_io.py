@@ -375,6 +375,29 @@ class TestVoxelCacheFile:
             BinaryVoxelGrid.load(path)
         assert str(e.value).startswith(f"{path}: {message}")
 
+    @staticmethod
+    def _with_records(grid, order):
+        """``grid``'s cache bytes with its 7-byte records in ``order``."""
+        blob = grid.to_bytes()
+        rec = [blob[40 + 7 * i:47 + 7 * i] for i in range(grid.n_nonzero)]
+        return blob[:40] + b"".join(rec[i] for i in order)
+
+    def test_disordered_records_load_sorted(self):
+        grid = BinaryVoxelGrid([0, 1, 2, 3], [1, 2, 3, 4], [1, 1, 5, 2],
+                               [1, -1, 1, -1], 4, 8, 8, 1_000)
+        loaded = BinaryVoxelGrid.from_bytes(self._with_records(grid, [2, 0, 1, 3]))
+        assert loaded.equals(grid)
+        assert loaded.timestep_sites(2)[0].tolist() == [3]
+
+    def test_duplicate_record_rejected(self):
+        # the two copies of cell (0, 1, 1) are not neighbours in the file
+        grid = BinaryVoxelGrid([0, 1, 2, 3], [1, 2, 3, 4], [1, 1, 5, 2],
+                               [1, -1, 1, -1], 4, 8, 8, 1_000)
+        with pytest.raises(FormatError) as e:
+            BinaryVoxelGrid.from_bytes(self._with_records(grid, [0, 1, 0, 3]))
+        assert e.value.field == "records"
+        assert "duplicate grid cells" in str(e.value)
+
     def test_save_replaces_the_file_whole(self, tmp_path):
         path = tmp_path / "g.vox"
         path.write_bytes(b"stale")

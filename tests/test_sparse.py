@@ -50,9 +50,9 @@ def _every_site(x):
     """``x`` stored at every site of its grid, absent sites as zero rows, as
     ``c`` layers and soft runs hand it on."""
     sites = _grid_sites(x.batch_size, x.height, x.width)
-    return SparseTensor2D(sites, densify(x).transpose(0, 2, 3, 1).reshape(-1, x.channels),
-                          x.batch_size, x.height, x.width, x.channels,
-                          validate=False, canonical=True, prune=False)
+    return SparseTensor2D._canonical(
+        sites, densify(x).transpose(0, 2, 3, 1).reshape(-1, x.channels),
+        x.batch_size, x.height, x.width, x.channels)
 
 
 def _unique_out_coords(coords, stride):
@@ -201,9 +201,8 @@ class TestMaxPool:
         shape = (batch * height * width, channels)
         vals = (rng.standard_normal(shape) if values == "normal"
                 else rng.integers(0, 2, shape).astype(np.float64))
-        x = SparseTensor2D(_grid_sites(batch, height, width), vals, batch,
-                           height, width, channels, validate=False,
-                           canonical=True, prune=False)
+        x = SparseTensor2D._canonical(_grid_sites(batch, height, width), vals,
+                                      batch, height, width, channels)
         out_c, out_v, winners, h_out, w_out = _pool_sites(x)
         assert out_c is _grid_sites(batch, h_out, w_out)
         want_v, want_w = _window_loop_pool(x)
