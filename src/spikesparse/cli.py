@@ -13,12 +13,18 @@ before anything reads or hashes it.
 
 Every report written by a subcommand embeds the hash of the exact config it
 ran under (``# config_hash=...`` comment line in CSVs, a ``config_hash`` key
-in JSON), so results remain attributable.
+in JSON), so results remain attributable.  A subcommand with ``--out``
+checks its config, then makes that directory before it builds or reads any
+data; it returns its reports and ``main`` writes them.  Every file written
+goes through ``event_io._write_whole``: whole, or not at all.
 
 Exit codes: 0 success, 2 missing or unreadable input or an unwritable
 output, 3 config validation failure or a training run whose loss or
-gradient stopped being finite.
-Errors print one line to stderr.
+gradient stopped being finite.  Only ``main`` maps a failure to its exit
+code and one stderr line: ``config error: <problems>`` for a config, and
+``error: <message>`` otherwise, where a file that cannot be opened, read or
+written reads ``error: <path as given>: <reason>`` and text that does not
+decode is the reader's error naming the file.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -33,6 +40,8 @@ import sys
 
 from . import event_io
 from .event_io import (
+    _ascii_int,
+    _write_whole,
     build_voxel_grid,
     load_dvs128,
     parse_aedat,
@@ -201,9 +210,10 @@ def load_config(path, environ=None, flags=None) -> dict:
     else:
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                cfg = parse_config(fh.read())
-        except OSError as e:
-            raise FileNotFoundError(f"cannot read config {path}: {e}") from e
+                text = fh.read()
+        except UnicodeDecodeError as e:
+            raise ConfigError([f"{path}: {e}"]) from None
+        cfg = parse_config(text)
     apply_env_overrides(cfg, environ)
     flags = flags or {}
     return _set_values(cfg, [(sec, key, "--" + dest.replace("_", "-"), flags[dest])
@@ -242,30 +252,32 @@ def load_dataset(cfg, with_train=True):
             raise ConfigError([f"data: {e}"]) from None
     if d["kind"] == "events":
         index = os.path.join(d["path"], "index.csv")
-        if not os.path.exists(index):
-            raise FileNotFoundError(f"no index.csv under {d['path']!r}")
+        try:
+            with open(index, encoding="utf-8") as fh:
+                lines = fh.read().split("\n")
+        except UnicodeDecodeError as e:
+            raise InputError(f"{index}: {e}") from None
         splits = {"train": [], "test": []}
-        with open(index) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("file,"):
-                    continue
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("file,"):
+                continue
+            try:
+                name, label, split = line.split(",")
+                label, pairs = _ascii_int(label), splits[split]
+            except (ValueError, KeyError):
+                raise InputError(f"{index} line {lineno}: expected "
+                                 f"file,label,train|test, got {line!r}") from None
+            path = os.path.join(d["path"], name)
+            if not os.path.isfile(path):
+                raise InputError(f"{index} line {lineno}: no such events "
+                                 f"file {path}")
+            if with_train or split == "test":
                 try:
-                    name, label, split = line.split(",")
-                    label, pairs = int(label), splits[split]
-                except (ValueError, KeyError):
-                    raise InputError(f"{index} line {lineno}: expected "
-                                     f"file,label,train|test, got {line!r}") from None
-                path = os.path.join(d["path"], name)
-                if not os.path.isfile(path):
-                    raise InputError(f"{index} line {lineno}: no such events "
-                                     f"file {path}")
-                if with_train or split == "test":
-                    try:
-                        stream = parse_portable_events(path)
-                    except event_io.EventParseError as e:
-                        raise InputError(f"{path}: {e}") from None
-                    pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
+                    stream = parse_portable_events(path)
+                except event_io.EventParseError as e:
+                    raise InputError(f"{path}: {e}") from None
+                pairs.append((build_voxel_grid(stream, dt_us, t_bins), label))
         return splits["train"], splits["test"]
     if d["kind"] == "dvs128":
         cache = os.path.join(d["path"], ".voxcache") if d["path"] else None
@@ -292,10 +304,21 @@ def _check_samples(dataset, height, width, num_classes):
                          f"{num_classes} classes 0..{num_classes - 1}")
 
 
-def _load_training_setup(args):
-    """Config, training config and dataset (with train samples) of a run."""
+def _load_run_config(args):
+    """Checked config and training config of a run, whose ``--out``
+    directory is then made before any data is built or read."""
     cfg = load_config(args.config, flags=vars(args))
     tc = train_config_from(cfg)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except FileExistsError:
+        raise NotADirectoryError(errno.ENOTDIR, "not a directory", args.out) from None
+    return cfg, tc
+
+
+def _load_training_setup(args):
+    """Config, training config and dataset (with train samples) of a run."""
+    cfg, tc = _load_run_config(args)
     dataset, d = load_dataset(cfg), cfg["data"]
     if not dataset[0] and d["kind"] == "synth":
         raise ConfigError(["data.train_per_class must be positive"])
@@ -307,41 +330,26 @@ def _load_training_setup(args):
     return cfg, tc, dataset
 
 
-def _write(out_dir, name, text):
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_convert(args):
-    path = args.input
-    if not os.path.exists(path):
-        print(f"error: no such input {path}", file=sys.stderr)
-        return 2
+    read = parse_aedat if args.input.endswith(".aedat") else parse_portable_events
     try:
-        if path.endswith(".aedat"):
-            stream = parse_aedat(path)
-        else:
-            stream = parse_portable_events(path)
+        stream = read(args.input)
         grid = build_voxel_grid(stream, args.dt, args.t)
-    except (event_io.FormatError, event_io.EventParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except ValueError as e:
+        raise InputError(f"{args.input}: {e}") from None
     grid.save(args.output)
     print(f"events {len(stream)}")
     print(f"nonzeros {grid.n_nonzero}")
     print(f"sparsity {100.0 * grid.sparsity():.2f}%")
-    return 0
+    return {}
 
 
 def cmd_synth(args):
-    cfg = load_config(args.config, flags=vars(args))
-    tc, d = train_config_from(cfg), cfg["data"]
+    cfg, tc = _load_run_config(args)
+    d = cfg["data"]
     try:
         train_s, test_s = synth_streams(d["classes"], d["train_per_class"],
                                         d["height"], d["width"], tc.t_train,
@@ -349,43 +357,34 @@ def cmd_synth(args):
                                         test_per_class=d["test_per_class"])
     except ValueError as e:
         raise ConfigError([f"data: {e}"]) from None
-    os.makedirs(args.out, exist_ok=True)
-    lines = ["file,label,split"]
+    files, lines = {}, [f"# config_hash={config_hash(cfg)}", "file,label,split"]
     for split, pairs in (("train", train_s), ("test", test_s)):
         counters = {}
         for stream, label in pairs:
             i = counters.get(label, 0)
             counters[label] = i + 1
             name = f"class{label}_{split}{i:03d}.events"
-            with open(os.path.join(args.out, name), "w") as fh:
-                fh.write(serialize_portable_events(stream))
+            files[name] = serialize_portable_events(stream)
             lines.append(f"{name},{label},{split}")
-    _write(args.out, "index.csv", f"# config_hash={config_hash(cfg)}\n"
-           + "\n".join(lines) + "\n")
-    print(f"wrote {len(train_s)} train + {len(test_s)} test samples to {args.out}")
-    return 0
+    print(f"{len(train_s)} train + {len(test_s)} test samples for {args.out}")
+    return {**files, "index.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_train(args):
     cfg, tc, dataset = _load_training_setup(args)
     ckpt = os.path.join(args.out, "model.ckpt")
-    os.makedirs(args.out, exist_ok=True)
     model, history = train(tc, dataset, checkpoint_path=ckpt, log=print)
-    _write(args.out, "history.csv",
-           f"# config_hash={config_hash(cfg)}\n" + history_to_csv(history))
-    _write(args.out, "config.resolved.ini", serialize_config(cfg))
     best = max(h["test_acc"] for h in history)
     print(f"best test accuracy {best:.4f}; checkpoint {ckpt}")
-    return 0
+    return {"history.csv": (f"# config_hash={config_hash(cfg)}\n"
+                            + history_to_csv(history)),
+            "config.resolved.ini": serialize_config(cfg)}
 
 
 def _load_model_and_data(args, anytime=False):
     """Checked config, checkpoint model, test split and evaluation horizons
     (``eval.t_list`` for ``anytime``, else ``eval.t_eval`` or ``t_train``)."""
-    cfg = load_config(args.config, flags=vars(args))
-    tc = train_config_from(cfg)
-    if not os.path.exists(args.checkpoint):
-        raise FileNotFoundError(f"no checkpoint {args.checkpoint}")
+    cfg, tc = _load_run_config(args)
     try:
         model = load_checkpoint(args.checkpoint)
     except (ValueError, KeyError) as e:
@@ -406,9 +405,8 @@ def cmd_eval(args):
     acc = evaluate(model, test, t_eval, batch_size=cfg["eval"]["batch"])
     report = {"config_hash": config_hash(cfg), "t_eval": t_eval,
               "samples": len(test), "accuracy": acc}
-    _write(args.out, "eval.json", json.dumps(report, indent=2) + "\n")
     print(f"accuracy {acc:.4f} over {len(test)} samples at T={t_eval}")
-    return 0
+    return {"eval.json": json.dumps(report, indent=2) + "\n"}
 
 
 def cmd_sparsity(args):
@@ -416,12 +414,11 @@ def cmd_sparsity(args):
     audit = sparsity_audit(model, test, t_eval,
                            batch_size=cfg["eval"]["batch"])
     chash = config_hash(cfg)
-    _write(args.out, "sparsity.csv", f"# config_hash={chash}\n" + audit.to_csv())
     payload = json.loads(audit.to_json())
     payload["config_hash"] = chash
-    _write(args.out, "sparsity.json", json.dumps(payload, indent=2) + "\n")
     print(audit.to_table(), end="")
-    return 0
+    return {"sparsity.csv": f"# config_hash={chash}\n" + audit.to_csv(),
+            "sparsity.json": json.dumps(payload, indent=2) + "\n"}
 
 
 def cmd_anytime(args):
@@ -432,8 +429,7 @@ def cmd_anytime(args):
     for t, acc in curve:
         lines.append(f"{t},{acc!r}")
         print(f"T={t:4d}  accuracy {acc:.4f}")
-    _write(args.out, "anytime.csv", "\n".join(lines) + "\n")
-    return 0
+    return {"anytime.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_study_stride(args):
@@ -444,8 +440,7 @@ def cmd_study_stride(args):
     for r in rows:
         lines.append(f"{r['variant']},{r['accuracy']!r},"
                      f"{r['total_spikes']!r},{r['epochs']}")
-    _write(args.out, "stride_vs_pool.csv", "\n".join(lines) + "\n")
-    return 0
+    return {"stride_vs_pool.csv": "\n".join(lines) + "\n"}
 
 
 def cmd_init_config(args):
@@ -453,10 +448,9 @@ def cmd_init_config(args):
     if args.out == "-":
         print(text, end="")
     else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        _write_whole(args.out, text.encode())
         print(f"wrote default config to {args.out}")
-    return 0
+    return {}
 
 
 def _build_parser():
@@ -511,18 +505,24 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a subcommand returns its reports: {file name under --out: text}
+        for name, text in args.fn(args).items():
+            _write_whole(os.path.join(args.out, name), text.encode())
+        return 0
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except FloatingPointError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (OSError, InputError, event_io.FormatError,
-            event_io.EventParseError) as e:
+    except OSError as e:
+        # the path the user gave and the reason, without errno's "[Errno N]"
+        print(f"error: {e.filename}: {e.strerror}" if e.filename is not None
+              else f"error: {e}", file=sys.stderr)
+        return 2
+    except (InputError, event_io.FormatError, event_io.EventParseError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

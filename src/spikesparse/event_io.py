@@ -163,16 +163,28 @@ class EventStream:
 def _write_whole(path, data: bytes):
     """Write ``data`` to ``<path>.part``, then move it onto ``path``, so a
     failed or killed write leaves any earlier file at ``path`` whole; a
-    failed write or move removes the ``.part`` file."""
+    failed write or move removes the ``.part`` file, and its ``OSError`` is
+    raised again naming ``path``."""
     part = f"{path}.part"
     try:
         with open(part, "wb") as fh:
             fh.write(data)
         os.replace(part, path)
-    except BaseException:
+    except BaseException as e:
         with contextlib.suppress(OSError):
             os.remove(part)
+        if isinstance(e, OSError):
+            raise OSError(e.errno, e.strerror, path) from None
         raise
+
+
+def _ascii_int(text) -> int:
+    """``int(text)`` for ASCII digits alone, around which whitespace may
+    stand; ``ValueError`` for anything else ``int`` would take: a sign,
+    ``_`` or a non-ASCII digit."""
+    if not re.fullmatch(r"[0-9]+", text.strip()):
+        raise ValueError(f"not ASCII digits: {text!r}")
+    return int(text)
 
 
 def _as_bytes(source) -> bytes:
@@ -301,7 +313,12 @@ def _portable_columns(body: str):
 
 def parse_portable_events(source) -> EventStream:
     """Parse the portable text event format; same contract as :func:`parse_aedat`."""
-    text = _as_text(source)
+    try:
+        text = _as_text(source)
+    except UnicodeDecodeError as e:
+        # decoded whole, so e.start counts from the file's first byte
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise EventParseError(str(e), line=line) from None
     # the first line, as text.splitlines() would give it
     first = (text.partition("\n")[0].splitlines() or [""])[0]
     if not first.strip():
@@ -310,7 +327,7 @@ def parse_portable_events(source) -> EventStream:
     if len(head) != 2:
         raise EventParseError("header must be 'width,height'", line=1)
     try:
-        width, height = int(head[0]), int(head[1])
+        width, height = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError:
         raise EventParseError("non-numeric sensor size", line=1) from None
     if text[len(first):len(first) + 1] == "\n":
@@ -329,14 +346,12 @@ def parse_portable_events(source) -> EventStream:
         if len(parts) != 4:
             raise EventParseError("expected timestamp,x,y,polarity", line=lineno)
         try:
-            t, x, y, p = (int(v) for v in parts)
+            t, x, y, p = (_ascii_int(v) for v in parts)
         except ValueError:
             raise EventParseError(f"non-numeric field in {line!r}", line=lineno) from None
         if p not in (ON, OFF):
             raise EventParseError(f"polarity must be 0 or 1, got {p}", line=lineno)
-        if t < 0:
-            raise EventParseError("negative timestamp", line=lineno)
-        if not (0 <= x < width and 0 <= y < height):
+        if x >= width or y >= height:
             raise EventParseError(f"coordinate ({x},{y}) outside sensor", line=lineno)
         ts.append(t); xs.append(x); ys.append(y); ps.append(p)
     return EventStream(ts, xs, ys, ps, width, height).rebased()
@@ -741,25 +756,28 @@ def synth_dataset(classes, samples_per_class, height, width, n_timesteps,
 
 def _read_gesture_labels(path):
     """``(class, start, end)`` rows of a ``*_labels.csv``; classes are 1..11."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header, *lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path}: {e}", field="row") from None
+    if "class" not in header:
+        raise FormatError(f"{path}: unexpected label header {header!r}",
+                          field="header")
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline()
-        if "class" not in header:
-            raise FormatError(f"{path}: unexpected label header {header!r}",
-                              field="header")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                cls, start, end = (int(v) for v in line.split(","))
-            except ValueError:
-                raise FormatError(f"{path} line {lineno}: expected class,start,"
-                                  f"end, got {line!r}", field="row") from None
-            if not 1 <= cls <= 11:
-                raise FormatError(f"{path} line {lineno}: class {cls} is "
-                                  "outside 1..11", field="class")
-            rows.append((cls, start, end))
+    for lineno, line in enumerate(lines, start=2):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            cls, start, end = (_ascii_int(v) for v in line.split(","))
+        except ValueError:
+            raise FormatError(f"{path} line {lineno}: expected class,start,"
+                              f"end, got {line!r}", field="row") from None
+        if not 1 <= cls <= 11:
+            raise FormatError(f"{path} line {lineno}: class {cls} is "
+                              "outside 1..11", field="class")
+        rows.append((cls, start, end))
     return rows
 
 

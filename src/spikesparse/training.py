@@ -249,8 +249,9 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
         total_loss, correct, spikes = 0.0, 0, 0
         for bi, idx in enumerate(_batches(len(train_pairs), config.batch_size,
                                           order)):
-            grids = [train_pairs[i][0] for i in idx]
-            labels = np.array([train_pairs[i][1] for i in idx])
+            pairs = [train_pairs[i] for i in idx]  # one load per lazy pair
+            grids = [g for g, _ in pairs]
+            labels = np.array([l for _, l in pairs])
             tape = GradientTape()
             model.reset_state(len(grids))
             _, mean, counts = run_timesteps(model, grids, config.t_train,

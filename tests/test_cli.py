@@ -1,3 +1,4 @@
+import builtins
 import dataclasses
 import json
 import os
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from test_event_io import ref_aedat, ref_polarity_packet
-from spikesparse import event_io
+from spikesparse import cli, event_io
 from spikesparse.cli import (
     ConfigError,
     apply_env_overrides,
@@ -177,8 +178,80 @@ def test_unusable_path_is_exit_2(tiny_cfg, tmp_path, capsys, command):
     }[command]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
+    assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
+    assert ".part" not in err[0] and "Errno" not in err[0]
     assert not list(tmp_path.rglob("*.part"))
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_out_over_a_file_fails_before_any_rendering(tiny_cfg, tmp_path, capsys,
+                                                    monkeypatch, command):
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n")
+    rendered = []
+    monkeypatch.setattr(event_io, "_render_moving_edge",
+                        lambda *a: rendered.append(a[1]))
+    assert main([command, "--config", tiny_cfg, "--out", str(afile)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {afile}: not a directory"]
+    assert rendered == []
+
+
+@pytest.mark.parametrize("missing", ["config", "checkpoint", "input", "index"])
+def test_missing_path_is_named(tiny_cfg, tmp_path, capsys, missing):
+    gone = tmp_path / "gone"
+    cfg = tmp_path / "events.ini"
+    cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {gone}\n")
+    argv, named = {
+        "config": (["train", "--config", str(gone)], gone),
+        "checkpoint": (["eval", "--config", tiny_cfg, "--checkpoint", str(gone)],
+                       gone),
+        "input": (["convert", str(gone), str(tmp_path / "o.vox")], gone),
+        "index": (["train", "--config", str(cfg)], gone / "index.csv"),
+    }[missing]
+    out = [] if missing == "input" else ["--out", str(tmp_path / "r")]
+    assert main(argv + out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}: ")
+
+
+@pytest.mark.parametrize("bad", ["events", "config", "index"])
+def test_undecodable_text_names_the_file(tiny_cfg, tmp_path, capsys, bad):
+    # a non-UTF-8 byte in a comment of the config or index, and in a record
+    # of an events file; the config is exit 3, the data exit 2
+    data_dir = tmp_path / "files"
+    assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+    path = {"events": data_dir / "class1_test001.events", "config": cfg,
+            "index": data_dir / "index.csv"}[bad]
+    path.write_bytes(path.read_bytes() + (b"5,\xff,1,0\n" if bad == "events"
+                                          else b"# \xff\n"))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg), "--out",
+                 str(tmp_path / "run")]) == (3 if bad == "config" else 2)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{path}: " in err[0] and "0xff" in err[0]
+
+
+def test_no_subcommand_opens_a_file_for_writing(tiny_cfg, tmp_path, monkeypatch):
+    # every output goes through event_io._write_whole, whose open is its own
+    def read_only_open(file, mode="r", *args, **kwargs):
+        assert not set(mode) & set("wax+"), f"{file} opened with mode {mode!r}"
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", read_only_open, raising=False)
+    data, run = str(tmp_path / "data"), str(tmp_path / "run")
+    reports = ["--config", tiny_cfg, "--checkpoint",
+               os.path.join(run, "model.ckpt"), "--out", run]
+    for argv in (["init-config", "--out", str(tmp_path / "default.ini")],
+                 ["synth", "--config", tiny_cfg, "--out", data],
+                 ["convert", os.path.join(data, "class0_train000.events"),
+                  str(tmp_path / "o.vox")],
+                 ["train", "--config", tiny_cfg, "--out", run],
+                 ["eval"] + reports, ["sparsity"] + reports,
+                 ["anytime", "--t-list", "2,5"] + reports,
+                 ["study-stride", "--config", tiny_cfg, "--out", run]):
+        assert main(argv) == 0, argv
 
 
 class TestSynthCommand:
@@ -357,6 +430,26 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert str(data_dir / "index.csv") in err[0] and where in err[0]
+
+    @pytest.mark.parametrize("label", ["1_0", "+0"])
+    def test_index_label_is_ascii_digits_only(self, tiny_cfg, tmp_path, capsys,
+                                              label):
+        # int() reads "1_0" as 10 and "+0" as 0
+        data_dir = tmp_path / "files"
+        assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0
+        index = data_dir / "index.csv"
+        rows = index.read_text().splitlines()
+        assert rows[2].endswith(",0,train")
+        rows[2] = rows[2][:-len("0,train")] + f"{label},train"
+        index.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = events\npath = {data_dir}\n")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {index} line 3: expected file,label,")
 
     @pytest.mark.parametrize("corrupt, where", [
         ("event", "outside the 128x128 sensor"),

@@ -235,14 +235,33 @@ class TestPortableFormat:
             parse_portable_events("no/such/file.events")
 
     def test_loose_lines_parse_like_canonical_ones(self):
-        # spaces, "\r\n", blank lines, signs and a missing final newline
-        # leave the array parser to the line-by-line one
+        # spaces, "\r\n", blank lines and a missing final newline leave the
+        # array parser to the line-by-line one
         canonical = parse_portable_events("32,24\n5,3,23,1\n40,0,5,0\n")
         for text in ("32,24\r\n5,3,23,1\r\n40,0,5,0\r\n",
                      "32,24\n\n 5,3,23,1 \n\n40, 0,5,0",
-                     "32,24\n+5,3,23,1\n40,0,5,0\n",
                      "32,24\n5,3,23,1\n40,0,5,0"):
             assert parse_portable_events(text).equals(canonical)
+
+    @pytest.mark.parametrize("text, line", [
+        ("32,24\n1_0,3,23,1\n", 2),       # int() reads 1_0 as 10
+        ("32,24\n5,3,23,1\n+5,3,23,1\n", 3),
+        ("32,24\n\u0665,3,23,1\n", 2),    # ARABIC-INDIC DIGIT FIVE
+        ("32,24\n5,3,23,1\n-5,3,23,1\n", 3),
+        ("+32,24\n5,3,23,1\n", 1),
+        ("32,2_4\n", 1),
+    ])
+    def test_integers_are_ascii_digits_only(self, text, line):
+        with pytest.raises(EventParseError) as e:
+            parse_portable_events(text)
+        assert e.value.line == line
+
+    def test_undecodable_byte_reports_its_line(self, tmp_path):
+        p = tmp_path / "bad.events"
+        p.write_bytes(b"32,24\n5,3,23,1\n40,\xff,5,0\n")
+        with pytest.raises(EventParseError) as e:
+            parse_portable_events(p)
+        assert e.value.line == 3 and "0xff" in str(e.value)
 
     def test_first_bad_line_after_many_good_ones(self):
         rng = np.random.default_rng(2)
@@ -604,6 +623,21 @@ class TestLoadDvs128:
         with pytest.raises(FormatError) as e:
             load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
         assert f"{labels} line 4" in str(e.value) and "'1,0,abc'" in str(e.value)
+
+    @pytest.mark.parametrize("row", ["1_0,0,100", "+1,0,100", "1,0,1_00"])
+    def test_label_integers_are_ascii_digits_only(self, mini_root, row):
+        labels = mini_root / "user01_led_labels.csv"
+        labels.write_text(labels.read_text() + row + "\n")
+        with pytest.raises(FormatError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        assert f"{labels} line 4: expected class,start,end" in str(e.value)
+
+    def test_undecodable_label_file_names_it(self, mini_root):
+        labels = mini_root / "user01_led_labels.csv"
+        labels.write_bytes(labels.read_bytes() + b"1,0,\xff\n")
+        with pytest.raises(FormatError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        assert str(e.value).startswith(f"{labels}: ") and "0xff" in str(e.value)
 
     @pytest.mark.parametrize("cls", [0, 12])
     def test_class_outside_the_gestures(self, mini_root, cls):

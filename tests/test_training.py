@@ -5,7 +5,7 @@ import pytest
 
 from conftest import make_model, simulate_reference
 from spikesparse.autograd import ParamGrads
-from spikesparse.event_io import synth_dataset
+from spikesparse.event_io import BinaryVoxelGrid, LazyGridList, synth_dataset
 from spikesparse.spiking import (
     Param,
     SpikingNet,
@@ -293,6 +293,27 @@ class TestTrainLoop:
             for key in r1:
                 if key not in skip:
                     assert r1[key] == r2[key], key
+
+    def test_lazy_pairs_load_once_per_epoch(self, tmp_path, monkeypatch):
+        # 4 cached train grids: 4 loads per epoch, and the same run as from
+        # the grids held in memory
+        train_pairs, test = tiny_dataset(classes=2, per_class=2)
+        entries = []
+        for i, (grid, label) in enumerate(train_pairs):
+            grid.save(tmp_path / f"{i}.vox")
+            entries.append((tmp_path / f"{i}.vox", label))
+        loads, load = [], BinaryVoxelGrid.load.__func__
+        monkeypatch.setattr(BinaryVoxelGrid, "load", classmethod(
+            lambda cls, path: loads.append(path) or load(cls, path)))
+        cfg = tiny_config(max_epochs=2)
+        lazy_model, lazy_history = train(cfg, (LazyGridList(entries), test))
+        assert len(loads) == 2 * len(entries)
+        model, history = train(cfg, (train_pairs, test))
+        for row, lazy_row in zip(history, lazy_history):
+            del row["epoch_seconds"], lazy_row["epoch_seconds"]
+        assert history == lazy_history
+        for p, q in zip(model.parameters(), lazy_model.parameters()):
+            assert np.array_equal(p.value, q.value)
 
     def test_history_rows_complete(self):
         cfg = tiny_config(max_epochs=2)
