@@ -10,24 +10,17 @@ projection.  A couple of minutes on a laptop CPU.
 best of 3 seeds. Here we use half the data to stay snappy.)
 """
 
-import numpy as np
+from dataclasses import replace
 
 from spikesparse.event_io import synth_dataset
-from spikesparse.training import (
-    TrainConfig,
-    anytime_eval,
-    sparsity_audit,
-    train,
-)
+from spikesparse.training import DESK_CONFIG, anytime_eval, sparsity_audit, train
 
 print("generating data...")
 data = synth_dataset(classes=4, samples_per_class=25, height=64, width=64,
                      n_timesteps=20, dt_us=10_000, seed=0, test_per_class=10)
 print(f"{len(data[0])} train / {len(data[1])} test samples\n")
 
-config = TrainConfig(arch="2sc5-4sc3-4", in_height=64, in_width=64,
-                     t_train=20, lr0=5e-3, batch_size=16, max_epochs=12,
-                     dropout_p=0.0, b_init=0.15, seed=0)
+config = replace(DESK_CONFIG, max_epochs=12)
 model, history = train(config, data, log=print)
 best = max(h["test_acc"] for h in history)
 print(f"\nbest test accuracy: {best:.3f}")

@@ -7,16 +7,15 @@ the sites and, as it turns out, also *fires* far less.  This runs the paired
 experiment under identical seeds and budgets and prints the comparison.
 """
 
+from dataclasses import replace
+
 from spikesparse.event_io import synth_dataset
-from spikesparse.training import TrainConfig, stride_vs_pool_study
+from spikesparse.training import DESK_CONFIG, stride_vs_pool_study
 
 data = synth_dataset(classes=4, samples_per_class=25, height=64, width=64,
                      n_timesteps=20, dt_us=10_000, seed=0, test_per_class=10)
 
-config = TrainConfig(arch="2sc5-4sc3-4", in_height=64, in_width=64,
-                     t_train=20, lr0=5e-3, batch_size=16, max_epochs=10,
-                     dropout_p=0.0, b_init=0.15, seed=0)
-rows = stride_vs_pool_study(config, data)
+rows = stride_vs_pool_study(replace(DESK_CONFIG, max_epochs=10), data)
 
 print(f"\n{'variant':<10}{'accuracy':>10}{'spikes/sample':>16}")
 for r in rows:

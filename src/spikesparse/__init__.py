@@ -43,6 +43,7 @@ from .autograd import (
     soft_forward_mode,
 )
 from .training import (
+    DESK_CONFIG,
     TrainConfig,
     anytime_eval,
     evaluate,

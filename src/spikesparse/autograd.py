@@ -93,9 +93,6 @@ class ParamGrads:
     def to_list(self, params):
         return [self.get(p) for p in params]
 
-    def global_norm(self, params) -> float:
-        return float(np.sqrt(sum(float(np.sum(self.get(p) ** 2)) for p in params)))
-
     def dump_norms(self, params) -> str:
         lines = [f"{p.name} {np.linalg.norm(self.get(p)):.6e}" for p in params]
         return "\n".join(lines)

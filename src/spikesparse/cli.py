@@ -52,6 +52,7 @@ from .event_io import (
 )
 from .spiking import load_checkpoint, parse_architecture
 from .training import (
+    DESK_CONFIG,
     TrainConfig,
     _check_horizons,
     anytime_eval,
@@ -93,7 +94,6 @@ def _int_list(s):
 
 # [model] and [train] keys: TrainConfig's fields but the three that [data]
 # height/width and [eval] batch set, with the desk recipe's defaults
-_DESK = TrainConfig(arch="2sc5-4sc3-4", t_train=20, max_epochs=20)
 _MODEL_KEYS = ("arch", "variant", "readout_bias")
 _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name
                     not in _MODEL_KEYS + ("in_height", "in_width", "eval_batch"))
@@ -102,7 +102,7 @@ _TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig) if f.name
 def _field_keys(names):
     """Schema entries of TrainConfig fields: a parser of the default's type."""
     return {n: (_bool if isinstance(v, bool) else type(v), v)
-            for n, v in ((n, getattr(_DESK, n)) for n in names)}
+            for n, v in ((n, getattr(DESK_CONFIG, n)) for n in names)}
 
 
 # section -> key -> (parser, default)
@@ -113,15 +113,15 @@ _SCHEMA = {
         "classes": (int, 4),
         "train_per_class": (int, 50),
         "test_per_class": (int, 20),
-        "height": (int, 64),
-        "width": (int, 64),
+        "height": (int, DESK_CONFIG.in_height),
+        "width": (int, DESK_CONFIG.in_width),
     },
     "model": _field_keys(_MODEL_KEYS),
     "train": _field_keys(_TRAIN_KEYS),
     "eval": {
         "t_eval": (int, 0),                # 0 = use train.t_train
         "t_list": (_int_list, [2, 5, 10, 20]),
-        "batch": (int, _DESK.eval_batch),
+        "batch": (int, DESK_CONFIG.eval_batch),
     },
 }
 # command-line flag (argparse dest) -> the config key it sets

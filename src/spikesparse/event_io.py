@@ -50,7 +50,12 @@ _AEDAT_MAGIC = b"#!AER-DAT3.1\r\n"
 _PACKET_HEADER = struct.Struct("<hhiiiiii")  # type, source, size, tsOffset,
                                              # tsOverflow, capacity, number, valid
 _POLARITY_EVENT = 1
+# voxel cache file: magic, header (u32 C/T/H/W, u64 dt_us, u64 record count),
+# then one record per cell in (t, y, x) order
 _VOX_MAGIC = b"SPKVOX01"
+_VOX_HEADER = struct.Struct("<IIIIQQ")
+_VOX_RECORD = np.dtype([("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
+_VOX_BODY = len(_VOX_MAGIC) + _VOX_HEADER.size   # where the records start
 _PORTABLE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)  # after t, x, y, p
 
 
@@ -436,34 +441,30 @@ class BinaryVoxelGrid:
                 and np.array_equal(self.y, other.y)
                 and np.array_equal(self.values, other.values))
 
-    # cache file: magic, u32 C/T/H/W, u64 dt_us, u64 n, then (u16 t, u16 x,
-    # u16 y, i8 value) records in (t, y, x) order
     def to_bytes(self) -> bytes:
-        head = _VOX_MAGIC + struct.pack("<IIIIQQ", 1, self.n_timesteps,
-                                        self.height, self.width, self.dt_us,
-                                        self.n_nonzero)
-        rec = np.empty(self.n_nonzero,
-                       dtype=[("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
+        head = _VOX_MAGIC + _VOX_HEADER.pack(1, self.n_timesteps, self.height,
+                                             self.width, self.dt_us, self.n_nonzero)
+        rec = np.empty(self.n_nonzero, dtype=_VOX_RECORD)
         rec["t"], rec["x"], rec["y"], rec["v"] = self.t, self.x, self.y, self.values
         return head + rec.tobytes()
 
     @classmethod
     def from_bytes(cls, data) -> "BinaryVoxelGrid":
-        if data[:8] != _VOX_MAGIC:
+        at = len(_VOX_MAGIC)
+        if data[:at] != _VOX_MAGIC:
             raise FormatError("bad voxel cache magic", field="magic")
-        if len(data) < 8 + 32:
-            raise PartialReadError("truncated voxel cache header", byte_offset=8)
-        c, t_bins, height, width, dt_us, n = struct.unpack_from("<IIIIQQ", data, 8)
+        if len(data) < _VOX_BODY:
+            raise PartialReadError("truncated voxel cache header", byte_offset=at)
+        c, t_bins, height, width, dt_us, n = _VOX_HEADER.unpack_from(data, at)
         if c != 1:
             raise FormatError(f"unsupported channel count {c}", field="channels")
         if max(t_bins, height, width) > 1 << 16:   # records hold u16 t, x, y
             raise FormatError(f"grid extent {t_bins}x{height}x{width} beyond "
                               "the records' u16 range", field="extent")
-        body = data[8 + 32:]
-        if len(body) < 7 * n:
-            raise PartialReadError("truncated voxel records", byte_offset=8 + 32)
-        rec = np.frombuffer(body, count=n,
-                            dtype=[("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
+        body = data[_VOX_BODY:]
+        if len(body) < _VOX_RECORD.itemsize * n:
+            raise PartialReadError("truncated voxel records", byte_offset=_VOX_BODY)
+        rec = np.frombuffer(body, dtype=_VOX_RECORD, count=n)
         try:
             return cls(rec["t"], rec["x"], rec["y"], rec["v"], t_bins, height,
                        width, dt_us)
@@ -754,13 +755,18 @@ def synth_dataset(classes, samples_per_class, height, width, n_timesteps,
 # ---------------------------------------------------------------------------
 # DVS128 Gesture loading (optional, large download; see README)
 
-def _read_gesture_labels(path):
-    """``(class, start, end)`` rows of a ``*_labels.csv``; classes are 1..11."""
+def _read_ascii(path) -> str:
+    """The text of ``path``; ``FormatError`` naming the file if not ASCII."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            header, *lines = fh.read().split("\n")
+            return fh.read()
     except UnicodeDecodeError as e:
         raise FormatError(f"{path}: {e}", field="row") from None
+
+
+def _read_gesture_labels(path):
+    """``(class, start, end)`` rows of a ``*_labels.csv``; classes are 1..11."""
+    header, *lines = _read_ascii(path).split("\n")
     if "class" not in header:
         raise FormatError(f"{path}: unexpected label header {header!r}",
                           field="header")
@@ -809,8 +815,8 @@ def load_dvs128(root, dt_us=10_000, n_timesteps=150, window_us=1_500_000,
     root = os.fspath(root)
     index = {}
     for split in ("train", "test"):
-        with open(os.path.join(root, f"trials_to_{split}.txt")) as fh:
-            index[split] = [l.strip() for l in fh if l.strip()]
+        text = _read_ascii(os.path.join(root, f"trials_to_{split}.txt"))
+        index[split] = [l.strip() for l in text.split("\n") if l.strip()]
 
     def samples_for(split):
         out = []
@@ -830,8 +836,9 @@ def load_dvs128(root, dt_us=10_000, n_timesteps=150, window_us=1_500_000,
                     # label times are in the recording's native time base
                     try:
                         stream = parse_aedat(aedat, rebase=False)
-                    except FormatError as e:
-                        raise FormatError(f"{aedat}: {e}", field=e.field) from None
+                    except FormatError as e:   # the message names the file
+                        e.args = (f"{aedat}: {e}",)
+                        raise
                 lo, hi = np.searchsorted(stream.timestamps, [start, start + window_us])
                 sl = EventStream(stream.timestamps[lo:hi] - start,
                                  stream.xs[lo:hi], stream.ys[lo:hi],

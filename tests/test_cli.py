@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from test_acceptance import ACCEPT_CFG
 from test_event_io import ref_aedat, ref_polarity_packet
 from spikesparse import cli, event_io
 from spikesparse.cli import (
@@ -21,7 +22,7 @@ from spikesparse.cli import (
     train_config_from,
 )
 from spikesparse.spiking import load_checkpoint, save_checkpoint
-from spikesparse.training import TrainConfig, build_model, evaluate
+from spikesparse.training import DESK_CONFIG, TrainConfig, build_model, evaluate
 
 TINY = """
 [data]
@@ -86,16 +87,15 @@ class TestConfig:
     def test_default_config_is_the_desk_recipe(self):
         cfg = parse_config("")
         assert cfg["eval"]["batch"] == 32
-        assert config_hash(cfg) == "82e20ba4b1ee"
-        assert train_config_from(cfg) == TrainConfig(
-            arch="2sc5-4sc3-4", in_height=64, in_width=64, t_train=20,
-            max_epochs=20)
+        assert config_hash(cfg) == "10bae85aed7e"
+        # the acceptance gate's recipe, which the library names once
+        assert train_config_from(cfg) == TrainConfig(**ACCEPT_CFG) == DESK_CONFIG
 
     def test_defaults_are_not_shared_between_configs(self):
         parse_config("")["eval"]["t_list"].append(40)
         cfg = parse_config("")
         assert cfg["eval"]["t_list"] == [2, 5, 10, 20]
-        assert config_hash(cfg) == "82e20ba4b1ee"
+        assert config_hash(cfg) == "10bae85aed7e"
 
     def test_each_train_config_field_has_one_key(self):
         base = train_config_from(parse_config(""))
@@ -108,7 +108,8 @@ class TestConfig:
                 if isinstance(value, bool):
                     cfg[sec][key] = not value
                 elif isinstance(value, (int, float)):
-                    cfg[sec][key] = value + 1 if isinstance(value, int) else value / 2
+                    cfg[sec][key] = (value + 1 if isinstance(value, int)
+                                     else value / 2 or 0.5)
                 elif isinstance(value, list):
                     cfg[sec][key] = value + [1]
                 else:
@@ -480,6 +481,21 @@ class TestTrainEvalPipeline:
         bad = ("user01_led_labels.csv" if corrupt in ("label", "class")
                else "user01_led.aedat")
         assert str(tmp_path / bad) in err[0]
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_undecodable_trial_listing_is_exit_2(self, tmp_path, capsys, split):
+        (tmp_path / "trials_to_train.txt").write_text("user01_led.aedat\n")
+        (tmp_path / "trials_to_test.txt").write_text("user24_led.aedat\n")
+        listing = tmp_path / f"trials_to_{split}.txt"
+        listing.write_bytes(listing.read_bytes() + b"user\xff.aedat\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = dvs128\npath = {tmp_path}\n"
+                       "height = 128\nwidth = 128\n")
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {listing}: ")
+        assert "0xff" in err[0]
 
     @pytest.mark.parametrize("corrupt, where", [
         ("header", "truncated voxel cache header"),

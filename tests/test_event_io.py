@@ -639,6 +639,23 @@ class TestLoadDvs128:
             load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
         assert str(e.value).startswith(f"{labels}: ") and "0xff" in str(e.value)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_undecodable_trial_listing_names_it(self, mini_root, split):
+        listing = mini_root / f"trials_to_{split}.txt"
+        listing.write_bytes(listing.read_bytes() + b"user\xff.aedat\n")
+        with pytest.raises(FormatError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        assert str(e.value).startswith(f"{listing}: ") and "0xff" in str(e.value)
+
+    def test_truncated_recording_keeps_the_partial_read(self, mini_root):
+        aedat = mini_root / "user01_led.aedat"
+        aedat.write_bytes(aedat.read_bytes()[:-3])
+        with pytest.raises(PartialReadError) as e:
+            load_dvs128(mini_root, dt_us=100_000, n_timesteps=15)
+        payload = len(ref_aedat()) + 28   # after the file and packet headers
+        assert e.value.byte_offset == payload
+        assert str(e.value) == f"{aedat}: truncated event payload at byte {payload}"
+
     @pytest.mark.parametrize("cls", [0, 12])
     def test_class_outside_the_gestures(self, mini_root, cls):
         labels = mini_root / "user24_led_labels.csv"

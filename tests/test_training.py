@@ -220,6 +220,16 @@ class TestClipGradNorm:
         clip_grad_norm(grads, 5.0)
         assert grads[0][0] == 3.0
 
+    def test_returns_the_norm_before_clipping(self):
+        assert clip_grad_norm([np.array([6.0, 8.0])], 5.0) == 10.0
+        assert clip_grad_norm([np.array([3.0])], 5.0) == 3.0
+        # train() checks this value: a non-finite entry makes it non-finite
+        for bad in (np.nan, np.inf):
+            grads = ParamGrads()
+            grads.add(Param("w", np.zeros(2)), np.array([bad, 1.0]))
+            assert not math.isfinite(clip_grad_norm(grads, 5.0))
+            assert grads.get(Param("w", np.zeros(2)))[1] == 1.0   # not scaled
+
     def test_zero_grads_no_division(self):
         grads = [np.zeros(4)]
         clip_grad_norm(grads, 5.0)
