@@ -389,7 +389,8 @@ def _load_model_and_data(args, anytime=False):
         model = load_checkpoint(args.checkpoint)
     except (ValueError, KeyError) as e:
         raise InputError(f"corrupt checkpoint {args.checkpoint}: {e}") from e
-    test = load_dataset(cfg, with_train=False)[1]
+    # read once: a cached split loads each grid on every pass over it
+    test = list(load_dataset(cfg, with_train=False)[1])
     _check_samples([test], model.in_height, model.in_width, model.num_classes)
     horizons = (cfg["eval"]["t_list"] if anytime
                 else [cfg["eval"]["t_eval"] or tc.t_train])

@@ -30,7 +30,9 @@ sites with current or a pending reset get the full update, and all others
 decay in one dense multiply by ``beta``, bit-identical to the full update
 at ``I = 0``.  A silent neuron below a positive threshold never spikes while
 decaying, so this is exact; at ``b <= 0`` a neuron at rest spikes, so such a
-layer updates every site.
+layer updates every site.  Each hard step builds one site index
+(:func:`spikesparse.sparse._step_index`): the conv takes its output sites
+and kernel map from it, and the LIF update its site list.
 
 Potentials are always dense, and the last spikes are kept only as the tensor
 the step handed on.  Taped (training) and untaped forwards take the same
@@ -58,7 +60,7 @@ from .sparse import (
     _grid_sites,
     _nonzero_rows,
     _pool_sites,
-    _site_index,
+    _step_index,
     densify,
 )
 
@@ -268,22 +270,28 @@ def lazy_decay_advance(state: LIFLayerState, gap: int, params: LIFParams):
     return state
 
 
-def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2):
+def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2,
+                   index=None):
     """Sparse-execution LIF update: the full update only where it can matter.
 
     A site needs it iff it receives input current or spiked last step (its
     reset is pending); every other site only decays, which with ``b > 0``
-    can never make it spike.  At ``b <= 0`` every site gets it.  Returns the
-    new spikes as a pruned binary sparse tensor.
+    can never make it spike.  At ``b <= 0`` every site gets it.  The current
+    ``cur_vals`` is given at the canonical sites ``cur_coords``.  The site
+    list comes from ``index``, the step's :func:`_step_index`, built here
+    from ``cur_coords`` when it is not given.  Returns the new spikes as a
+    pruned binary sparse tensor.
     """
     batch, channels, height, width = state.shape
-    every = () if params.b > 0 else (_grid_sites(batch, height, width),)
-    sites, (cur_rows, prev_rows, *_) = _site_index(
-        (batch, height, width), cur_coords, state.prev_spikes.coords, *every)
-    current = np.zeros((len(sites), channels))
-    current[cur_rows] = cur_vals
+    if index is None:   # the output sites are those of the current
+        cur = SparseTensor2D._canonical(cur_coords, cur_vals, batch, height,
+                                        width, channels)
+        index = _step_index(cur, resets=state.prev_spikes.coords,
+                            every_site=params.b <= 0)
+    current = np.zeros((len(index.sites), channels))
+    current[index.out_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
-                       wnorm2 + params.eps, sites, prev_rows)
+                       wnorm2 + params.eps, index.sites, index.reset_rows)
 
 
 class SpikingConvLayer:
@@ -579,23 +587,28 @@ def _batch_slice(grids, t) -> SparseTensor2D:
 
 def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     """Conv + LIF (+ optional pool) for one timestep, at the sites that the
-    layer kind picks (see the module docstring); a hard ``sc`` step takes
-    :func:`_lif_step_lazy`, taped or not.  Returns (next layer input, nonzero
-    scalar count of the emitted spikes).  A recorder gets the whole step as
-    one entry, with the state before it (``v_prev``, ``s_prev``) and after."""
+    layer kind picks (see the module docstring); a hard ``sc`` step builds
+    one site index for its conv and :func:`_lif_step_lazy`, taped or not.
+    Returns (next layer input, nonzero scalar count of the emitted spikes).
+    A recorder gets the whole step as one entry, with the state before it
+    (``v_prev``, ``s_prev``) and after."""
     state = layer.state
     kernel = layer.kernel
     w2 = kernel.wnorm2
     v_prev, s_prev = state.potentials, state.prev_spikes
     every_site = soft or layer.mode == "dense"
-    out_c, current, _, _ = _conv_sites(x if every_site else _nonzero_rows(x)[0],
-                                       kernel, every_site)
     if every_site:
+        out_c, current, _, _ = _conv_sites(x, kernel, every_site)
         spikes = _lif_update(state, current, layer.beta.item(), layer.b.item(),
                              w2 + EPSILON, out_c, state.prev_spikes.keys(),
                              layer.alpha if soft else None, every_site=True)
     else:
-        spikes = _lif_step_lazy(state, out_c, current, layer.lif_params(), w2)
+        params = layer.lif_params()
+        x_in = _nonzero_rows(x)[0]
+        index = _step_index(x_in, kernel.k, kernel.stride,
+                            state.prev_spikes.coords, params.b <= 0)
+        out_c, current, _, _ = _conv_sites(x_in, kernel, every_site, index=index)
+        spikes = _lif_step_lazy(state, out_c, current, params, w2, index=index)
     count = int(np.count_nonzero(spikes.values))
 
     pooled = winners = None

@@ -532,6 +532,33 @@ class TestTrainEvalPipeline:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: {where}")
 
+    def test_eval_commands_load_each_cached_test_grid_once(self, tmp_path,
+                                                          monkeypatch):
+        # two recordings of two gestures each, one per split; training
+        # voxelizes them into the cache, from which every evaluation reads
+        stream = event_io.EventStream([1000, 2000], [5, 7], [3, 8], [1, 0], 128, 128)
+        for name in ("user01_led.aedat", "user24_led.aedat"):
+            (tmp_path / name).write_bytes(event_io.encode_aedat(stream))
+            (tmp_path / name.replace(".aedat", "_labels.csv")).write_text(
+                "class,startTime_usec,endTime_usec\n1,0,100000\n2,0,100000\n")
+        (tmp_path / "trials_to_train.txt").write_text("user01_led.aedat\n")
+        (tmp_path / "trials_to_test.txt").write_text("user24_led.aedat\n")
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(TINY + f"\n[data]\nkind = dvs128\npath = {tmp_path}\n"
+                       "height = 128\nwidth = 128\n")
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+        loads = []
+        load = event_io.BinaryVoxelGrid.load
+        monkeypatch.setattr(event_io.BinaryVoxelGrid, "load",
+                            lambda path: loads.append(path) or load(path))
+        common = ["--config", str(cfg), "--checkpoint", str(run / "model.ckpt"),
+                  "--out", str(tmp_path / "r")]
+        for argv in (["eval"], ["sparsity"], ["anytime", "--t-list", "2,5"]):
+            loads.clear()
+            assert main(argv + common) == 0
+            assert len(loads) == len(set(loads)) == 2, argv[0]
+
     def test_bad_events_record_names_the_file(self, tiny_cfg, tmp_path, capsys):
         data_dir = tmp_path / "files"
         assert main(["synth", "--config", tiny_cfg, "--out", str(data_dir)]) == 0

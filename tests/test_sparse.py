@@ -15,6 +15,7 @@ from spikesparse.sparse import (
     _grid_sites,
     _pool_sites,
     _pool_sites_grads,
+    _step_index,
     count_nonzero,
     dense_conv2d,
     densify,
@@ -93,6 +94,81 @@ class TestOutCoords:
             assert np.array_equal(out_coords(shuffled, stride),
                                   _unique_out_coords(x.coords, stride))
         assert np.array_equal(_pool_sites(x)[0], _unique_out_coords(x.coords, 2))
+
+
+def _separate_site_index(shape, *coords, stride=1):
+    """The site index as separate builds made it: a bool occupancy map of
+    the sites ``(b, x // stride, y // stride)`` of each ``(b, x, y)`` array,
+    their union in canonical order, and an intp row map giving each array's
+    rows in that union."""
+    sites = [(c[:, 0], c[:, 2] // stride, c[:, 1] // stride) for c in coords]
+    occupied = np.zeros(shape, bool)
+    for site in sites:
+        occupied[site] = True
+    flat = np.flatnonzero(occupied)
+    b, y, x = np.unravel_index(flat, shape)
+    row = np.empty(shape, np.intp)
+    row.reshape(-1)[flat] = np.arange(len(flat))
+    return np.stack([b, x, y], axis=1), [row[site] for site in sites]
+
+
+def _separate_kernel_map(out_c, x, k, stride):
+    """The kernel map as a separate build made it, through a 3D padded
+    site->row grid of ``x``."""
+    pad = k // 2
+    hp, wp = x.height + 2 * pad, x.width + 2 * pad
+    site_row = np.full((x.batch_size, hp, wp), x.n_sites, np.int32)
+    site_row[x.coords[:, 0], x.coords[:, 2] + pad, x.coords[:, 1] + pad] = \
+        np.arange(x.n_sites, dtype=np.int32)
+    corner = (out_c[:, 0] * hp + stride * out_c[:, 2]) * wp + stride * out_c[:, 1]
+    taps = (np.arange(k)[:, None] + wp * np.arange(k)).reshape(-1, 1)
+    return site_row.ravel()[taps + corner]
+
+
+class TestStepIndex:
+    """`_step_index` builds once what an `sc` step used to build three
+    times: the conv's output sites, the LIF site list with the row of each
+    output site and pending reset in it, and the kernel map."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([0.0, 0.15, 0.5]), st.sampled_from([1, 3, 5]),
+           st.sampled_from([1, 2]),
+           st.sampled_from([None, "empty", "overlapping", "disjoint"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_separate_builds(self, batch, height, width, density, k,
+                                     stride, resets, every_site, seed):
+        rng = np.random.default_rng(seed)
+        b, y, xs = np.nonzero(rng.random((batch, height, width)) < density)
+        x = SparseTensor2D(np.stack([b, xs, y], axis=1), np.ones((len(b), 1)),
+                           batch, height, width)
+        shape = (batch, -(-height // stride), -(-width // stride))
+        out_c, _ = _separate_site_index(shape, x.coords, stride=stride)
+        # pending resets on the output grid, canonical as a spike tensor's
+        occupied = np.zeros(shape, bool)
+        occupied[out_c[:, 0], out_c[:, 2], out_c[:, 1]] = True
+        some = rng.random(shape) < 0.4
+        marks = {None: None, "empty": np.zeros(shape, bool),
+                 "overlapping": some | (occupied & (rng.random(shape) < 0.5)),
+                 "disjoint": some & ~occupied}[resets]
+        lists = [out_c]
+        if marks is not None:
+            rb, ry, rx = np.nonzero(marks)
+            lists.append(np.stack([rb, rx, ry], axis=1))
+        if every_site:   # a layer at b <= 0
+            lists.append(_grid_sites(*shape))
+        sites, rows = _separate_site_index(shape, *lists)
+
+        index = _step_index(x, k, stride, lists[1] if marks is not None else None,
+                            every_site)
+        assert np.array_equal(index.out_c, out_c)
+        assert np.array_equal(index.sites, sites)
+        assert np.array_equal(index.out_rows, rows[0])
+        assert np.array_equal(index.reset_rows,
+                              rows[1] if marks is not None else np.empty(0))
+        kmap = _separate_kernel_map(out_c, x, k, stride)
+        assert index.kmap.dtype == np.int32 and np.array_equal(index.kmap, kmap)
+        assert _step_index(x, stride=stride).kmap is None
 
 
 class TestSparseConv:

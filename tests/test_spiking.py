@@ -461,6 +461,30 @@ class TestNetworkForward:
             for v, layer in zip(lazy_v, model.layers):
                 assert np.array_equal(v, layer.state.potentials)
 
+    @pytest.mark.parametrize("threshold", [0.05, 0.0])
+    def test_one_site_index_per_sc_layer_step(self, monkeypatch, threshold):
+        # an `sc` step's conv and LIF update share one index, built once; a
+        # `c` layer's step builds none
+        from spikesparse import sparse, spiking
+        from spikesparse.event_io import synth_dataset
+        from spikesparse.training import build_model
+        build, calls = sparse._step_index, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(sparse, "_step_index", counted)
+        monkeypatch.setattr(spiking, "_step_index", counted)
+        model = build_model("2c3-2sc3-4sc3-4", (32, 32), b_init=threshold)
+        grids = [g for g, _ in synth_dataset(2, 1, 32, 32, 3, 10_000, seed=0)[0]]
+        for recorder in (GradientTape(), None):
+            model.reset_state(len(grids))
+            calls.clear()
+            _, _, counts = run_timesteps(model, grids, 3, recorder=recorder)
+            assert counts[1:].all()   # the sc layers spike
+            assert len(calls) == 2 * 3   # two sc layers, three steps
+
     @pytest.mark.parametrize("variant", ["stride", "pool"])
     def test_sparse_layer_after_dense_layer_keeps_coordinate_map(
             self, variant, monkeypatch):
