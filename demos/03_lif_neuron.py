@@ -14,6 +14,7 @@ bit-exactly.
 import numpy as np
 
 from spikesparse.spiking import (
+    EPSILON,
     LIFLayerState,
     LIFParams,
     lazy_decay_advance,
@@ -22,7 +23,7 @@ from spikesparse.spiking import (
 )
 
 params = LIFParams(beta=0.7, b=0.3)
-wnorm2 = 1.0 - params.eps  # so the normalizer is exactly 1.0
+wnorm2 = 1.0 - EPSILON  # so the normalizer is exactly 1.0
 
 state = LIFLayerState(1, 1, 1, 1)
 drive = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0]

@@ -19,9 +19,9 @@ data; it returns its reports and ``main`` writes them.  Every file written
 goes through ``event_io._write_whole``: whole, or not at all.
 
 Exit codes: 0 success, 2 missing or unreadable input or an unwritable
-output, 3 config validation failure or a training run whose loss or
-gradient stopped being finite.  Only ``main`` maps a failure to its exit
-code and one stderr line: ``config error: <problems>`` for a config, and
+output, 3 config validation failure or a training run whose loss, gradient
+or parameters stopped being finite.  Only ``main`` maps a failure to its
+exit code and one stderr line: ``config error: <problems>`` for a config, and
 ``error: <message>`` otherwise, where a file that cannot be opened, read or
 written reads ``error: <path as given>: <reason>`` and text that does not
 decode is the reader's error naming the file.

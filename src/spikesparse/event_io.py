@@ -56,6 +56,8 @@ _VOX_MAGIC = b"SPKVOX01"
 _VOX_HEADER = struct.Struct("<IIIIQQ")
 _VOX_RECORD = np.dtype([("t", "<u2"), ("x", "<u2"), ("y", "<u2"), ("v", "i1")])
 _VOX_BODY = len(_VOX_MAGIC) + _VOX_HEADER.size   # where the records start
+_MAX_DIGITS = 18   # an integer field of at most 18 digits fits int64
+_GESTURE_WINDOW_US = 1_500_000   # what a DVS128 gesture gives from its start
 _PORTABLE_SEPARATORS = np.frombuffer(b",,,\n", np.uint8)  # after t, x, y, p
 
 
@@ -184,11 +186,11 @@ def _write_whole(path, data: bytes):
 
 
 def _ascii_int(text) -> int:
-    """``int(text)`` for ASCII digits alone, around which whitespace may
-    stand; ``ValueError`` for anything else ``int`` would take: a sign,
-    ``_`` or a non-ASCII digit."""
-    if not re.fullmatch(r"[0-9]+", text.strip()):
-        raise ValueError(f"not ASCII digits: {text!r}")
+    """``int(text)`` for 1 to ``_MAX_DIGITS`` ASCII digits, around which
+    whitespace may stand; ``ValueError`` for anything else ``int`` would
+    take: a sign, ``_``, a non-ASCII digit or a number beyond int64."""
+    if not re.fullmatch(f"[0-9]{{1,{_MAX_DIGITS}}}", text.strip()):
+        raise ValueError(f"not 1 to {_MAX_DIGITS} ASCII digits: {text!r}")
     return int(text)
 
 
@@ -267,15 +269,16 @@ def parse_aedat(source, width=128, height=128, rebase=True) -> EventStream:
     return stream.rebased() if rebase else stream
 
 
-def encode_aedat(stream: EventStream, source_id=1) -> bytes:
-    """Serialize a stream as a minimal AEDAT 3.1 file (one polarity packet)."""
+def encode_aedat(stream: EventStream) -> bytes:
+    """Serialize a stream as a minimal AEDAT 3.1 file (one polarity packet
+    from source id 1)."""
     n = len(stream)
     if n and int(stream.timestamps[-1]) >= 2 ** 31:
         raise ValueError("timestamps beyond 2^31 us need overflow packets")
     out = io.BytesIO()
     out.write(_AEDAT_MAGIC)
     out.write(b"#!END-HEADER\r\n")
-    out.write(_PACKET_HEADER.pack(_POLARITY_EVENT, source_id, 8, 4, 0, n, n, n))
+    out.write(_PACKET_HEADER.pack(_POLARITY_EVENT, 1, 8, 4, 0, n, n, n))
     if n:
         d = ((stream.xs.astype(np.uint32) << 17)
              | (stream.ys.astype(np.uint32) << 2)
@@ -298,9 +301,9 @@ def _as_text(source) -> str:
 
 def _portable_columns(body: str):
     """The ``[4, N]`` int64 fields of a body made only of ``t,x,y,p`` lines of
-    1 to 18 decimal digits per field, each ended by a newline (the last may
-    lack it); ``None`` for any other body.  Such fields are nonnegative, fit
-    int64 and read as ``int`` reads them."""
+    1 to ``_MAX_DIGITS`` decimal digits per field, each ended by a newline
+    (the last may lack it); ``None`` for any other body.  Such fields are
+    nonnegative, fit int64 and read as :func:`_ascii_int` reads them."""
     if body and not body.endswith("\n"):
         body += "\n"
     if not body.isascii():
@@ -310,7 +313,7 @@ def _portable_columns(body: str):
     if len(ends) % 4 or not (b[ends].reshape(-1, 4) == _PORTABLE_SEPARATORS).all():
         return None
     lengths = np.diff(ends, prepend=-1) - 1
-    if len(ends) and not 1 <= lengths.min() <= lengths.max() <= 18:
+    if len(ends) and not 1 <= lengths.min() <= lengths.max() <= _MAX_DIGITS:
         return None
     fields = np.fromstring(body.replace("\n", ","), np.int64, sep=",")
     return fields.reshape(-1, 4).T.copy()
@@ -442,6 +445,7 @@ class BinaryVoxelGrid:
                 and np.array_equal(self.values, other.values))
 
     def to_bytes(self) -> bytes:
+        _check_extent(self.n_timesteps, self.height, self.width)
         head = _VOX_MAGIC + _VOX_HEADER.pack(1, self.n_timesteps, self.height,
                                              self.width, self.dt_us, self.n_nonzero)
         rec = np.empty(self.n_nonzero, dtype=_VOX_RECORD)
@@ -458,9 +462,7 @@ class BinaryVoxelGrid:
         c, t_bins, height, width, dt_us, n = _VOX_HEADER.unpack_from(data, at)
         if c != 1:
             raise FormatError(f"unsupported channel count {c}", field="channels")
-        if max(t_bins, height, width) > 1 << 16:   # records hold u16 t, x, y
-            raise FormatError(f"grid extent {t_bins}x{height}x{width} beyond "
-                              "the records' u16 range", field="extent")
+        _check_extent(t_bins, height, width)
         body = data[_VOX_BODY:]
         if len(body) < _VOX_RECORD.itemsize * n:
             raise PartialReadError("truncated voxel records", byte_offset=_VOX_BODY)
@@ -483,6 +485,13 @@ class BinaryVoxelGrid:
         except FormatError as e:   # the message names the file
             e.args = (f"{path}: {e}",)
             raise
+
+
+def _check_extent(t_bins, height, width):
+    """``FormatError`` unless the cache file's records can hold the grid."""
+    if max(t_bins, height, width) > 1 << 16:   # records hold u16 t, x, y
+        raise FormatError(f"grid extent {t_bins}x{height}x{width} beyond "
+                          "the records' u16 range", field="extent")
 
 
 def build_voxel_grid(stream: EventStream, dt_us: int,
@@ -551,10 +560,11 @@ def _parse_index_line(line, lineno):
     subject = int(m.group(1))
     label = parts[1] if len(parts) > 1 and parts[1] else None
     if label is not None:
-        if not re.fullmatch(r"[0-9]+", label):
+        try:
+            label = _ascii_int(label)
+        except ValueError:
             raise DatasetIndexError(f"line {lineno}: label {label!r} is not a "
-                                    f"non-negative integer")
-        label = int(label)
+                                    f"non-negative integer") from None
     illum = parts[2] if len(parts) > 2 and parts[2] else None
     if illum is None:
         stem = os.path.basename(path).split(".")[0]
@@ -801,16 +811,16 @@ class LazyGridList:
         return BinaryVoxelGrid.load(path), label
 
 
-def load_dvs128(root, dt_us=10_000, n_timesteps=150, window_us=1_500_000,
-                cache_dir=None):
+def load_dvs128(root, dt_us=10_000, n_timesteps=150, cache_dir=None):
     """Load DVS128 Gesture as voxel grids, slicing each annotated gesture.
 
     ``root`` must contain the extracted dataset (``*.aedat``,
     ``*_labels.csv``, ``trials_to_train.txt``, ``trials_to_test.txt``).  Each
-    gesture contributes the first ``window_us`` of events from its annotated
-    start, binned into ``n_timesteps`` bins of ``dt_us``.  Labels are mapped
-    to 0..10.  With ``cache_dir`` set, grids are voxelized once and then read
-    back lazily from cache files.
+    gesture contributes the first 1.5 s (``_GESTURE_WINDOW_US``) of events
+    from its annotated start, binned into ``n_timesteps`` bins of ``dt_us``.
+    Labels are mapped to 0..10.  With ``cache_dir`` set, grids are voxelized
+    once and then read back lazily from cache files named
+    ``<trial>_g<NN>_<dt_us>_<n_timesteps>.vox``.
     """
     root = os.fspath(root)
     index = {}
@@ -839,7 +849,8 @@ def load_dvs128(root, dt_us=10_000, n_timesteps=150, window_us=1_500_000,
                     except FormatError as e:   # the message names the file
                         e.args = (f"{aedat}: {e}",)
                         raise
-                lo, hi = np.searchsorted(stream.timestamps, [start, start + window_us])
+                lo, hi = np.searchsorted(stream.timestamps,
+                                         [start, start + _GESTURE_WINDOW_US])
                 sl = EventStream(stream.timestamps[lo:hi] - start,
                                  stream.xs[lo:hi], stream.ys[lo:hi],
                                  stream.polarities[lo:hi],

@@ -8,9 +8,10 @@ normalized threshold:
     S[n] = step(V[n] / (|W|^2 + eps) - b)
 
 with ``I[n]`` the convolution of the input spikes, ``beta`` the leak, ``b``
-the threshold, and ``|W|^2`` the squared Frobenius norm of the layer's
-weights.  The subtraction term resets neurons that spiked on the previous
-step.  ``step(0) = 1``: a potential that just reaches the threshold spikes.
+the threshold, ``|W|^2`` the squared Frobenius norm of the layer's weights,
+and ``eps`` the norm guard :data:`EPSILON`.  The subtraction term resets
+neurons that spiked on the previous step.  ``step(0) = 1``: a potential that
+just reaches the threshold spikes.
 
 The network runs one timestep at a time: every layer's state is updated
 before the next timestep is consumed, a final fully-connected readout emits
@@ -105,18 +106,16 @@ class Param:
 
 @dataclass
 class LIFParams:
-    """Neuron constants: leak ``beta`` in [0, 1], threshold ``b`` >= 0,
-    surrogate steepness ``alpha``, and the norm guard ``eps``.
+    """Neuron constants: leak ``beta`` in [0, 1] and threshold ``b`` >= 0.
 
     ``beta = exp(-dt / tau_mem)`` discretizes the continuous leak of the
     membrane toward rest; ``b`` plays the role of the firing threshold after
-    the potential is normalized by the squared weight norm.
+    the potential is normalized by the squared weight norm (plus
+    :data:`EPSILON`).  The surrogate's steepness is the layer's ``alpha``.
     """
 
     beta: float
     b: float
-    alpha: float = 3.0
-    eps: float = EPSILON
 
 
 def _sigmoid(z, out=None, tmp=None):
@@ -131,10 +130,11 @@ def _sigmoid(z, out=None, tmp=None):
     return np.divide(out, den, out=out)
 
 
-def heaviside_spike(potential, wnorm2, b, eps=EPSILON):
-    """Binary spike decision ``step(V / (wnorm2 + eps) - b)`` with step(0) = 1."""
+def heaviside_spike(potential, wnorm2, b):
+    """Binary spike decision ``step(V / (wnorm2 + EPSILON) - b)`` with
+    step(0) = 1."""
     v = np.asarray(potential, dtype=np.float64)
-    u = v / (wnorm2 + eps) - b
+    u = v / (wnorm2 + EPSILON) - b
     out = (u >= 0).astype(np.float64)
     return float(out) if out.ndim == 0 else out
 
@@ -244,7 +244,7 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     batch, channels, height, width = state.shape
     rows = i_dense.transpose(0, 2, 3, 1).reshape(-1, channels)
     spikes = _lif_update(state, rows, params.beta, params.b,
-                         wnorm2 + params.eps, _grid_sites(batch, height, width),
+                         wnorm2 + EPSILON, _grid_sites(batch, height, width),
                          state.prev_spikes.keys())
     return spikes, state
 
@@ -291,7 +291,7 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2,
     current = np.zeros((len(index.sites), channels))
     current[index.out_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
-                       wnorm2 + params.eps, index.sites, index.reset_rows)
+                       wnorm2 + EPSILON, index.sites, index.reset_rows)
 
 
 class SpikingConvLayer:
@@ -319,7 +319,7 @@ class SpikingConvLayer:
         self.state: LIFLayerState | None = None
 
     def lif_params(self) -> LIFParams:
-        return LIFParams(self.beta.item(), self.b.item(), self.alpha)
+        return LIFParams(self.beta.item(), self.b.item())
 
     def state_geometry(self, in_h, in_w):
         """Geometry of the neuron grid (conv output, before any pooling)."""

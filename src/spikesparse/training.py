@@ -95,6 +95,10 @@ class TrainConfig:
         for name in ("lr0", "weight_decay", "seed"):  # lr0 = 0: a frozen run
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0")
+        # grad_clip_norm may be inf: it then never clips
+        for name in ("lr0", "weight_decay", "step_factor", "alpha", "b_init"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not 0 <= self.beta_init <= 1:
             raise ValueError(f"beta_init must be in [0, 1], got {self.beta_init!r}")
         if not self.b_init >= 0:
@@ -119,15 +123,16 @@ def loss_mean_logits(per_timestep_logits, label) -> float:
 
 
 # ---------------------------------------------------------------------------
-# RAdam (rectified Adam) with decoupled weight decay
+# RAdam (rectified Adam) with decoupled weight decay: moment decay rates and
+# denominator guard as in Liu et al., ICLR 2020
+
+RADAM_BETA1, RADAM_BETA2, RADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class OptimizerState:
     """First/second moment accumulators plus the shared step counter."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         self.step_count = 0
         self.m = {p.name: np.zeros_like(p.value) for p in params}
         self.v = {p.name: np.zeros_like(p.value) for p in params}
@@ -143,7 +148,7 @@ def radam_step(params, grads, opt_state: OptimizerState, lr, weight_decay=0.0):
     """
     if isinstance(grads, ParamGrads):
         grads = grads.to_list(params)
-    b1, b2, eps = opt_state.beta1, opt_state.beta2, opt_state.eps
+    b1, b2, eps = RADAM_BETA1, RADAM_BETA2, RADAM_EPS
     opt_state.step_count += 1
     t = opt_state.step_count
     b1t, b2t = b1 ** t, b2 ** t
@@ -233,7 +238,8 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
     with the best test accuracy, and one history row per epoch with keys
     epoch, lr, train_loss, train_acc, test_acc, epoch_seconds, spikes.
     Raises ``FloatingPointError`` naming the epoch and batch as soon as a
-    batch's loss or global gradient norm is not finite.
+    batch's loss or global gradient norm is not finite, or its update
+    leaves a parameter that is not, in the checkpoint's float32.
     """
     train_pairs, test_pairs = dataset
     if len(train_pairs) == 0:
@@ -273,6 +279,12 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
                     f"{loss!r} or gradient norm {norm!r}")
             radam_step(params, grads, opt, lr, config.weight_decay)
             project_params(model)
+            # checkpoints hold float32: beyond its range a value saves as inf
+            bad = [p.name for p in params
+                   if not (np.abs(p.value) <= np.finfo(np.float32).max).all()]
+            if bad:
+                raise FloatingPointError(f"epoch {epoch}, batch {bi}: the update "
+                                         f"left {bad[0]} non-finite in float32")
             total_loss += loss * len(grids)
             correct += int((np.argmax(mean, axis=1) == labels).sum())
             spikes += int(counts.sum())

@@ -216,6 +216,17 @@ class TestFiniteDifferences:
 
 
 class TestTapeInvariants:
+    @pytest.mark.parametrize("steps", [0, 2])
+    def test_tape_without_a_loss_is_refused(self, steps):
+        tape = GradientTape()
+        if steps:
+            rng = np.random.default_rng(9)
+            model = make_model(rng, (6, 6), [(2, "sparse", 3)], 4, b=0.05)
+            model.reset_state(1)
+            run_timesteps(model, [random_grid(rng, 6, 6)], steps, recorder=tape)
+        with pytest.raises(RuntimeError, match="^tape has no recorded loss$"):
+            backward(tape)
+
     def test_gradient_shapes_match_parameters(self):
         rng = np.random.default_rng(9)
         model = make_model(rng, (6, 6), [(2, "sparse", 3), (3, "sparse", 3)], 4,

@@ -42,6 +42,8 @@ dropout_p = 0.0
 seed = 1
 """
 
+TINY_END = TINY.count("\n")   # TINY's last line
+
 
 @pytest.fixture
 def tiny_cfg(tmp_path):
@@ -149,6 +151,24 @@ class TestConvert:
         src = tmp_path / "bad.events"
         src.write_text("16,16\n1,2,3,9\n")
         assert main(["convert", str(src), str(tmp_path / "o.vox")]) == 2
+
+    def test_overlong_field_is_exit_2_naming_its_line(self, tmp_path, capsys):
+        src = tmp_path / "big.events"
+        src.write_text("16,16\n10000000000000000000,2,3,1\n")
+        assert main(["convert", str(src), str(tmp_path / "o.vox")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {src}: line 2: non-numeric field in "
+            "'10000000000000000000,2,3,1'"]
+
+    def test_extent_beyond_the_cache_records_is_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "two.events"
+        src.write_text("16,16\n100,2,3,1\n5000,4,4,0\n")
+        out = tmp_path / "t.vox"
+        assert main(["convert", str(src), str(out), "--dt", "1",
+                     "--t", "70000"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: grid extent 70000x16x16 beyond the records' u16 range"]
+        assert sorted(os.listdir(tmp_path)) == ["two.events"]
 
     def test_clip_is_a_usage_error(self, tmp_path, capsys):
         # the clip horizon is always --t x --dt
@@ -638,7 +658,19 @@ class TestTrainEvalPipeline:
         ("[train]\nlr0 = -1\n", "lr0", "train"),
         ("[train]\nstep_factor = -2\n", "step_factor", "train"),
         ("[train]\nweight_decay = -5\n", "weight_decay", "train"),
+        ("[train]\nlr0 = inf\n", "lr0", "train"),
+        ("[train]\nweight_decay = inf\n", "weight_decay", "train"),
+        ("[train]\nstep_factor = inf\n", "step_factor", "train"),
+        ("[train]\nalpha = inf\n", "alpha", "train"),
+        ("[train]\nb_init = inf\n", "b_init", "train"),
         ("[train]\nseed = -1\n", "seed", "train"),
+        # the config's own grammar: the line after TINY's last is TINY_END + 1
+        ("[model]\nreadout_bias = maybe\n",
+         f"bad value for model.readout_bias in line {TINY_END + 2}: 'maybe'",
+         "train"),
+        ("[train]\nlr0\n", f"line {TINY_END + 2}: expected key = value", "train"),
+        ("[data]\nkind = hdf5\n", "unknown data.kind 'hdf5'", "train"),
+        ("[data]\nkind = hdf5\n", "unknown data.kind 'hdf5'", "eval"),
         ("[train]\nseed = -1\n", "seed", "synth"),
         ("[eval]\nbatch = 0\n", "eval_batch", "train"),
         ("[eval]\nbatch = 0\n", "eval_batch", "eval"),

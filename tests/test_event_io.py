@@ -250,6 +250,11 @@ class TestPortableFormat:
         ("32,24\n5,3,23,1\n-5,3,23,1\n", 3),
         ("+32,24\n5,3,23,1\n", 1),
         ("32,2_4\n", 1),
+        # 1 to 18 digits: 19 fit int64 but are refused like 20, which do not
+        ("32,24\n5,3,23,1\n" + "1" + "0" * 18 + ",3,23,1\n", 3),
+        ("32,24\n5,3,23,1\n" + "1" + "0" * 19 + ",3,23,1\n", 3),
+        ("32," + "1" + "0" * 18 + "\n", 1),
+        ("1" + "0" * 19 + ",24\n5,3,23,1\n", 1),
     ])
     def test_integers_are_ascii_digits_only(self, text, line):
         with pytest.raises(EventParseError) as e:
@@ -417,6 +422,24 @@ class TestVoxelCacheFile:
         assert e.value.field == "records"
         assert "duplicate grid cells" in str(e.value)
 
+    @pytest.mark.parametrize("t_bins, height, width", [(70_000, 16, 16),
+                                                       (2, 16, 70_000)])
+    def test_writer_refuses_what_the_reader_refuses(self, tmp_path, t_bins,
+                                                    height, width):
+        grid = BinaryVoxelGrid([1], [1], [1], [1], t_bins, height, width, 1)
+        path = tmp_path / "g.vox"
+        with pytest.raises(FormatError) as e:
+            grid.save(path)
+        assert e.value.field == "extent"
+        assert str(e.value) == (f"grid extent {t_bins}x{height}x{width} "
+                                "beyond the records' u16 range")
+        assert os.listdir(tmp_path) == []
+
+    def test_largest_extent_round_trips(self):
+        grid = BinaryVoxelGrid([65_535], [65_535], [0], [-1], 1 << 16, 1,
+                               1 << 16, 1)
+        assert BinaryVoxelGrid.from_bytes(grid.to_bytes()).equals(grid)
+
     def test_save_replaces_the_file_whole(self, tmp_path):
         path = tmp_path / "g.vox"
         path.write_bytes(b"stale")
@@ -457,6 +480,7 @@ class TestSplitDvs128:
         ("user02_led.aedat,-3", "label '-3' is not"),
         ("user25_led.aedat, +4", "label '\\+4' is not"),
         ("user03_x.aedat,1_0", "label '1_0' is not"),
+        ("user03_x.aedat," + "1" * 19, f"label '{'1' * 19}' is not"),
     ])
     def test_non_digit_subject_or_label_rejected(self, line, message):
         with pytest.raises(DatasetIndexError, match=f"^line 2: {message}"):
@@ -674,3 +698,75 @@ class TestLoadDvs128:
         for (g0, l0), (g1, l1), (g2, l2) in zip(direct_train, lazy_train, again_train):
             assert l0 == l1 == l2
             assert g0.equals(g1) and g0.equals(g2)
+
+
+# --- input checks: each names the field or line it refused -----------------
+
+def _packet(esize=8, enum=0, payload=b""):
+    return struct.pack("<hhiiiiii", 1, 0, esize, 4, 0, enum, enum, enum) + payload
+
+
+def _vox_with_channels(c):
+    blob = bytearray(build_voxel_grid(EventStream([5], [1], [1], [ON], 8, 8),
+                                      1_000, 2).to_bytes())
+    blob[8:12] = struct.pack("<I", c)
+    return bytes(blob)
+
+
+def _labels_file(tmp_path, text):
+    path = tmp_path / "user01_led_labels.csv"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("call, error, message, attrs", [
+    (lambda tmp: EventStream([0, 1], [0], [0], [1], 4, 4), ValueError,
+     "event columns have mismatched lengths", {}),
+    (lambda tmp: EventStream([-1], [0], [0], [1], 4, 4), ValueError,
+     "negative timestamp", {}),
+    (lambda tmp: EventStream([0], [4], [0], [1], 4, 4), ValueError,
+     "event coordinate outside sensor bounds", {}),
+    (lambda tmp: EventStream([0], [0], [-1], [1], 4, 4), ValueError,
+     "event coordinate outside sensor bounds", {}),
+    (lambda tmp: EventStream([0], [0], [0], [2], 4, 4), ValueError,
+     "polarity must be 0 or 1", {}),
+    (lambda tmp: parse_aedat(b"#!AER-DAT3.1\r\n#!END-HEADER"), FormatError,
+     "unterminated header line", {"field": "header"}),
+    (lambda tmp: parse_aedat(ref_aedat(_packet(esize=0))), FormatError,
+     "non-positive eventSize 0", {"field": "eventSize"}),
+    (lambda tmp: parse_aedat(ref_aedat(_packet(enum=-1))), FormatError,
+     "negative eventNumber -1", {"field": "eventNumber"}),
+    (lambda tmp: parse_aedat(ref_aedat(_packet(4, 1, b"\1\0\0\0"))), FormatError,
+     "polarity events must be 8 bytes, got 4", {"field": "eventSize"}),
+    (lambda tmp: encode_aedat(EventStream([2 ** 31], [0], [0], [1], 4, 4)),
+     ValueError, "timestamps beyond 2^31 us need overflow packets", {}),
+    (lambda tmp: parse_portable_events("\n1,2,3,1\n"), EventParseError,
+     "line 1: missing width,height header", {"line": 1}),
+    (lambda tmp: parse_portable_events("32,24,2\n1,2,3,1\n"), EventParseError,
+     "line 1: header must be 'width,height'", {"line": 1}),
+    (lambda tmp: BinaryVoxelGrid([0, 1], [0], [0], [1], 2, 4, 4, 10), ValueError,
+     "grid columns have mismatched lengths", {}),
+    (lambda tmp: BinaryVoxelGrid([2], [0], [0], [1], 2, 4, 4, 10), ValueError,
+     "bin index out of range", {}),
+    (lambda tmp: BinaryVoxelGrid([0], [0], [0], [0], 2, 4, 4, 10), ValueError,
+     "grid values must be +1 or -1", {}),
+    (lambda tmp: BinaryVoxelGrid.from_bytes(_vox_with_channels(2)), FormatError,
+     "unsupported channel count 2", {"field": "channels"}),
+    (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 0, 2), ValueError,
+     "dt_us and n_timesteps must be positive", {}),
+    (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 10, -1), ValueError,
+     "dt_us and n_timesteps must be positive", {}),
+    (lambda tmp: event_io._read_gesture_labels(
+        _labels_file(tmp, "label,start,end\n1,0,100\n")), FormatError,
+     "{tmp}/user01_led_labels.csv: unexpected label header 'label,start,end'",
+     {"field": "header"}),
+    (lambda tmp: event_io.DatasetIndex([event_io.SampleRecord("user01_a", 1)],
+                                       [event_io.SampleRecord("user01_b", 1)]),
+     DatasetIndexError, "train and test subjects overlap", {}),
+])
+def test_input_checks_name_what_they_refuse(tmp_path, call, error, message, attrs):
+    with pytest.raises(error) as e:
+        call(tmp_path)
+    assert type(e.value) is error
+    assert str(e.value) == message.format(tmp=tmp_path)
+    assert {k: getattr(e.value, k) for k in attrs} == attrs

@@ -364,6 +364,28 @@ class TestTensorInvariants:
         assert x.dump() == "(0,2,1): [1.5, -2.0]"
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: SparseTensor2D([[1, 0, 0]], [[1.0]], 1, 4, 4), "batch index out of range"),
+    (lambda: SparseTensor2D([[-1, 0, 0]], [[1.0]], 1, 4, 4), "batch index out of range"),
+    (lambda: SparseTensor2D([[0, 0, 0], [0, 1, 0]], [[1.0]], 1, 4, 4),
+     "2 coordinates but 1 value rows"),
+    (lambda: SparseTensor2D(np.zeros((0, 3)), np.zeros((0, 0)), 1, 4, 4),
+     "channel count cannot be inferred from empty values"),
+    (lambda: ConvKernel2D(np.ones((1, 1, 3))), "kernel weights must be [out][in][k][k]"),
+    (lambda: ConvKernel2D(np.ones((1, 1, 3, 5))), "kernel weights must be [out][in][k][k]"),
+    (lambda: ConvKernel2D(np.ones((1, 1, 3, 3))).set_weights(np.ones((1, 1, 5, 5))),
+     "kernel shape cannot change"),
+    (lambda: out_coords(np.zeros((1, 3), np.int64), 0), "stride must be >= 1"),
+    (lambda: sparsify(np.ones((1, 4, 4))), "expected a [B, C, H, W] array"),
+    (lambda: dense_conv2d(np.ones((1, 2, 4, 4)), np.ones((1, 1, 3, 3))),
+     "input has 2 channels, kernel expects 1"),
+])
+def test_input_checks_name_what_they_refuse(call, message):
+    with pytest.raises(ShapeError) as e:
+        call()
+    assert str(e.value) == message
+
+
 class TestConvKernel:
     def test_validation(self):
         with pytest.raises(ShapeError):

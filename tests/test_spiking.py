@@ -26,10 +26,12 @@ from spikesparse.spiking import (
     LIFLayerState,
     LIFParams,
     ReadoutLayer,
+    SpikingConvLayer,
     _dropout_recorded,
     _layer_forward,
     _lif_step_lazy,
     _readout_batch,
+    build_model,
     heaviside_spike,
     lazy_decay_advance,
     lif_step,
@@ -222,6 +224,28 @@ class TestLazyDecay:
             lazy_decay_advance(st, 1, params)
         spikes, _ = lif_step(st, np.zeros((1, 1, 1, 1)), params, wnorm2=1.0)
         assert spikes.n_sites == 1
+
+
+def _eight_by_eight(dropout_p):
+    model = build_model("2sc3-2", (8, 8), dropout_p=dropout_p)
+    model.reset_state(1)
+    return model, [random_grid(np.random.default_rng(0))]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lazy_decay_advance(LIFLayerState(1, 1, 2, 2), -1, LIFParams(0.5, 0.3)),
+     "gap must be >= 0"),
+    (lambda: SpikingConvLayer(0, ConvKernel2D(np.ones((1, 1, 3, 3))), 0.7, 0.3,
+                              mode="lazy"),
+     "mode must be 'sparse' or 'dense'"),
+    (lambda: run_timesteps(*_eight_by_eight(0.0), 0), "t_eval must be >= 1"),
+    (lambda: run_timesteps(*_eight_by_eight(0.5), 2, training=True),
+     "training with dropout needs an rng for the masks"),
+])
+def test_input_checks_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
 
 
 class TestSpikingConvForward:

@@ -191,6 +191,16 @@ class TestSchedule:
         assert schedule_lr(cfg, 29) < 1e-4
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: schedule_lr(tiny_config(), -1), "epoch must be >= 0"),
+    (lambda: tiny_config(variant="avgpool"), "unknown variant 'avgpool'"),
+])
+def test_input_checks_name_what_they_refuse(call, message):
+    with pytest.raises(ValueError) as e:
+        call()
+    assert str(e.value) == message
+
+
 class TestProjection:
     def test_clamps(self):
         rng = np.random.default_rng(1)
@@ -357,6 +367,29 @@ class TestTrainLoop:
         cfg = tiny_config(lr0=1e8, batch_size=3, max_epochs=3)
         with pytest.raises(FloatingPointError, match=r"^epoch 0, batch 1: "):
             train(cfg, tiny_dataset(per_class=2))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("rates", [
+        # lr0 * weight_decay overflows to inf: the decoupled decay leaves the
+        # weights infinite or nan from a finite loss and gradient norm
+        dict(lr0=1e200, weight_decay=1e200),
+        # finite weights near 1e308, which a float32 checkpoint saves as inf
+        dict(lr0=1e308),
+    ])
+    def test_non_finite_update_aborts_before_a_checkpoint(self, tmp_path, rates):
+        # the one batch is the epoch's last, so nothing else would notice
+        cfg = tiny_config(batch_size=9, max_epochs=1, **rates)
+        ckpt = tmp_path / "model.ckpt"
+        with pytest.raises(FloatingPointError, match=r"^epoch 0, batch 0: the "
+                           r"update left conv0\.weight non-finite in float32$"):
+            train(cfg, tiny_dataset(), checkpoint_path=ckpt)
+        assert not ckpt.exists()
+
+    def test_infinite_clip_norm_is_valid_and_never_clips(self):
+        cfg = tiny_config(grad_clip_norm=math.inf)
+        g = np.array([30.0, 40.0])
+        assert clip_grad_norm([g], cfg.grad_clip_norm) == 50.0
+        assert g.tolist() == [30.0, 40.0]
 
     @pytest.mark.parametrize("bad", [dict(dropout_p=1.0), dict(dropout_p=-0.1),
                                      dict(arch="4xx5-4")])
