@@ -13,7 +13,9 @@ once from the loss, handing one adjoint from each entry to the one before it
 (readout, top layer, ..., layer 0 per step, as a dense BPTT does) and across
 all timesteps through the membrane recurrence ``V[n] -> V[n+1]`` and the
 reset term's dependence on the previous spikes, so the leak and threshold of
-every layer receive gradients from every timestep.
+every layer receive gradients from every timestep.  It consumes the tape:
+nothing reads an entry after its own step, so each entry is dropped once it
+is walked, and the tape is empty when backward returns.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
 sites, its input only where the entry before it cannot rebuild it, the
@@ -22,8 +24,9 @@ only at the first step of each segment of ``_SEGMENT`` steps.  Backward
 replays a segment's potentials once, from that stored start, with the
 forward's recurrence, and carries the recurrence adjoints of each layer from
 step t+1 to step t (checkpointing over time: Chen et al., "Training deep
-nets with sublinear memory cost", arXiv 1604.06174).  The gradients are
-bit-identical to storing every potential and every input.
+nets with sublinear memory cost", arXiv 1604.06174; Gruslys et al.,
+"Memory-efficient backpropagation through time", NeurIPS 2016).  The
+gradients are bit-identical to storing every potential and every input.
 
 Backward runs each layer's LIF adjoint on its support only.  Adjoints enter
 a layer step at the sites it handed on (its spike tensor: the spiking sites
@@ -34,7 +37,9 @@ last step that handed them on, those sites make each step's support a
 prefix of one row order, and the replay, the surrogate and the reductions
 run on that prefix (see ``_LayerReplay``; Perez-Nieves & Goodman, "Sparse
 spiking gradient descent", NeurIPS 2021, restrict BPTT to active neurons
-in the same way).
+in the same way).  Walking back, supports only grow, so a layer's replay
+buffers are sized to the support of the segment being replayed, and grow
+with it, rather than to the first step's support for the whole run.
 
 Wherever the forward applied the spike step, backward substitutes the
 surrogate derivative evaluated at the normalized argument
@@ -119,6 +124,8 @@ class GradientTape:
     where :func:`backward` starts: the tape holds exactly the entries of the
     forward driver, in its order, and the loss; each entry reads the output
     of the one before it, so backward hands one adjoint down them.
+    Backward consumes ``entries``, dropping each as it walks it: afterwards
+    the list is empty.
 
     Each step starts with :meth:`record_input`, which keeps only the voxel
     grids and the bin; the layer entry recorded right after it drops its
@@ -191,11 +198,13 @@ class _LayerReplay:
     site, the rows are in canonical order and every-site tensors are read
     as they are.
 
-    It keeps the layer's entries by step, its leak, threshold and ``|W|^2 +
-    eps``, the potentials of one segment replayed from the segment's stored
-    start, the recurrence adjoints carried from step t+1 to step t, the
-    adjoint ``g_w2`` of ``|W|^2``, and row buffers; ``i``, ``s`` and ``tmp``
-    have one row more, a pad row that absent sites read."""
+    It keeps the layer's entries by step up to the step being walked (see
+    :meth:`step`), its leak, threshold and ``|W|^2 + eps``, the potentials
+    of one segment replayed from the segment's stored start, the recurrence
+    adjoints carried from step t+1 to step t, the adjoint ``g_w2`` of
+    ``|W|^2``, and row buffers sized to the support of the segment's start
+    (see :meth:`_size`); ``i``, ``s`` and ``tmp`` have one row more, a pad
+    row that absent sites read."""
 
     def __init__(self, entries):
         self.entries = entries
@@ -203,7 +212,7 @@ class _LayerReplay:
         self.beta, self.b = layer.beta.item(), layer.b.item()
         self.w2e = layer.kernel.wnorm2 + EPSILON
         self.g_w2 = 0.0
-        batch, channels, height, width = entries[0].data["v_prev"].shape
+        batch, self.channels, height, width = entries[0].data["v_prev"].shape
         self.height, self.width = height, width
         n_sites = batch * height * width
         last = np.full(n_sites, -1, np.int64)
@@ -219,14 +228,32 @@ class _LayerReplay:
         self.canonical = self.n[-1] == n_sites
         b, yx = np.divmod(order, height * width)
         self.sites = (b,) + np.divmod(yx, width)        # (b, y, x) of each row
-        starts = [i for i, e in enumerate(entries) if e.data["v_prev"] is not None]
-        longest = max(np.diff(starts + [len(entries)]))
-        self.v = np.empty((longest + 1, n0, channels))  # v[0]: the start's v_prev
         self.start = None                # the step whose v_new is self.v[1]
-        self.i, self.s, self.tmp = np.empty((3, n0 + 1, channels))
-        self.sur, self.g_v, self.g_s = np.empty((3, n0, channels))
+        # row buffers, sized per segment by _size: v[0] the start's v_prev
+        self.v = self.i = self.s = self.tmp = self.sur = self.g_v = self.g_s = None
+        self._written = [None, None]     # rows the last scatter into i, s wrote
         self.carried = 0                 # rows of g_v, g_s holding step t+1's terms
         self._ranks = {}                 # step -> rows of out_c and s_prev sites
+
+    def _size(self, rows, depth):
+        """Buffers for a segment whose start has ``rows`` support rows and
+        whose replay keeps ``depth`` potentials; walking back, supports only
+        grow.  The old buffers are dropped before the new ones are made,
+        ``g_v`` and ``g_s`` keep their carried rows, and ``i`` and ``s``
+        start zero (see :meth:`_scatter`)."""
+        shape = (depth, rows, self.channels)
+        if self.v is not None and self.v.shape == shape:
+            return
+        self.v = self.i = self.s = self.tmp = self.sur = None
+        g, c = np.empty((2,) + shape[1:]), self.carried
+        if c:
+            g[0, :c], g[1, :c] = self.g_v[:c], self.g_s[:c]
+        self.g_v, self.g_s = g
+        self.i, self.s = np.zeros((2, rows + 1, self.channels))
+        self.tmp = np.empty((rows + 1, self.channels))
+        self.sur = np.empty(shape[1:])
+        self.v = np.empty(shape)
+        self._written = [None, None]
 
     def dense_rows(self, dense, n):
         """The first ``n`` rows of a dense ``[B, C, H, W]`` array."""
@@ -243,15 +270,19 @@ class _LayerReplay:
                       + coords[:, 1]]
         return np.minimum(r, n, out=r)
 
-    @staticmethod
-    def _scatter(r, values, n, out):
+    def _scatter(self, k, r, values, n):
         """``values`` at the rows ``r`` (see :meth:`rows_of`) as the first
-        ``n`` rows of the buffer ``out``, zero at rows without a value."""
+        ``n`` rows of buffer ``k`` (0: ``i``, 1: ``s``), zero at rows without
+        a value.  The buffer is zero but at the rows its last scatter wrote,
+        and only those are cleared: their pad row too, which a larger ``n``
+        makes a real row."""
         if r is None:
             return values
-        out = out[:n + 1]
-        out.fill(0.0)
+        out, written = (self.i, self.s)[k], self._written[k]
+        if written is not None:
+            out[written] = 0.0
         out[r] = values
+        self._written[k] = r
         return out[:n]
 
     def _inputs(self, t):
@@ -263,8 +294,8 @@ class _LayerReplay:
             self._ranks[t] = (self.rows_of(d["out_c"], n),
                               self.rows_of(s.coords, n))
         r_current, r_prev = self._ranks[t]
-        return (self._scatter(r_current, d["current"], n, self.i),
-                self._scatter(r_prev, s.values, n, self.s))
+        return (self._scatter(0, r_current, d["current"], n),
+                self._scatter(1, r_prev, s.values, n))
 
     def gather(self, t, g):
         """The rows ``g``, the first ``n[t]`` of ``tmp``, at the conv's
@@ -277,14 +308,18 @@ class _LayerReplay:
 
     def step(self, t):
         """``(v_prev, v_new, current, s_prev)`` of step ``t`` on its first
-        ``n[t]`` rows; the first call in a segment replays the segment up to
-        ``t``."""
+        ``n[t]`` rows, then the layer's entry of step ``t`` is dropped: steps
+        walk back, and a replay reads no step after the one it replays to.
+        The first call in a segment sizes the buffers to the segment's
+        support and replays the segment up to ``t``."""
         if self.start is None or t < self.start:
             start = t
             while self.entries[start].data["v_prev"] is None:
                 start -= 1
-            v = self.v[0, :self.n[start]]
-            v[...] = self.dense_rows(self.entries[start].data["v_prev"], self.n[start])
+            n = self.n[start]
+            self._size(n, t - start + 2)
+            self.v[0] = self.dense_rows(self.entries[start].data["v_prev"], n)
+            v = self.v[0]
             for j in range(start, t + 1):
                 n = self.n[j]
                 i, s = self._inputs(j)
@@ -294,6 +329,7 @@ class _LayerReplay:
             self.start = start
         else:
             i, s = self._inputs(t)
+        self.entries.pop()
         k, n = t - self.start, self.n[t]
         return self.v[k, :n], self.v[k + 1, :n], i, s
 
@@ -330,7 +366,9 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
 
     ``truncate > 0`` cuts the backward recurrence every that many timesteps
     (truncated BPTT); the default differentiates the full unrolling.  A tape
-    can be consumed once.
+    can be consumed once: each entry leaves ``tape.entries`` as it is
+    walked, so its arrays are freed while backward runs, and each layer's
+    replay buffers hold only the support of the segment being replayed.
     """
     if tape.used:
         raise RuntimeError("backward already ran on this tape")
@@ -349,8 +387,8 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
     # input entry takes none and is read only by the layer entry after it)
     g_mean = g_logits = g = None
     entries = tape.entries
-    for i in range(len(entries) - 1, -1, -1):
-        entry = entries[i]
+    while entries:   # each entry is dropped as it is walked
+        entry = entries.pop()
         d = entry.data
         if entry.kind == "loss":
             probs, labels = d["probs"], d["labels"]
@@ -385,7 +423,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             layer, t, x, out_c = d["layer"], d["t"], d["x"], d["out_c"]
             rep = replays.get(layer.index)
             if rep is None:   # met at the layer's last step
-                rep = replays[layer.index] = _LayerReplay(by_layer[layer.index])
+                rep = replays[layer.index] = _LayerReplay(by_layer.pop(layer.index))
             beta, b, w2e = rep.beta, rep.b, rep.w2e
             thr = b * w2e
             # all on the step's support rows, zero elsewhere (see _LayerReplay)
@@ -439,7 +477,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             if not g_out.any():   # an empty support or a zero adjoint (below
                 continue          # silent layers): zero gradients
             if x is None:   # the step's network input: slice the grids again
-                inp = entries[i - 1].data
+                inp = entries[-1].data
                 x = _batch_slice(inp["grids"], inp["t"])
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)

@@ -194,6 +194,20 @@ def _ascii_int(text) -> int:
     return int(text)
 
 
+def _refused(fields, noun) -> str:
+    """What is wrong with the first of ``fields`` that :func:`_ascii_int`
+    refuses, called a ``noun``: ``<noun> of more than 18 digits`` (see
+    ``_MAX_DIGITS``) when it is ASCII digits only, else ``non-numeric
+    <noun>``."""
+    for v in fields:
+        try:
+            _ascii_int(v)
+        except ValueError:
+            if re.fullmatch("[0-9]+", v.strip()):
+                return f"{noun} of more than {_MAX_DIGITS} digits"
+            return f"non-numeric {noun}"
+
+
 def _as_bytes(source) -> bytes:
     if isinstance(source, (bytes, bytearray)):
         return bytes(source)
@@ -337,7 +351,7 @@ def parse_portable_events(source) -> EventStream:
     try:
         width, height = _ascii_int(head[0]), _ascii_int(head[1])
     except ValueError:
-        raise EventParseError("non-numeric sensor size", line=1) from None
+        raise EventParseError(_refused(head, "sensor size"), line=1) from None
     if text[len(first):len(first) + 1] == "\n":
         cols = _portable_columns(text[len(first) + 1:])
         if cols is not None:
@@ -356,7 +370,8 @@ def parse_portable_events(source) -> EventStream:
         try:
             t, x, y, p = (_ascii_int(v) for v in parts)
         except ValueError:
-            raise EventParseError(f"non-numeric field in {line!r}", line=lineno) from None
+            raise EventParseError(f"{_refused(parts, 'field')} in {line!r}",
+                                  line=lineno) from None
         if p not in (ON, OFF):
             raise EventParseError(f"polarity must be 0 or 1, got {p}", line=lineno)
         if x >= width or y >= height:
@@ -474,17 +489,26 @@ class BinaryVoxelGrid:
             raise FormatError(f"bad voxel record: {e}", field="records") from None
 
     def save(self, path):
-        _write_whole(path, self.to_bytes())
+        with _naming(path):
+            data = self.to_bytes()
+        _write_whole(path, data)
 
     @classmethod
     def load(cls, path) -> "BinaryVoxelGrid":
         with open(path, "rb") as fh:
             data = fh.read()
-        try:
+        with _naming(path):
             return cls.from_bytes(data)
-        except FormatError as e:   # the message names the file
-            e.args = (f"{path}: {e}",)
-            raise
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """A ``FormatError`` raised inside names the file ``path`` first."""
+    try:
+        yield
+    except FormatError as e:
+        e.args = (f"{path}: {e}",)
+        raise
 
 
 def _check_extent(t_bins, height, width):

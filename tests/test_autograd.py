@@ -265,6 +265,77 @@ class TestTapeInvariants:
         for layer in model.layers:
             assert not np.any(grads.get(layer.weight))
 
+    @pytest.mark.parametrize("modes, silent, truncate", [
+        (("sparse", "sparse"), None, 0), (("sparse", "sparse"), None, 3),
+        (("sparse", "sparse"), 1, 0), (("dense", "sparse"), None, 0),
+        (("dense", "dense"), None, 0)],
+        ids=["sc-sc", "sc-sc-truncate3", "sc-silent1", "c-sc", "c-c"])
+    def test_backward_consumes_the_tape(self, modes, silent, truncate):
+        # backward drops each entry as it walks it, from the tape and from
+        # its layer's replay, and sizes a replay's buffers to the support of
+        # the segment it replays: rows that only grow walking back
+        rng = np.random.default_rng(15)
+        model = make_model(rng, (12, 12), [(2, modes[0], 3), (3, modes[1], 3)],
+                           3, variant="pool", dropout_p=0.5, b=0.05,
+                           weight_scale=0.8)
+        if silent is not None:
+            model.layers[silent].b.value[...] = 1e6
+        grids = [random_grid(rng, 12, 12, t_bins=23, density=0.2)
+                 for _ in range(2)]
+        labels = np.array([0, 2])
+        model.reset_state(2)
+        tape = GradientTape()
+        _, mean, _ = run_timesteps(model, grids, 23, training=True,
+                                   rng=np.random.default_rng(0), recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, labels, mean)
+        walk = list(tape.entries)
+        at = {(e.data["layer"].index, e.data["t"]): i
+              for i, e in enumerate(walk) if e.kind == "layer"}
+        steps, rows = [], {}
+        replay_step = autograd._LayerReplay.step
+
+        def spy_step(rep, t):
+            here = at[rep.layer.index, t]
+            # the tape holds exactly the entries before the one walked
+            assert len(tape.entries) == here
+            assert all(a is b for a, b in zip(tape.entries, walk))
+            got = replay_step(rep, t)
+            # the replay holds its layer's steps before t only
+            assert len(rep.entries) == t
+            assert all(a is walk[at[rep.layer.index, s]]
+                       for s, a in enumerate(rep.entries))
+            n = rep.n[rep.start]
+            assert rep.v.shape[1:] == (n, rep.channels)
+            assert t - rep.start + 2 <= len(rep.v) <= autograd._SEGMENT + 1
+            for buf in (rep.i, rep.s, rep.tmp):
+                assert buf.shape == (n + 1, rep.channels)
+            for buf in (rep.sur, rep.g_v, rep.g_s):
+                assert buf.shape == (n, rep.channels)
+            assert rows.setdefault(rep.layer.index, n) <= n
+            rows[rep.layer.index] = n
+            steps.append(here)
+            return got
+
+        live = []
+        conv_grads = autograd._conv_sites_grads
+
+        def spy_conv(*args, **kwargs):
+            live.append(len(tape.entries))
+            return conv_grads(*args, **kwargs)
+
+        with mock.patch.object(autograd._LayerReplay, "step", spy_step), \
+                mock.patch.object(autograd, "_conv_sites_grads", spy_conv):
+            grads = backward(tape, truncate=truncate)
+        assert tape.entries == []
+        assert steps == sorted(at.values(), reverse=True)
+        assert all(a > b for a, b in zip(live, live[1:]))
+        assert bool(live) == bool(rows[1]) == (silent is None)
+        model.reset_state(2)
+        want = _taped_step(model, grids, labels, 23, truncate=truncate)
+        for a, b in zip(want[2:], grads.to_list(model.parameters())):
+            assert np.array_equal(a, b)
+
     def test_deterministic_gradients(self):
         rng = np.random.default_rng(11)
         model = make_model(rng, (6, 6), [(2, "sparse", 3)], 3, b=0.05)

@@ -157,7 +157,7 @@ class TestConvert:
         src.write_text("16,16\n10000000000000000000,2,3,1\n")
         assert main(["convert", str(src), str(tmp_path / "o.vox")]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {src}: line 2: non-numeric field in "
+            f"error: {src}: line 2: field of more than 18 digits in "
             "'10000000000000000000,2,3,1'"]
 
     def test_extent_beyond_the_cache_records_is_exit_2(self, tmp_path, capsys):
@@ -167,7 +167,8 @@ class TestConvert:
         assert main(["convert", str(src), str(out), "--dt", "1",
                      "--t", "70000"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: grid extent 70000x16x16 beyond the records' u16 range"]
+            f"error: {out}: grid extent 70000x16x16 beyond the records' "
+            "u16 range"]
         assert sorted(os.listdir(tmp_path)) == ["two.events"]
 
     def test_clip_is_a_usage_error(self, tmp_path, capsys):

@@ -261,6 +261,16 @@ class TestPortableFormat:
             parse_portable_events(text)
         assert e.value.line == line
 
+    @pytest.mark.parametrize("text, message", [
+        # ASCII digits only break the length rule, not the digit rule
+        ("32," + "9" * 19 + "\n", "line 1: sensor size of more than 18 digits"),
+        ("3x," + "9" * 19 + "\n", "line 1: non-numeric sensor size"),
+    ])
+    def test_overlong_header_is_named_by_the_length_rule(self, text, message):
+        with pytest.raises(EventParseError) as e:
+            parse_portable_events(text)
+        assert str(e.value) == message
+
     def test_undecodable_byte_reports_its_line(self, tmp_path):
         p = tmp_path / "bad.events"
         p.write_bytes(b"32,24\n5,3,23,1\n40,\xff,5,0\n")
@@ -278,7 +288,12 @@ class TestPortableFormat:
         for bad, message in (("9,3,4,2", "polarity must be 0 or 1, got 2"),
                              ("9,32,4,1", "coordinate (32,4) outside sensor"),
                              ("9,3,4", "expected timestamp,x,y,polarity"),
-                             ("9,3,x,1", "non-numeric field in '9,3,x,1'")):
+                             ("9,3,x,1", "non-numeric field in '9,3,x,1'"),
+                             # the first field refused names the error
+                             ("9," + "9" * 19 + ",x,1", "field of more than 18 "
+                              f"digits in '9,{'9' * 19},x,1'"),
+                             ("9,x," + "9" * 19 + ",1",
+                              f"non-numeric field in '9,x,{'9' * 19},1'")):
             text = "\n".join(lines[:300] + [bad] + lines[300:] + ["1,1,1,7"]) + "\n"
             with pytest.raises(EventParseError) as e:
                 parse_portable_events(text)
@@ -428,11 +443,14 @@ class TestVoxelCacheFile:
                                                     height, width):
         grid = BinaryVoxelGrid([1], [1], [1], [1], t_bins, height, width, 1)
         path = tmp_path / "g.vox"
+        reason = (f"grid extent {t_bins}x{height}x{width} beyond the records' "
+                  "u16 range")
         with pytest.raises(FormatError) as e:
+            grid.to_bytes()
+        assert e.value.field == "extent" and str(e.value) == reason
+        with pytest.raises(FormatError) as e:   # save names the file, as load
             grid.save(path)
-        assert e.value.field == "extent"
-        assert str(e.value) == (f"grid extent {t_bins}x{height}x{width} "
-                                "beyond the records' u16 range")
+        assert e.value.field == "extent" and str(e.value) == f"{path}: {reason}"
         assert os.listdir(tmp_path) == []
 
     def test_largest_extent_round_trips(self):
