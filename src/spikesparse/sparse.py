@@ -21,9 +21,12 @@ the cached ``_grid_sites``.  Every kernel map is one gather (see
 ``_kernel_map``), for forward and backward alike; backward rebuilds it
 rather than storing it.  The forward takes every tap's product, at every
 row of a coordinate map and at the rows of an every-site output that some
-tap reaches, in one stacked matmul, absent taps reading one zero row
-appended to the input values, and sums them over taps in tap order, so it
-needs no scatter (see ``_conv_sites``).  Backward builds its kernel map at
+tap reaches, absent taps reading one zero row appended to the input values,
+and sums them over taps in tap order, so it needs no scatter (see
+``_conv_sites``).  At one input channel, as layer 0 reads its events, the
+products are one channels-first outer product of the tap weights and the
+tap values, each an exact multiply; a wider input takes them in one stacked
+matmul.  Backward builds its kernel map at
 the output rows whose adjoint is nonzero, keeps those that some tap
 reaches, gathers their input rows once, and takes every tap's weight
 gradient in one matmul and every tap's input gradient in another, summed
@@ -71,7 +74,9 @@ class SparseTensor2D:
     coords : (N, 3) int array
         Site coordinates ``(b, x, y)`` with ``x`` the column and ``y`` the row.
     values : (N, C) float array
-        One channel vector per site.  All-zero vectors are pruned.
+        One channel vector per site, or an ``(N,)`` array when ``C == 1``;
+        rows of another width raise :class:`ShapeError`.  All-zero vectors
+        are pruned.
     batch_size, height, width : int
         Extent of the dense equivalent ``[B, C, H, W]``.
     channels : int, optional
@@ -88,13 +93,17 @@ class SparseTensor2D:
     def __init__(self, coords, values, batch_size, height, width, channels=None):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
         values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 1:
+        if values.ndim == 1 and channels in (None, 1):
             values = values.reshape(-1, 1)
         if channels is None:
             if values.size == 0 and values.shape[-1] == 0:
                 raise ShapeError("channel count cannot be inferred from empty values")
-            channels = values.shape[1]
-        values = values.reshape(-1, channels)
+            channels = values.shape[-1]
+        if values.size == 0:
+            values = values.reshape(0, channels)
+        elif values.ndim != 2 or values.shape[1] != channels:
+            raise ShapeError(
+                f"values of shape {values.shape} do not hold {channels}-channel rows")
         if coords.shape[0] != values.shape[0]:
             raise ShapeError(
                 f"{coords.shape[0]} coordinates but {values.shape[0]} value rows")
@@ -348,20 +357,28 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False,
     :func:`_step_index` of ``x``, built here when it is not given.
 
     The *live* output rows, every row of a coordinate map and the rows of an
-    every-site output that some tap reaches, take every tap's product
-    in one stacked matmul of ``padded[kmap[:, live]]``, the ``[k*k, N_live,
-    C_in]`` rows that each tap reads (``padded`` is ``x.values`` with a zero
-    row appended at ``x.n_sites``, the kernel map's absent tap), by
-    ``w_taps``, whose ``w_taps[t]`` is the strided view ``w[:, :, dx, dy].T``
-    of tap ``t = dx * k + dy`` (a contiguous copy can round otherwise: it
-    does at 16 input channels).  The products are summed over taps in tap order from
-    +0.0; the zero rows add exact zeros.  Each tap keeps its own product,
-    which NumPy rounds as the tap's own 2D product, save where that depends
-    on the row count: a one-row product runs on gemv/dot rather than gemm,
-    and with ``c_out == 1`` every product is a gemv.  So a tap that matches
-    one row, and every tap when ``c_out == 1``, takes its product on its
-    matched rows.  ``TestKernelMapMatchesTapLoop`` holds the result
-    bit-equal to the per-tap loop.
+    every-site output that some tap reaches, take every tap's product on
+    ``padded[kmap[:, live]]``, the ``[k*k, N_live, C_in]`` rows that each tap
+    reads (``padded`` is ``x.values`` with a zero row appended at
+    ``x.n_sites``, the kernel map's absent tap), by ``w_taps``, whose
+    ``w_taps[t]`` is the strided view ``w[:, :, dx, dy].T`` of tap
+    ``t = dx * k + dy``.  The products are summed over taps in tap order from
+    +0.0; the zero rows add exact zeros.
+
+    When the input and the kernel both have one channel, each product has
+    one term, a single exact multiply: the tap values are gathered as one
+    ``[k*k, N_live]`` array and multiplied channels first,
+    ``[k*k, C_out, 1] * [k*k, 1, N_live]``, and the ``[C_out, N_live]`` sum
+    is written transposed, with no matmul.  Otherwise one stacked matmul
+    takes every tap's product (a contiguous copy of ``w_taps`` can round
+    otherwise: it does at 16 input channels), which NumPy rounds as the
+    tap's own 2D product, save where that depends on the row count: a
+    one-row product runs on gemv/dot rather than gemm, and with
+    ``c_out == 1`` every product is a gemv.  So the taps that match one row
+    take their products in one stacked ``[k*k, 1, C_in] @ w_taps`` matmul,
+    which rounds as each one-row 2D product, and with ``c_out == 1`` each
+    tap takes its product on its matched rows.  ``TestKernelMapMatchesTapLoop``
+    holds the result bit-equal to the per-tap loop.
     """
     s, k = kernel.stride, kernel.k
     h_out, w_out = _ceil_div(x.height, s), _ceil_div(x.width, s)
@@ -371,23 +388,38 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False,
     else:
         index = _step_index(x, k, s) if index is None else index
         out_c, kmap = index.out_c, index.kmap
-    out_v = np.zeros((len(out_c), kernel.out_channels))
-    # every row of a coordinate map takes the matmul: one that no tap reaches
-    # (at k = 1 and stride 2 only) sums zero rows to +0.0
+    c_out, c_in = kernel.out_channels, kernel.in_channels
+    out_v = np.zeros((len(out_c), c_out))
+    # every row of a coordinate map takes the products: one that no tap
+    # reaches (at k = 1 and stride 2 only) sums zero rows to +0.0
     live = (slice(None) if not every_site else
             np.flatnonzero(kmap.min(axis=0) < x.n_sites))
     rows_in = kmap[:, live]
-    w_taps = kernel.weights.reshape(kernel.out_channels, kernel.in_channels, k * k).T
-    padded = np.concatenate([x.values, np.zeros((1, x.channels))])
-    prods = np.matmul(np.take(padded, rows_in, axis=0), w_taps)
-    hit = rows_in < x.n_sites
-    matched = hit.sum(axis=1)
-    for t in np.flatnonzero(matched == 1 if kernel.out_channels > 1 else matched):
-        rows = np.flatnonzero(hit[t])
-        prods[t, rows] = x.values[rows_in[t, rows]] @ w_taps[t]
+    w_taps = kernel.weights.reshape(c_out, c_in, k * k).T
+    one_channel = x.channels == c_in == 1
+    if one_channel:
+        # channels first: [k*k, C_out, 1] * [k*k, 1, N_live]
+        vals = np.take(np.append(x.values, 0.0), rows_in)
+        prods = w_taps[:, 0, :, None] * vals[:, None]
+    else:
+        padded = np.concatenate([x.values, np.zeros((1, x.channels))])
+        prods = np.matmul(np.take(padded, rows_in, axis=0), w_taps)
+        hit = rows_in < x.n_sites
+        matched = hit.sum(axis=1)
+        if c_out == 1:
+            for t in np.flatnonzero(matched):
+                rows = np.flatnonzero(hit[t])
+                prods[t, rows] = x.values[rows_in[t, rows]] @ w_taps[t]
+        elif (matched == 1).any():
+            # [k*k, 1, C_in] @ w_taps, each tap at its first matched row
+            first = hit.argmax(axis=1)
+            single = np.matmul(padded[rows_in[np.arange(k * k), first], None], w_taps)
+            one = np.flatnonzero(matched == 1)
+            prods[one, first[one]] = single[one, 0]
     # NumPy sums a reduce to one element pairwise, not in tap order
-    out_v[live] = (np.add.reduce(prods, axis=0, initial=0.0) if prods[0].size != 1
-                   else sum(prods, np.zeros((1, 1))))
+    total = (np.add.reduce(prods, axis=0, initial=0.0) if prods[0].size != 1
+             else sum(prods, np.zeros(prods.shape[1:])))
+    out_v[live] = total.T if one_channel else total
     return out_c, out_v, h_out, w_out
 
 

@@ -469,7 +469,9 @@ class SpikingNet:
 
     Build with :func:`build_model` or directly from parts.  ``soft``
     switches the forward to the sigmoid surrogate (see
-    :func:`spikesparse.autograd.soft_forward_mode`).
+    :func:`spikesparse.autograd.soft_forward_mode`).  Raises ``ValueError``
+    when the layers' channels do not chain: layer 0's kernel must take one
+    channel, and each later kernel the output channels of the layer before.
     """
 
     def __init__(self, arch, layers, readout, in_shape, variant="stride",
@@ -479,6 +481,13 @@ class SpikingNet:
         self.readout = readout
         self.in_height, self.in_width = in_shape
         self.in_channels = 1
+        c_in = self.in_channels
+        for i, layer in enumerate(self.layers):
+            if layer.kernel.in_channels != c_in:
+                raise ValueError(
+                    f"layer {i} ({layer.weight.name}): kernel input channels "
+                    f"{layer.kernel.in_channels}, layer input channels {c_in}")
+            c_in = layer.kernel.out_channels
         self.variant = variant
         if not 0 <= dropout_p < 1:
             raise ValueError(f"dropout_p must be in [0, 1), got {dropout_p!r}")

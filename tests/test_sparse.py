@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import conv_oracle, conv_oracle_grads, coord_map_mask, random_sparse
@@ -371,6 +371,11 @@ class TestTensorInvariants:
      "2 coordinates but 1 value rows"),
     (lambda: SparseTensor2D(np.zeros((0, 3)), np.zeros((0, 0)), 1, 4, 4),
      "channel count cannot be inferred from empty values"),
+    (lambda: SparseTensor2D([[0, 0, 0], [0, 1, 0]], np.arange(1., 9.).reshape(4, 2),
+                            1, 2, 2, channels=4),
+     "values of shape (4, 2) do not hold 4-channel rows"),
+    (lambda: SparseTensor2D([[0, 0, 0]], [1.0, 2.0], 1, 2, 2, channels=2),
+     "values of shape (2,) do not hold 2-channel rows"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3))), "kernel weights must be [out][in][k][k]"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3, 5))), "kernel weights must be [out][in][k][k]"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3, 3))).set_weights(np.ones((1, 1, 5, 5))),
@@ -505,6 +510,19 @@ def _tap_reach(x, k, stride, out_c):
     return out_reached, in_reached
 
 
+def _events(batch, hw, density, seed, unreached=False):
+    """One bin of +-1 events, as layer 0 reads them, and an rng for the
+    kernel; with ``unreached`` every grid's site (1, 1) holds an event and
+    (0, 0) none, so a k = 1 stride-2 tap reaches no site of output (0, 0)."""
+    rng = np.random.default_rng(seed)
+    mask = rng.random((batch, hw, hw)) < density
+    if unreached:
+        mask[:, 1, 1], mask[:, 0, 0] = True, False
+    b, y, x = np.nonzero(mask)
+    return SparseTensor2D(np.stack([b, x, y], axis=1), rng.choice([-1.0, 1.0], len(b)),
+                          batch, hw, hw, 1), rng
+
+
 _INPUT_FORMS = (_sparse_inputs("normal", max_channels=8), st.sampled_from([1, 3, 5]),
                 st.sampled_from([1, 2]), st.integers(1, 4), st.booleans(), st.booleans())
 
@@ -515,6 +533,14 @@ class TestKernelMapMatchesTapLoop:
     # or after an `sc` layer does
     @settings(max_examples=150, deadline=None)
     @given(*_INPUT_FORMS)
+    # layer 0 at one input channel: the desk geometry (B=16, 64x64, 2sc5), a
+    # B=1 input, an every-site output over sparse events, k=1 at stride 2
+    # (an output row that no tap reaches) and one output row of one filter
+    @example(_events(16, 64, 0.03, 1), 5, 2, 2, False, False)
+    @example(_events(1, 128, 0.02, 2), 5, 2, 4, False, False)
+    @example(_events(2, 32, 0.02, 3), 5, 2, 2, False, True)
+    @example(_events(2, 16, 0.2, 4, unreached=True), 1, 2, 3, False, False)
+    @example(_events(1, 4, 0.0, 5, unreached=True), 5, 2, 1, False, False)
     def test_conv_values_bit_identical(self, drawn, k, stride, c_out,
                                        every_site_in, every_site):
         # bytes, so that a -0.0 fails too
@@ -608,17 +634,21 @@ class TestKernelMapMatchesTapLoop:
         assert peak < 4 * kmap_bytes
 
     @pytest.mark.parametrize("c_out", [1, 3])
-    @pytest.mark.parametrize("c_in", [2, 3, 4])
+    @pytest.mark.parametrize("c_in", [2, 3, 4, 8, 16])
     def test_tap_matching_one_row_bit_identical(self, c_in, c_out):
-        # two neighbouring sites: each side tap of a 3x3 kernel reads a site
-        # for exactly one of the two output rows, a one-row product
+        # an L of three sites and one apart: six taps of a 3x3 kernel each
+        # read a site for exactly one output row, a one-row product
+        coords = np.array([[0, 0, 0], [0, 1, 0], [0, 0, 1], [0, 3, 3]])
+        keys = SparseTensor2D(coords, np.ones(4), 1, 4, 4, 1).keys()
+        matches = [_loop_tap_matches(coords, keys, 4, 4, dx, dy, 1, 1)
+                   for dx in range(3) for dy in range(3)]
+        assert sum(m is not None and len(m[0]) == 1 for m in matches) == 6
         rng = np.random.default_rng(10 * c_in + c_out)
         for _ in range(20):
-            x = SparseTensor2D(np.array([[0, 0, 0], [0, 1, 0]]),
-                               rng.standard_normal((2, c_in)), 1, 1, 2, c_in)
+            x = SparseTensor2D(coords, rng.standard_normal((4, c_in)), 1, 4, 4, c_in)
             kernel = ConvKernel2D(rng.standard_normal((c_out, c_in, 3, 3)))
             out_c, out_v, _, _ = _conv_sites(x, kernel)
-            assert np.array_equal(out_v, _loop_conv_values(x, kernel, out_c))
+            assert out_v.tobytes() == _loop_conv_values(x, kernel, out_c).tobytes()
 
     @pytest.mark.parametrize("c_in", [1, 2])
     def test_one_output_row_sums_taps_in_tap_order(self, c_in):

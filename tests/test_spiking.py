@@ -27,6 +27,7 @@ from spikesparse.spiking import (
     LIFParams,
     ReadoutLayer,
     SpikingConvLayer,
+    SpikingNet,
     _dropout_recorded,
     _layer_forward,
     _lif_step_lazy,
@@ -421,6 +422,25 @@ class TestNetworkForward:
                            [(2, "sparse", 3)], 3)
         with pytest.raises(ValueError, match="at least one grid"):
             run_timesteps(model, [], 4)
+
+    @pytest.mark.parametrize("shapes, layer, kernel_c, input_c", [
+        ([(2, 1), (4, 3)], 1, 3, 2),
+        ([(2, 1), (4, 1)], 1, 1, 2),
+        ([(2, 2)], 0, 2, 1),
+    ], ids=["wider-kernel", "one-channel-kernel", "first-layer"])
+    def test_layers_whose_channels_do_not_chain_rejected(self, shapes, layer,
+                                                         kernel_c, input_c):
+        # caught when the net is built, not as a matmul error at its first
+        # forward, and never read as a one-channel conv of a wider input
+        message = (rf"layer {layer} \(conv{layer}.weight\): kernel input channels "
+                   rf"{kernel_c}, layer input channels {input_c}")
+        rng = np.random.default_rng(13)
+        layers = [SpikingConvLayer(i, ConvKernel2D(rng.standard_normal((c_out, c_in, 3, 3)),
+                                                   2), 0.7, 0.3)
+                  for i, (c_out, c_in) in enumerate(shapes)]
+        arch = "-".join(f"{c}sc3" for c, _ in shapes) + "-3"
+        with pytest.raises(ValueError, match=message):
+            SpikingNet(arch, layers, ReadoutLayer(np.zeros((3, 1))), (8, 8))
 
     def test_negative_start_rejected(self):
         # bin -2 would read the grid's last bin, and bin -1 nothing
