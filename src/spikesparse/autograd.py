@@ -57,7 +57,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sparse import _conv_sites_grads, _nonzero_rows, _pool_sites_grads
+from .sparse import (
+    _conv_sites_grads,
+    _flat_sites,
+    _nonzero_rows,
+    _pool_sites_grads,
+    _site_keys,
+)
 from .spiking import (
     EPSILON,
     _batch_slice,
@@ -97,10 +103,6 @@ class ParamGrads:
 
     def to_list(self, params):
         return [self.get(p) for p in params]
-
-    def dump_norms(self, params) -> str:
-        lines = [f"{p.name} {np.linalg.norm(self.get(p)):.6e}" for p in params]
-        return "\n".join(lines)
 
 
 class _Entry:
@@ -226,8 +228,7 @@ class _LayerReplay:
         self.rank = np.full(n_sites, n0, np.intp)
         self.rank[order] = np.arange(n0)
         self.canonical = self.n[-1] == n_sites
-        b, yx = np.divmod(order, height * width)
-        self.sites = (b,) + np.divmod(yx, width)        # (b, y, x) of each row
+        self.sites = _flat_sites(order, height, width)   # (b, x, y) of each row
         self.start = None                # the step whose v_new is self.v[1]
         # row buffers, sized per segment by _size: v[0] the start's v_prev
         self.v = self.i = self.s = self.tmp = self.sur = self.g_v = self.g_s = None
@@ -257,7 +258,7 @@ class _LayerReplay:
 
     def dense_rows(self, dense, n):
         """The first ``n`` rows of a dense ``[B, C, H, W]`` array."""
-        b, y, x = (a[:n] for a in self.sites)
+        b, x, y = self.sites[:n].T
         return dense[b, :, y, x]
 
     def rows_of(self, coords, n):
@@ -266,8 +267,7 @@ class _LayerReplay:
         canonical, so that values at ``coords`` are rows as they are."""
         if self.canonical and len(coords) == len(self.rank):
             return None
-        r = self.rank[(coords[:, 0] * self.height + coords[:, 2]) * self.width
-                      + coords[:, 1]]
+        r = self.rank[_site_keys(coords, self.height, self.width)]
         return np.minimum(r, n, out=r)
 
     def _scatter(self, k, r, values, n):

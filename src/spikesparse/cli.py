@@ -337,6 +337,11 @@ def cmd_convert(args):
     read = parse_aedat if args.input.endswith(".aedat") else parse_portable_events
     try:
         stream = read(args.input)
+    except ValueError as e:
+        raise InputError(f"{args.input}: {e}") from None
+    with event_io._naming(args.output):   # before the grid's per-bin arrays
+        event_io._check_extent(args.t, stream.height, stream.width)
+    try:
         grid = build_voxel_grid(stream, args.dt, args.t)
     except ValueError as e:
         raise InputError(f"{args.input}: {e}") from None

@@ -445,11 +445,6 @@ class BinaryVoxelGrid:
         lo, hi = self._t_starts[t], self._t_starts[t + 1]
         return self.x[lo:hi], self.y[lo:hi], self.values[lo:hi]
 
-    def to_dense(self):
-        out = np.zeros((1, self.n_timesteps, self.height, self.width))
-        out[0, self.t, self.y, self.x] = self.values
-        return out
-
     def equals(self, other) -> bool:
         return (self.n_timesteps == other.n_timesteps
                 and self.height == other.height and self.width == other.width
@@ -529,6 +524,8 @@ def build_voxel_grid(stream: EventStream, dt_us: int,
     """
     if dt_us <= 0 or n_timesteps <= 0:
         raise ValueError("dt_us and n_timesteps must be positive")
+    if max(dt_us, n_timesteps) > np.iinfo(np.int64).max:   # bins are int64
+        raise ValueError("dt_us and n_timesteps must fit int64")
     ts = stream.timestamps
     keep = ts < dt_us * n_timesteps
     ts = ts[keep]

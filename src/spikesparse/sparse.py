@@ -2,6 +2,8 @@
 
 A :class:`SparseTensor2D` stores, for a batch of 2D grids, the set of
 occupied sites ``(b, x, y)`` together with one channel vector per site.
+A site's flat key is ``(b * H + y) * W + x``, ascending in canonical order;
+``_site_keys`` and ``_flat_sites`` alone encode and decode it.
 Convolution over such a tensor is evaluated only at the output coordinates
 induced by the occupied input coordinates (the *coordinate map*): for a
 stride ``s``, site ``(b, x, y)`` contributes the output site

@@ -37,7 +37,6 @@ __all__ = [
     "DESK_CONFIG",
     "OptimizerState",
     "SparsityAudit",
-    "loss_mean_logits",
     "radam_step",
     "schedule_lr",
     "project_params",
@@ -113,13 +112,6 @@ class TrainConfig:
 # the desk recipe: the acceptance gate's run, the CLI's defaults, the demos' base
 DESK_CONFIG = TrainConfig(arch="2sc5-4sc3-4", in_height=64, in_width=64,
                           t_train=20, max_epochs=20, dropout_p=0.0, b_init=0.15)
-
-
-def loss_mean_logits(per_timestep_logits, label) -> float:
-    """Softmax cross-entropy of the mean of the per-timestep logits."""
-    logits = np.asarray(per_timestep_logits, dtype=np.float64)
-    loss, _ = softmax_xent(logits.mean(axis=0), [int(label)])
-    return loss
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +218,13 @@ def init_model(config: TrainConfig, rng=None) -> SpikingNet:
 # ---------------------------------------------------------------------------
 # the epoch loop
 
-def _batches(n, batch_size, order):
-    for lo in range(0, n, batch_size):
-        yield order[lo:lo + batch_size]
+def _batches(pairs, batch_size, order):
+    """``(grids, labels)`` of each batch of ``pairs``, taken ``batch_size`` at
+    a time in ``order``; each pair is read once, so a lazy list loads each
+    grid once per pass."""
+    for lo in range(0, len(order), batch_size):
+        batch = [pairs[i] for i in order[lo:lo + batch_size]]
+        yield [g for g, _ in batch], np.array([l for _, l in batch])
 
 
 def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
@@ -259,11 +255,8 @@ def train(config: TrainConfig, dataset, checkpoint_path=None, log=None):
         lr = schedule_lr(config, epoch)
         order = shuffle_rng.permutation(len(train_pairs))
         total_loss, correct, spikes = 0.0, 0, 0
-        for bi, idx in enumerate(_batches(len(train_pairs), config.batch_size,
-                                          order)):
-            pairs = [train_pairs[i] for i in idx]  # one load per lazy pair
-            grids = [g for g, _ in pairs]
-            labels = np.array([l for _, l in pairs])
+        for bi, (grids, labels) in enumerate(_batches(
+                train_pairs, config.batch_size, order)):
             tape = GradientTape()
             model.reset_state(len(grids))
             _, mean, counts = run_timesteps(model, grids, config.t_train,
@@ -316,10 +309,7 @@ def _eval_pass(model: SpikingNet, pairs, t_eval, batch_size):
     batch_size = max(1, batch_size or 1)
     correct = 0
     totals = np.zeros(len(model.layers), dtype=np.float64)
-    for lo in range(0, len(pairs), batch_size):
-        chunk = [pairs[i] for i in range(lo, min(lo + batch_size, len(pairs)))]
-        grids = [g for g, _ in chunk]
-        labels = np.array([l for _, l in chunk])
+    for grids, labels in _batches(pairs, batch_size, range(len(pairs))):
         model.reset_state(len(grids))
         _, mean, counts = run_timesteps(model, grids, t_eval)
         correct += int((np.argmax(mean, axis=1) == labels).sum())

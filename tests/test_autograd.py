@@ -236,8 +236,6 @@ class TestTapeInvariants:
         grads = backward(tape)
         for p in model.parameters():
             assert grads.get(p).shape == p.value.shape
-        dump = grads.dump_norms(model.parameters())
-        assert "conv0.weight" in dump and "readout.weight" in dump
 
     def test_silent_layer_calls_no_conv_gradient(self):
         # a layer that never spikes has an empty support at every step, and

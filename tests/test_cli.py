@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,14 +162,32 @@ class TestConvert:
             "'10000000000000000000,2,3,1'"]
 
     def test_extent_beyond_the_cache_records_is_exit_2(self, tmp_path, capsys):
+        # refused before the grid is built: its per-bin arrays peak at about
+        # 150 MB at 10^7 bins
         src = tmp_path / "two.events"
         src.write_text("16,16\n100,2,3,1\n5000,4,4,0\n")
         out = tmp_path / "t.vox"
-        assert main(["convert", str(src), str(out), "--dt", "1",
-                     "--t", "70000"]) == 2
+        for bins in (70000, 10 ** 7):
+            tracemalloc.start()
+            try:
+                assert main(["convert", str(src), str(out), "--dt", "1",
+                             "--t", str(bins)]) == 2
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 << 20
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {out}: grid extent {bins}x16x16 beyond the records' "
+                "u16 range"]
+            assert sorted(os.listdir(tmp_path)) == ["two.events"]
+
+    def test_bin_width_beyond_int64_is_exit_2(self, tmp_path, capsys):
+        src = tmp_path / "two.events"
+        src.write_text("16,16\n100,2,3,1\n5000,4,4,0\n")
+        assert main(["convert", str(src), str(tmp_path / "o.vox"),
+                     "--dt", "10000000000000000000", "--t", "1"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {out}: grid extent 70000x16x16 beyond the records' "
-            "u16 range"]
+            f"error: {src}: dt_us and n_timesteps must fit int64"]
         assert sorted(os.listdir(tmp_path)) == ["two.events"]
 
     def test_clip_is_a_usage_error(self, tmp_path, capsys):

@@ -774,6 +774,8 @@ def _labels_file(tmp_path, text):
      "dt_us and n_timesteps must be positive", {}),
     (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 10, -1), ValueError,
      "dt_us and n_timesteps must be positive", {}),
+    (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 10, 2 ** 63),
+     ValueError, "dt_us and n_timesteps must fit int64", {}),
     (lambda tmp: event_io._read_gesture_labels(
         _labels_file(tmp, "label,start,end\n1,0,100\n")), FormatError,
      "{tmp}/user01_led_labels.csv: unexpected label header 'label,start,end'",

@@ -12,9 +12,11 @@ from spikesparse.sparse import (
     SparseTensor2D,
     _conv_sites,
     _conv_sites_grads,
+    _flat_sites,
     _grid_sites,
     _pool_sites,
     _pool_sites_grads,
+    _site_keys,
     _step_index,
     count_nonzero,
     dense_conv2d,
@@ -320,6 +322,22 @@ class TestDensifyRoundTrip:
         x = random_sparse(rng, 3, 9, 7, 4, density=0.3)
         back = sparsify(densify(x))
         assert back.equals(x)
+
+
+class TestSiteKeys:
+    def test_flat_sites_decodes_site_keys(self):
+        rng = np.random.default_rng(11)
+        x = random_sparse(rng, 3, 9, 7, 1, density=0.4)
+        keys = _site_keys(x.coords, 9, 7)
+        assert np.all(np.diff(keys) > 0)
+        assert np.array_equal(_flat_sites(keys, 9, 7), x.coords)
+
+    def test_stride_two_keys_halve_the_columns(self):
+        rng = np.random.default_rng(12)
+        x = random_sparse(rng, 2, 10, 8, 1, density=0.5)
+        halved = x.coords // (1, 2, 2)
+        assert np.array_equal(_site_keys(x.coords, 5, 4, stride=2),
+                              _site_keys(halved, 5, 4))
 
 
 class TestCountNonzero:

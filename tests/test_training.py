@@ -16,13 +16,13 @@ from spikesparse.spiking import (
 from spikesparse.training import (
     OptimizerState,
     TrainConfig,
+    _batches,
     anytime_eval,
     build_model,
     clip_grad_norm,
     evaluate,
     history_to_csv,
     init_model,
-    loss_mean_logits,
     project_params,
     radam_step,
     schedule_lr,
@@ -71,21 +71,6 @@ def radam_oracle(theta0, grad_fn, lr, steps, wd=0.0, b1=0.9, b2=0.999, eps=1e-8)
                 theta[i] -= lr * m_hat
         traj.append(list(theta))
     return traj
-
-
-class TestLoss:
-    def test_uniform_logits(self):
-        logits = np.zeros((5, 11))
-        assert abs(loss_mean_logits(logits, 3) - math.log(11)) < 1e-12
-
-    def test_dominant_class_limit(self):
-        logits = np.zeros((4, 3))
-        logits[:, 1] = 1e9
-        assert loss_mean_logits(logits, 1) == 0.0
-
-    def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
-            loss_mean_logits(np.zeros((2, 3)), 5)
 
 
 class TestRadam:
@@ -315,19 +300,24 @@ class TestTrainLoop:
                     assert r1[key] == r2[key], key
 
     def test_lazy_pairs_load_once_per_epoch(self, tmp_path, monkeypatch):
-        # 4 cached train grids: 4 loads per epoch, and the same run as from
-        # the grids held in memory
+        # 4 cached train grids and 4 cached test grids: each loads once per
+        # epoch, by the training batches or by the epoch's evaluate, and the
+        # run is the same as from the grids held in memory
         train_pairs, test = tiny_dataset(classes=2, per_class=2)
-        entries = []
-        for i, (grid, label) in enumerate(train_pairs):
-            grid.save(tmp_path / f"{i}.vox")
-            entries.append((tmp_path / f"{i}.vox", label))
+        lazy = {}
+        for split, pairs in (("train", train_pairs), ("test", test)):
+            lazy[split] = []
+            for i, (grid, label) in enumerate(pairs):
+                grid.save(tmp_path / f"{split}{i}.vox")
+                lazy[split].append((tmp_path / f"{split}{i}.vox", label))
         loads, load = [], BinaryVoxelGrid.load.__func__
         monkeypatch.setattr(BinaryVoxelGrid, "load", classmethod(
             lambda cls, path: loads.append(path) or load(cls, path)))
         cfg = tiny_config(max_epochs=2)
-        lazy_model, lazy_history = train(cfg, (LazyGridList(entries), test))
-        assert len(loads) == 2 * len(entries)
+        lazy_model, lazy_history = train(cfg, (LazyGridList(lazy["train"]),
+                                               LazyGridList(lazy["test"])))
+        paths = [path for split in lazy.values() for path, _ in split]
+        assert sorted(loads) == sorted(2 * paths)
         model, history = train(cfg, (train_pairs, test))
         for row, lazy_row in zip(history, lazy_history):
             del row["epoch_seconds"], lazy_row["epoch_seconds"]
@@ -396,6 +386,17 @@ class TestTrainLoop:
     def test_config_validated_at_construction(self, bad):
         with pytest.raises(ValueError):
             tiny_config(**bad)
+
+
+class TestBatches:
+    def test_batches_follow_order_and_keep_the_tail(self):
+        pairs = [(f"g{i}", i % 3) for i in range(7)]
+        order = [6, 0, 5, 1, 4, 2, 3]
+        got = list(_batches(pairs, 3, order))
+        assert [grids for grids, _ in got] == [["g6", "g0", "g5"],
+                                               ["g1", "g4", "g2"], ["g3"]]
+        assert [labels.tolist() for _, labels in got] == [[0, 0, 2],
+                                                          [1, 1, 2], [0]]
 
 
 class TestEvaluate:
