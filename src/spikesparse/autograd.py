@@ -1,32 +1,32 @@
 """Reverse-mode differentiation through the timestep unrolling.
 
-The forward pass records a :class:`GradientTape`: one entry per operation
-(input, layer, dropout, readout, mean) in ``run_timesteps``' order, then the
-loss, each keeping what backward cannot read from its layer again; a layer
-entry is a whole layer step (conv, LIF and optional pool), replayed as pool,
-LIF, conv.  An input entry names a step's network input by the voxel grids
-and the bin, ``(grids, t)``, and the layer entry after it keeps no copy of
-that input: backward slices it from the grids again, as it reads the weights,
-leak and threshold from the layer again, so none may change between the
-forward and the backward.  :func:`backward` walks the entries in reverse
-once from the loss, handing one adjoint from each entry to the one before it
-(readout, top layer, ..., layer 0 per step, as a dense BPTT does) and across
-all timesteps through the membrane recurrence ``V[n] -> V[n+1]`` and the
-reset term's dependence on the previous spikes, so the leak and threshold of
-every layer receive gradients from every timestep.  It consumes the tape:
-nothing reads an entry after its own step, so each entry is dropped once it
-is walked, and the tape is empty when backward returns.
+The forward pass records a :class:`GradientTape` of one run: its voxel
+grids, first bin and step count, then one entry per operation (layer,
+dropout, readout) in ``run_timesteps``' order, then the loss, each keeping
+what backward cannot read from its layer again; a layer entry is a whole
+layer step (conv, LIF and optional pool), replayed as pool, LIF, conv.  Layer
+0's entries keep no copy of their input: backward slices bin ``start + t`` of
+the run's grids again, as it reads the weights, leak and threshold from the
+layer again, so none may change between the forward and the backward.
+:func:`backward` walks the entries in reverse once from the loss, handing
+one adjoint from each entry to the one before it (readout, top layer, ...,
+layer 0 per step, as a dense BPTT does) and across all timesteps through the
+membrane recurrence ``V[n] -> V[n+1]`` and the reset term's dependence on
+the previous spikes, so the leak and threshold of every layer receive
+gradients from every timestep.  It consumes the tape: nothing reads an entry
+after its own step, so each entry is dropped once it is walked, and the tape
+is empty when backward returns.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
-sites, its input only where the entry before it cannot rebuild it, the
-spikes as the sparse tensor the step handed on, and the dense potentials
-only at the first step of each segment of ``_SEGMENT`` steps.  Backward
-replays a segment's potentials once, from that stored start, with the
-forward's recurrence, and carries the recurrence adjoints of each layer from
-step t+1 to step t (checkpointing over time: Chen et al., "Training deep
-nets with sublinear memory cost", arXiv 1604.06174; Gruslys et al.,
-"Memory-efficient backpropagation through time", NeurIPS 2016).  The
-gradients are bit-identical to storing every potential and every input.
+sites, its input only above layer 0, the spikes as the sparse tensor the
+step handed on, and the dense potentials only at the first step of each
+segment of ``_SEGMENT`` steps.  Backward replays a segment's potentials
+once, from that stored start, with the forward's recurrence, and carries the
+recurrence adjoints of each layer from step t+1 to step t (checkpointing
+over time: Chen et al., "Training deep nets with sublinear memory cost",
+arXiv 1604.06174; Gruslys et al., "Memory-efficient backpropagation through
+time", NeurIPS 2016).  The gradients are bit-identical to storing every
+potential and every input.
 
 Backward runs each layer's LIF adjoint on its support only.  Adjoints enter
 a layer step at the sites it handed on (its spike tensor: the spiking sites
@@ -119,68 +119,60 @@ _SEGMENT = 16
 
 
 class GradientTape:
-    """Ordered record of one forward pass; replayable in reverse once.
+    """Ordered record of one forward run; replayable in reverse once.
 
     Implements the recorder protocol consumed by
     :func:`spikesparse.spiking.run_timesteps`, plus one :meth:`record_loss`,
-    where :func:`backward` starts: the tape holds exactly the entries of the
-    forward driver, in its order, and the loss; each entry reads the output
-    of the one before it, so backward hands one adjoint down them.
-    Backward consumes ``entries``, dropping each as it walks it: afterwards
-    the list is empty.
+    where :func:`backward` starts: the tape holds the run, exactly the
+    entries of the forward driver, in its order, and the loss; each entry
+    reads the output of the one before it, so backward hands one adjoint
+    down them.  Backward consumes ``entries``, dropping each as it walks it:
+    afterwards the list is empty.
 
-    Each step starts with :meth:`record_input`, which keeps only the voxel
-    grids and the bin; the layer entry recorded right after it drops its
-    input ``x``, and backward rebuilds it by slicing the grids again.  The
-    grids, like each layer's weights, leak and threshold, which backward
-    reads from the layer, must therefore stay unchanged until
-    :func:`backward` has run.  A layer entry after any other entry keeps
-    its ``x``.
+    :meth:`record_run` names the run once, by its voxel grids, first bin and
+    step count, and refuses a second run.  Layer 0's entries keep no input
+    ``x``: backward slices it from the grids again.  The grids, like each
+    layer's weights, leak and threshold, which backward reads from the
+    layer, must therefore stay unchanged until :func:`backward` has run.
     """
 
     def __init__(self):
         self.entries = []
         self.used = False
-        self._last = {}   # layer index -> (its latest step, that step's v_new)
+        self.run = None   # (grids, first bin, step count) of the one run
+        self._step = -1   # the step whose entries are being recorded
 
     # --- recorder protocol -------------------------------------------------
-    def record_input(self, grids, t):
-        """Bin ``t`` of the voxel ``grids``, the network input of one step;
-        backward slices it again for the layer entry recorded next."""
-        self.entries.append(_Entry("input", grids=grids, t=t))
+    def record_run(self, grids, start, steps):
+        """The run: bins ``start .. start + steps - 1`` of the voxel
+        ``grids``; raises ``RuntimeError`` for a second run."""
+        if self.run is not None:
+            raise RuntimeError("this tape already records a run")
+        self.run = (grids, start, steps)
 
     def record_layer(self, layer, **data):
         """One layer step: its input ``x``; the conv output, ``current`` rows
         at ``out_c``, and whether the conv ran at ``every_site``; the spikes
         before the step ``s_prev`` and the emitted ``spikes``, both sparse
         tensors; the pool's ``winners`` (``None`` without a pool); and the
-        potentials ``v_prev -> v_new``.
+        potentials before the step ``v_prev``.
 
-        Of the potentials the entry keeps ``v_prev`` only at the first step
-        of a segment of ``_SEGMENT`` steps, or where they do not continue the
-        layer's previous step (``chained`` is then false), and never
-        ``v_new``; backward replays the rest.  Right after an input entry it
-        keeps no ``x`` (``None``), which backward slices from the grids."""
-        v_new = data.pop("v_new")
-        if self.entries and self.entries[-1].kind == "input":
+        The entry keeps ``v_prev`` only at the first step of a segment of
+        ``_SEGMENT`` steps; backward replays the rest.  At layer 0, the
+        first entry of each step, it keeps no ``x`` (``None``), which
+        backward slices from the grids."""
+        if layer.index == 0:
+            self._step += 1
             data["x"] = None
-        t, v_last = self._last.get(layer.index, (-1, None))
-        t += 1
-        chained = v_last is data["v_prev"]
-        if chained and t % _SEGMENT:
+        if self._step % _SEGMENT:
             data["v_prev"] = None
-        self.entries.append(_Entry("layer", layer=layer, t=t, chained=chained,
-                                   **data))
-        self._last[layer.index] = (t, v_new)
+        self.entries.append(_Entry("layer", layer=layer, **data))
 
     def record_dropout(self, mask, p):
         self.entries.append(_Entry("dropout", mask=mask, p=p))
 
     def record_readout(self, readout, x):
         self.entries.append(_Entry("readout", readout=readout, x=x))
-
-    def record_mean(self, steps, shape):
-        self.entries.append(_Entry("mean", steps=steps, shape=shape))
 
     def record_loss(self, probs, labels, mean):
         self.entries.append(_Entry("loss", probs=probs, labels=labels))
@@ -375,6 +367,9 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
     tape.used = True
     if not tape.entries or tape.entries[-1].kind != "loss":
         raise RuntimeError("tape has no recorded loss")
+    if tape.run is None:
+        raise RuntimeError("tape has no recorded run")
+    grids, start, steps = tape.run
 
     grads = ParamGrads()
     by_layer, replays = {}, {}  # layer index -> its entries in order, replay
@@ -382,23 +377,18 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
         if entry.kind == "layer":
             by_layer.setdefault(entry.data["layer"].index, []).append(entry)
 
-    # the adjoints of the mean logits, of each step's logits, and of the
-    # input of the entry just walked (None where nothing reached it; an
-    # input entry takes none and is read only by the layer entry after it)
-    g_mean = g_logits = g = None
+    # the adjoints of each step's logits and of the input of the entry just
+    # walked (None where nothing reached it)
+    g_logits = g = None
     entries = tape.entries
     while entries:   # each entry is dropped as it is walked
         entry = entries.pop()
         d = entry.data
-        if entry.kind == "loss":
+        if entry.kind == "loss":   # through the mean over the run's steps
             probs, labels = d["probs"], d["labels"]
-            g_mean = (probs - _one_hot(labels, probs.shape[1]))
-            g_mean *= 1.0 / len(labels)
-
-        elif entry.kind == "mean":   # a run with no loss after it gets zeros
-            if g_mean is None:
-                g_mean = np.zeros(d["shape"])
-            g_logits, g_mean = g_mean / d["steps"], None
+            g_logits = (probs - _one_hot(labels, probs.shape[1]))
+            g_logits *= 1.0 / len(labels)
+            g_logits /= steps
 
         elif entry.kind == "readout":
             readout, x = d["readout"], d["x"]
@@ -420,10 +410,11 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
                  * (1.0 / (1.0 - d["p"])))
 
         elif entry.kind == "layer":
-            layer, t, x, out_c = d["layer"], d["t"], d["x"], d["out_c"]
+            layer, x, out_c = d["layer"], d["x"], d["out_c"]
             rep = replays.get(layer.index)
             if rep is None:   # met at the layer's last step
                 rep = replays[layer.index] = _LayerReplay(by_layer.pop(layer.index))
+            t = len(rep.entries) - 1   # the step: its entry is the replay's last
             beta, b, w2e = rep.beta, rep.b, rep.w2e
             thr = b * w2e
             # all on the step's support rows, zero elsewhere (see _LayerReplay)
@@ -465,8 +456,8 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
                 rep.g_w2 += (-np.sum(np.multiply(g_u, v_new, out=tmp)) / (w2e * w2e)
                              - b * reset_flow)
             g_i = np.multiply(1.0 - beta, g_v, out=tmp)
-            cut = truncate > 0 and t % truncate == 0
-            rep.carried = n if d["chained"] and not cut else 0
+            cut = t == 0 or (truncate > 0 and t % truncate == 0)
+            rep.carried = 0 if cut else n
             if rep.carried:
                 np.multiply(-thr * beta, g_v, out=g_s)
                 np.multiply(beta, g_v, out=g_v)
@@ -477,8 +468,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             if not g_out.any():   # an empty support or a zero adjoint (below
                 continue          # silent layers): zero gradients
             if x is None:   # the step's network input: slice the grids again
-                inp = entries[-1].data
-                x = _batch_slice(inp["grids"], inp["t"])
+                x = _batch_slice(grids, start + t)
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
             g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,

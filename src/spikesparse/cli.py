@@ -57,7 +57,6 @@ from .training import (
     _check_horizons,
     anytime_eval,
     evaluate,
-    history_to_csv,
     sparsity_audit,
     stride_vs_pool_study,
     train,
@@ -330,10 +329,23 @@ def _load_training_setup(args):
     return cfg, tc, dataset
 
 
+def _csv(cfg, columns, rows):
+    """A CSV report: the config-hash line, the header of ``columns``, then
+    one line per row of cells: ``repr`` of a float, empty for ``None``, and
+    ``str`` of anything else."""
+    lines = [f"# config_hash={config_hash(cfg)}", ",".join(columns)]
+    lines += [",".join(repr(v) if isinstance(v, float) else "" if v is None
+                       else str(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_convert(args):
+    for flag, value in (("--dt", args.dt), ("--t", args.t)):
+        if not 1 <= value < 1 << 63:   # bins are int64
+            raise InputError(f"{flag} {value} is not in 1..2**63-1")
     read = parse_aedat if args.input.endswith(".aedat") else parse_portable_events
     try:
         stream = read(args.input)
@@ -341,10 +353,7 @@ def cmd_convert(args):
         raise InputError(f"{args.input}: {e}") from None
     with event_io._naming(args.output):   # before the grid's per-bin arrays
         event_io._check_extent(args.t, stream.height, stream.width)
-    try:
-        grid = build_voxel_grid(stream, args.dt, args.t)
-    except ValueError as e:
-        raise InputError(f"{args.input}: {e}") from None
+    grid = build_voxel_grid(stream, args.dt, args.t)
     grid.save(args.output)
     print(f"events {len(stream)}")
     print(f"nonzeros {grid.n_nonzero}")
@@ -381,8 +390,10 @@ def cmd_train(args):
     model, history = train(tc, dataset, checkpoint_path=ckpt, log=print)
     best = max(h["test_acc"] for h in history)
     print(f"best test accuracy {best:.4f}; checkpoint {ckpt}")
-    return {"history.csv": (f"# config_hash={config_hash(cfg)}\n"
-                            + history_to_csv(history)),
+    columns = ("epoch", "lr", "train_loss", "train_acc", "test_acc",
+               "epoch_seconds", "spikes")
+    return {"history.csv": _csv(cfg, columns,
+                                [[h[c] for c in columns] for h in history]),
             "config.resolved.ini": serialize_config(cfg)}
 
 
@@ -419,11 +430,13 @@ def cmd_sparsity(args):
     cfg, model, test, (t_eval,) = _load_model_and_data(args)
     audit = sparsity_audit(model, test, t_eval,
                            batch_size=cfg["eval"]["batch"])
-    chash = config_hash(cfg)
-    payload = json.loads(audit.to_json())
-    payload["config_hash"] = chash
+    payload = {"t_eval": audit.t_eval,
+               "layers": [{"layer": n, "mean_spikes": c, "percent": p}
+                          for n, c, p in audit.layers],
+               "total_mean_spikes": audit.total, "config_hash": config_hash(cfg)}
     print(audit.to_table(), end="")
-    return {"sparsity.csv": f"# config_hash={chash}\n" + audit.to_csv(),
+    return {"sparsity.csv": _csv(cfg, ("layer", "mean_spikes", "percent"),
+                                 audit.layers + [("total", audit.total, None)]),
             "sparsity.json": json.dumps(payload, indent=2) + "\n"}
 
 
@@ -431,22 +444,17 @@ def cmd_anytime(args):
     cfg, model, test, t_list = _load_model_and_data(args, anytime=True)
     curve = anytime_eval(model, test, t_list,
                          batch_size=cfg["eval"]["batch"])
-    lines = [f"# config_hash={config_hash(cfg)}", "t_eval,accuracy"]
     for t, acc in curve:
-        lines.append(f"{t},{acc!r}")
         print(f"T={t:4d}  accuracy {acc:.4f}")
-    return {"anytime.csv": "\n".join(lines) + "\n"}
+    return {"anytime.csv": _csv(cfg, ("t_eval", "accuracy"), curve)}
 
 
 def cmd_study_stride(args):
     cfg, tc, dataset = _load_training_setup(args)
     rows = stride_vs_pool_study(tc, dataset, log=print)
-    lines = [f"# config_hash={config_hash(cfg)}",
-             "variant,accuracy,total_spikes,epochs"]
-    for r in rows:
-        lines.append(f"{r['variant']},{r['accuracy']!r},"
-                     f"{r['total_spikes']!r},{r['epochs']}")
-    return {"stride_vs_pool.csv": "\n".join(lines) + "\n"}
+    columns = ("variant", "accuracy", "total_spikes", "epochs")
+    return {"stride_vs_pool.csv": _csv(cfg, columns,
+                                       [[r[c] for c in columns] for r in rows])}
 
 
 def cmd_init_config(args):

@@ -408,6 +408,10 @@ class BinaryVoxelGrid:
         v = np.asarray(values, dtype=np.int8)
         if not (len(t) == len(x) == len(y) == len(v)):
             raise ValueError("grid columns have mismatched lengths")
+        if not 1 <= n_timesteps < 1 << 63:
+            raise ValueError(f"bin count {n_timesteps} is not in 1..2**63-1")
+        if dt_us < 1:
+            raise ValueError(f"bin width {dt_us} us is below 1")
         if len(t):
             if t.min() < 0 or t.max() >= n_timesteps:
                 raise ValueError("bin index out of range")
@@ -472,6 +476,10 @@ class BinaryVoxelGrid:
         c, t_bins, height, width, dt_us, n = _VOX_HEADER.unpack_from(data, at)
         if c != 1:
             raise FormatError(f"unsupported channel count {c}", field="channels")
+        for field, value in (("n_timesteps", t_bins), ("dt_us", dt_us)):
+            if value < 1:
+                raise FormatError(f"voxel cache {field} {value} is below 1",
+                                  field=field)
         _check_extent(t_bins, height, width)
         body = data[_VOX_BODY:]
         if len(body) < _VOX_RECORD.itemsize * n:

@@ -628,8 +628,7 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     if recorder is not None:
         recorder.record_layer(
             layer, x=x, out_c=out_c, current=current, every_site=every_site,
-            v_prev=v_prev, s_prev=s_prev, v_new=state.potentials, spikes=spikes,
-            winners=winners)
+            v_prev=v_prev, s_prev=s_prev, spikes=spikes, winners=winners)
     return (spikes if pooled is None else pooled), count
 
 
@@ -641,9 +640,9 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     ``training=True`` a fresh dropout mask is drawn per timestep from ``rng``.
     Every layer keeps dense potentials and computes at the sites its kind
     picks (see the module docstring), with or without a ``recorder``.  A
-    recorder gets each step's input as ``record_input(grids, t)`` ahead of
-    that step's layer entries and may slice it again later, so the grids
-    must not change until it is done with them.
+    recorder gets the run as ``record_run(grids, start, t_eval)`` ahead of
+    every step's entries and may slice the grids again later, so they must
+    not change until it is done with them.
     Returns ``(per-timestep logits [T, B, classes], mean logits, per-layer
     spike counts)``.
     """
@@ -667,10 +666,10 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
     dropout_on = training and model.dropout_p > 0.0
     if dropout_on and rng is None:
         raise ValueError("training with dropout needs an rng for the masks")
+    if recorder is not None:
+        recorder.record_run(grids, start, t_eval)
     for t in range(start, start + t_eval):
         x = _batch_slice(grids, t)
-        if recorder is not None:
-            recorder.record_input(grids, t)
         for li, layer in enumerate(model.layers):
             x, c = _layer_forward(layer, x, model.soft, recorder)
             counts[li] += c
@@ -681,10 +680,7 @@ def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,
             recorder.record_readout(model.readout, x)
         logits_seq.append(logits)
     stacked = np.stack(logits_seq)
-    mean = stacked.mean(axis=0)
-    if recorder is not None:
-        recorder.record_mean(len(logits_seq), mean.shape)
-    return stacked, mean, counts
+    return stacked, stacked.mean(axis=0), counts
 
 
 def _dropout_recorded(x, p, rng, recorder):

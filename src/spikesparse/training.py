@@ -16,7 +16,6 @@ network is given), and the strided-convolution versus max-pooling study.
 from __future__ import annotations
 
 import io
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -48,7 +47,6 @@ __all__ = [
     "sparsity_audit",
     "anytime_eval",
     "stride_vs_pool_study",
-    "history_to_csv",
 ]
 
 
@@ -346,21 +344,6 @@ class SparsityAudit:
         out.write(f"{'total':<8}{self.total:>16.1f}\n")
         return out.getvalue()
 
-    def to_csv(self) -> str:
-        lines = ["layer,mean_spikes,percent"]
-        for name, count, pct in self.layers:
-            lines.append(f"{name},{count!r},{pct!r}")
-        lines.append(f"total,{self.total!r},")
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "t_eval": self.t_eval,
-            "layers": [{"layer": n, "mean_spikes": c, "percent": p}
-                       for n, c, p in self.layers],
-            "total_mean_spikes": self.total,
-        }, indent=2)
-
 
 def sparsity_audit(model: SpikingNet, pairs, t_eval, batch_size=32) -> SparsityAudit:
     """Count nonzero activations (spikes) emitted by each layer.
@@ -418,13 +401,3 @@ def stride_vs_pool_study(config: TrainConfig, dataset, log=None):
             log(f"{variant}: accuracy {acc:.4f}, "
                 f"total spikes/sample {total:.1f}")
     return rows
-
-
-def history_to_csv(history) -> str:
-    cols = ["epoch", "lr", "train_loss", "train_acc", "test_acc",
-            "epoch_seconds", "spikes"]
-    lines = [",".join(cols)]
-    for row in history:
-        lines.append(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols))
-    return "\n".join(lines) + "\n"

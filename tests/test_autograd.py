@@ -227,6 +227,12 @@ class TestTapeInvariants:
         with pytest.raises(RuntimeError, match="^tape has no recorded loss$"):
             backward(tape)
 
+    def test_tape_without_a_run_is_refused(self):
+        tape = GradientTape()
+        tape.record_loss(np.full((1, 2), 0.5), np.array([0]), np.zeros((1, 2)))
+        with pytest.raises(RuntimeError, match="^tape has no recorded run$"):
+            backward(tape)
+
     def test_gradient_shapes_match_parameters(self):
         rng = np.random.default_rng(9)
         model = make_model(rng, (6, 6), [(2, "sparse", 3), (3, "sparse", 3)], 4,
@@ -288,8 +294,10 @@ class TestTapeInvariants:
         _, probs = softmax_xent(mean, labels)
         tape.record_loss(probs, labels, mean)
         walk = list(tape.entries)
-        at = {(e.data["layer"].index, e.data["t"]): i
-              for i, e in enumerate(walk) if e.kind == "layer"}
+        # a layer's step is its entry's position among that layer's entries
+        at = {(li, t): i for li in range(2) for t, i in enumerate(
+            i for i, e in enumerate(walk)
+            if e.kind == "layer" and e.data["layer"].index == li)}
         steps, rows = [], {}
         replay_step = autograd._LayerReplay.step
 
@@ -502,19 +510,18 @@ class TestSegmentReplay:
         # each entry keeps only what backward cannot read from its layer
         # again: no forward output kept to key an adjoint by, no pooled
         # output beside its winners, no copy of the layer's leak, threshold
-        # or weight norm, and a step's input only as its grids and bin: the
-        # layer entry after it keeps no copy, which backward slices again
-        kept = {"input": {"grids", "t"}, "readout": {"readout", "x"},
-                "dropout": {"mask", "p"}, "mean": {"steps", "shape"},
+        # or weight norm, and no copy of a step's network input: layer 0
+        # keeps no x, which backward slices from the run's grids again
+        assert tape.run == (grids, 0, t_eval) and tape.run[0] is grids
+        kept = {"readout": {"readout", "x"}, "dropout": {"mask", "p"},
                 "loss": {"probs", "labels"},
-                "layer": {"layer", "t", "chained", "x", "out_c", "current",
-                          "every_site", "v_prev", "s_prev", "spikes",
-                          "winners"}}
-        for before, e in zip([None] + tape.entries, tape.entries):
+                "layer": {"layer", "x", "out_c", "current", "every_site",
+                          "v_prev", "s_prev", "spikes", "winners"}}
+        for e in tape.entries:
             assert set(e.data) == kept[e.kind], e.kind
             if e.kind == "layer":
                 assert e.data["winners"] is not None
-                assert (e.data["x"] is None) == (before.kind == "input")
+                assert (e.data["x"] is None) == (e.data["layer"].index == 0)
         assert {e.kind for e in tape.entries} == set(kept)
         for layer in model.layers:
             entries = [e.data for e in tape.entries
@@ -531,26 +538,32 @@ class TestSegmentReplay:
                         potentials += 1
             assert potentials <= math.ceil(t_eval / autograd._SEGMENT)
 
-    def test_no_adjoint_crosses_a_reset_on_one_tape(self):
-        # a state reset between two runs on one tape cuts the recurrence: the
-        # loss of the second run gives the first run's steps no gradient
+    def test_a_second_run_on_one_tape_is_refused(self):
+        # a tape records one run: a second is refused before any layer steps
         rng = np.random.default_rng(32)
         model = make_model(rng, (8, 8), [(2, "sparse", 3), (3, "sparse", 3)],
                            3, b=0.05, weight_scale=0.8)
         grids = [random_grid(rng, 8, 8, t_bins=20, density=0.3)]
-        labels = np.array([1])
-        model.reset_state(1)
-        want = _taped_step(model, grids, labels, 20)
         tape = GradientTape()
         model.reset_state(1)
-        run_timesteps(model, grids, 20, recorder=tape)
-        model.reset_state(1)
-        _, mean, _ = run_timesteps(model, grids, 20, recorder=tape)
-        _, probs = softmax_xent(mean, labels)
-        tape.record_loss(probs, labels, mean)
-        got = backward(tape).to_list(model.parameters())
-        for a, b in zip(want[2:], got):
-            assert np.array_equal(a, b)
+        run_timesteps(model, grids, 10, recorder=tape)
+        entries = list(tape.entries)
+
+        def states():
+            return [(l.state.potentials.copy(), l.state.prev_spikes,
+                     l.state.prev_spikes.coords.copy(),
+                     l.state.prev_spikes.values.copy(),
+                     l.state.last_touch.copy(), l.state.step)
+                    for l in model.layers]
+
+        before = states()
+        with pytest.raises(RuntimeError, match="already records a run"):
+            run_timesteps(model, grids, 10, start=10, recorder=tape)
+        for was, now in zip(before, states()):
+            assert now[1] is was[1] and now[5] == was[5]
+            for a, b in zip(was[:1] + was[2:5], now[:1] + now[2:5]):
+                assert np.array_equal(a, b)
+        assert tape.entries == entries and tape.run == (grids, 0, 10)
 
 
 _BPTT_CASES = [

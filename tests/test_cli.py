@@ -23,7 +23,15 @@ from spikesparse.cli import (
     train_config_from,
 )
 from spikesparse.spiking import load_checkpoint, save_checkpoint
-from spikesparse.training import DESK_CONFIG, TrainConfig, build_model, evaluate
+from spikesparse.training import (
+    DESK_CONFIG,
+    TrainConfig,
+    build_model,
+    evaluate,
+    sparsity_audit,
+    stride_vs_pool_study,
+    train,
+)
 
 TINY = """
 [data]
@@ -187,8 +195,20 @@ class TestConvert:
         assert main(["convert", str(src), str(tmp_path / "o.vox"),
                      "--dt", "10000000000000000000", "--t", "1"]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            f"error: {src}: dt_us and n_timesteps must fit int64"]
+            "error: --dt 10000000000000000000 is not in 1..2**63-1"]
         assert sorted(os.listdir(tmp_path)) == ["two.events"]
+
+    @pytest.mark.parametrize("flag", ["--dt", "--t"])
+    def test_zero_bin_option_is_exit_2_naming_it(self, tmp_path, capsys, flag):
+        # the option is checked before the input is read: a missing input
+        # is not reported
+        args = {"--dt": "10000", "--t": "2", flag: "0"}
+        assert main(["convert", str(tmp_path / "none.events"),
+                     str(tmp_path / "o.vox"), *(a for kv in args.items()
+                                                for a in kv)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {flag} 0 is not in 1..2**63-1"]
+        assert os.listdir(tmp_path) == []
 
     def test_clip_is_a_usage_error(self, tmp_path, capsys):
         # the clip horizon is always --t x --dt
@@ -356,6 +376,45 @@ class TestTrainEvalPipeline:
                      "--out", out, "--t-list", "2,5"]) == 0
         curve = (tmp_path / "reports" / "anytime.csv").read_text().splitlines()
         assert curve[1] == "t_eval,accuracy" and len(curve) == 4
+
+    def test_report_lines(self, tiny_cfg, run_dir, tmp_path):
+        # a CSV report is its config-hash line, its header and one line per
+        # row: a float as its repr, a missing cell empty
+        cfg, reports = load_config(tiny_cfg), tmp_path / "reports"
+        tc, batch = train_config_from(cfg), cfg["eval"]["batch"]
+        (h,) = train(tc, load_dataset(cfg))[1]
+        lines = (run_dir / "history.csv").read_text().splitlines()
+        assert lines[:2] == [f"# config_hash={config_hash(cfg)}",
+                             "epoch,lr,train_loss,train_acc,test_acc,"
+                             "epoch_seconds,spikes"]
+        cells = lines[2].split(",")
+        assert len(lines) == 3 and float(cells.pop(5)) > 0.0   # wall clock
+        assert cells == [str(h["epoch"]), repr(h["lr"]), repr(h["train_loss"]),
+                         repr(h["train_acc"]), repr(h["test_acc"]),
+                         str(h["spikes"])]
+
+        ckpt = str(run_dir / "model.ckpt")
+        model, test = load_checkpoint(ckpt), load_dataset(cfg, with_train=False)[1]
+        assert main(["sparsity", "--config", tiny_cfg, "--checkpoint", ckpt,
+                     "--out", str(reports)]) == 0
+        audit = sparsity_audit(model, test, tc.t_train, batch)
+        ((name, count, pct),) = audit.layers
+        assert (reports / "sparsity.csv").read_text().splitlines() == [
+            f"# config_hash={config_hash(cfg)}", "layer,mean_spikes,percent",
+            f"conv1,{count!r},{pct!r}", f"total,{audit.total!r},"]
+        assert (reports / "sparsity.json").read_text() == json.dumps(
+            {"t_eval": tc.t_train,
+             "layers": [{"layer": "conv1", "mean_spikes": count, "percent": pct}],
+             "total_mean_spikes": audit.total, "config_hash": config_hash(cfg)},
+            indent=2) + "\n"
+
+        assert main(["anytime", "--config", tiny_cfg, "--checkpoint", ckpt,
+                     "--out", str(reports), "--t-list", "2,5"]) == 0
+        flagged = load_config(tiny_cfg, flags={"t_list": "2,5"})
+        assert (reports / "anytime.csv").read_text().splitlines() == [
+            f"# config_hash={config_hash(flagged)}", "t_eval,accuracy",
+            f"2,{evaluate(model, test, 2, batch)!r}",
+            f"5,{evaluate(model, test, 5, batch)!r}"]
 
     def test_eval_renders_only_the_test_split(self, tiny_cfg, run_dir, tmp_path,
                                               monkeypatch):
@@ -818,3 +877,15 @@ class TestStudyCommand:
         lines = (out / "stride_vs_pool.csv").read_text().splitlines()
         assert lines[1] == "variant,accuracy,total_spikes,epochs"
         assert lines[2].startswith("stride,") and lines[3].startswith("pool,")
+
+    def test_comparison_lines(self, tiny_cfg, tmp_path):
+        out = tmp_path / "study"
+        assert main(["study-stride", "--config", tiny_cfg,
+                     "--out", str(out)]) == 0
+        cfg = load_config(tiny_cfg)
+        rows = stride_vs_pool_study(train_config_from(cfg), load_dataset(cfg))
+        assert (out / "stride_vs_pool.csv").read_text().splitlines() == [
+            f"# config_hash={config_hash(cfg)}",
+            "variant,accuracy,total_spikes,epochs",
+            *(f"{r['variant']},{r['accuracy']!r},{r['total_spikes']!r},"
+              f"{r['epochs']}" for r in rows)]

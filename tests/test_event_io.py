@@ -388,6 +388,14 @@ class TestVoxelCacheFile:
         grid.save(p)
         assert BinaryVoxelGrid.load(p).equals(grid)
 
+    def test_hand_packed_header_round_trips(self):
+        # the layout the refused headers of test_input_checks_name_what_they_refuse
+        # are packed in
+        grid = BinaryVoxelGrid.from_bytes(_vox_header())
+        assert (grid.n_timesteps, grid.height, grid.width, grid.dt_us,
+                grid.n_nonzero) == (2, 4, 4, 10, 0)
+        assert grid.to_bytes() == _vox_header()
+
     def test_bad_magic_and_truncation(self):
         grid = build_voxel_grid(EventStream([5], [1], [1], [ON], 8, 8), 1_000, 2)
         blob = grid.to_bytes()
@@ -731,6 +739,12 @@ def _vox_with_channels(c):
     return bytes(blob)
 
 
+def _vox_header(t_bins=2, dt_us=10):
+    """The cache bytes of an empty 4x4 grid: magic, then the header's channel
+    count, bin count, height, width, bin width and record count."""
+    return b"SPKVOX01" + struct.pack("<IIIIQQ", 1, t_bins, 4, 4, dt_us, 0)
+
+
 def _labels_file(tmp_path, text):
     path = tmp_path / "user01_led_labels.csv"
     path.write_text(text)
@@ -783,6 +797,14 @@ def _labels_file(tmp_path, text):
     (lambda tmp: event_io.DatasetIndex([event_io.SampleRecord("user01_a", 1)],
                                        [event_io.SampleRecord("user01_b", 1)]),
      DatasetIndexError, "train and test subjects overlap", {}),
+    *((lambda tmp, n=n: BinaryVoxelGrid([], [], [], [], n, 4, 4, 10), ValueError,
+       f"bin count {n} is not in 1..2**63-1", {}) for n in (0, -3, 2 ** 63)),
+    *((lambda tmp, dt=dt: BinaryVoxelGrid([], [], [], [], 2, 4, 4, dt), ValueError,
+       f"bin width {dt} us is below 1", {}) for dt in (0, -5)),
+    (lambda tmp: BinaryVoxelGrid.from_bytes(_vox_header(t_bins=0)), FormatError,
+     "voxel cache n_timesteps 0 is below 1", {"field": "n_timesteps"}),
+    (lambda tmp: BinaryVoxelGrid.from_bytes(_vox_header(dt_us=0)), FormatError,
+     "voxel cache dt_us 0 is below 1", {"field": "dt_us"}),
 ])
 def test_input_checks_name_what_they_refuse(tmp_path, call, error, message, attrs):
     with pytest.raises(error) as e:

@@ -21,7 +21,6 @@ from spikesparse.training import (
     build_model,
     clip_grad_norm,
     evaluate,
-    history_to_csv,
     init_model,
     project_params,
     radam_step,
@@ -333,10 +332,6 @@ class TestTrainLoop:
             assert set(row) >= {"epoch", "lr", "train_loss", "train_acc",
                                 "test_acc", "epoch_seconds"}
             assert np.isfinite(row["train_loss"])
-        csv = history_to_csv(history)
-        assert csv.splitlines()[0] == ("epoch,lr,train_loss,train_acc,"
-                                       "test_acc,epoch_seconds,spikes")
-        assert len(csv.splitlines()) == 3
 
     def test_higher_initial_threshold_spikes_less_in_first_epoch(self):
         data = tiny_dataset(seed=2)
@@ -452,8 +447,6 @@ class TestSparsityAudit:
         _, test = tiny_dataset(seed=5)
         audit = sparsity_audit(model, test, 6)
         assert abs(audit.total - sum(c for _, c, _ in audit.layers)) < 1e-12
-        # serializers stay consistent
-        assert "conv1" in audit.to_csv() and "conv1" in audit.to_json()
 
 
     def test_batch_size_zero_means_one(self):
