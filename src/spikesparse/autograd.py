@@ -18,10 +18,20 @@ after its own step, so each entry is dropped once it is walked, and the tape
 is empty when backward returns.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
-sites, its input only above layer 0, the spikes as the sparse tensor the
-step handed on, and the dense potentials only at the first step of each
-segment of ``_SEGMENT`` steps.  Backward replays a segment's potentials
-once, from that stored start, with the forward's recurrence, and carries the
+sites, its input only above layer 0, and the dense potentials only at the
+first step of each segment of ``_SEGMENT`` steps.  It keeps each sparse
+tensor of the run once, as a record of one flat int64 key per site (as
+:mod:`spikesparse.sparse` keys sites) and its values, ``bool`` for a hard
+step's 0/1 spikes, which round-trip exactly: a layer's spikes at step t
+are, by one record, its previous spikes at step t+1 and (pooled, with a
+pool) the next layer's input or the readout's.  Only real values stay
+``float64``: a soft run's spikes, the dropout's output, and step 0's
+previous spikes, which can be carried over from an earlier run.  The conv's
+output sites are keys too, and every-site records share one cached key
+array per geometry.  Backward indexes its rows by those keys and decodes a
+record into a ``SparseTensor2D`` only for the conv gradients, the pool
+adjoint and the readout.  It replays a segment's potentials once, from
+that stored start, with the forward's recurrence, and carries the
 recurrence adjoints of each layer from step t+1 to step t (checkpointing
 over time: Chen et al., "Training deep nets with sublinear memory cost",
 arXiv 1604.06174; Gruslys et al., "Memory-efficient backpropagation through
@@ -55,11 +65,16 @@ normalization); set ``model.detach_norm = True`` to treat it as a constant.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .sparse import (
+    SparseTensor2D,
     _conv_sites_grads,
     _flat_sites,
+    _grid_keys,
+    _grid_sites,
     _nonzero_rows,
     _pool_sites_grads,
     _site_keys,
@@ -113,6 +128,47 @@ class _Entry:
         self.data = data
 
 
+def _keys(coords, batch, height, width):
+    """The flat keys of the canonical ``(b, x, y)`` rows ``coords``; every
+    site's are the cached ``_grid_keys``."""
+    if len(coords) == batch * height * width:
+        return _grid_keys(batch, height, width)
+    return _site_keys(coords, height, width)
+
+
+def _sites(keys, batch, height, width):
+    """The ``(b, x, y)`` rows of canonical flat ``keys``; every site's are
+    the cached ``_grid_sites``."""
+    if len(keys) == batch * height * width:
+        return _grid_sites(batch, height, width)
+    return _flat_sites(keys, height, width)
+
+
+class _Kept(NamedTuple):
+    """A sparse tensor as the tape keeps it: one flat key per site, its
+    ``[N, C]`` values, ``bool`` for the 0/1 spikes of a hard step, and its
+    grid ``(B, H, W)``."""
+    keys: np.ndarray
+    values: np.ndarray
+    grid: tuple
+
+    def tensor(self) -> SparseTensor2D:
+        """The tensor again, with ``float64`` values."""
+        batch, height, width = self.grid
+        return SparseTensor2D._canonical(
+            _sites(self.keys, batch, height, width),
+            self.values.astype(np.float64, copy=False), batch, height, width,
+            self.values.shape[1])
+
+
+def _keep(x: SparseTensor2D, hard=False):
+    """The record of ``x``: its site keys, and its values, as ``bool`` with
+    ``hard`` (exact for 0/1 values) and as they are otherwise."""
+    grid = x.batch_size, x.height, x.width
+    return _Kept(_keys(x.coords, *grid), x.values.astype(bool) if hard
+                 else x.values, grid)
+
+
 # Steps per replay segment: a layer entry keeps its pre-step potentials only
 # at the first step of a segment, and backward replays the rest from there.
 _SEGMENT = 16
@@ -134,6 +190,10 @@ class GradientTape:
     ``x``: backward slices it from the grids again.  The grids, like each
     layer's weights, leak and threshold, which backward reads from the
     layer, must therefore stay unchanged until :func:`backward` has run.
+
+    Every sparse tensor of a run is kept once, as a :class:`_Kept` record of
+    flat site keys and values, ``bool`` for a hard step's spikes; every
+    entry that reads the tensor again reads that record.
     """
 
     def __init__(self):
@@ -141,6 +201,10 @@ class GradientTape:
         self.used = False
         self.run = None   # (grids, first bin, step count) of the one run
         self._step = -1   # the step whose entries are being recorded
+        # the tensors that later entries read again, with their records, until
+        # the loss: each layer's last spikes, and what the last layer step
+        # handed on
+        self._spikes, self._handed = {}, None
 
     # --- recorder protocol -------------------------------------------------
     def record_run(self, grids, start, steps):
@@ -150,31 +214,57 @@ class GradientTape:
             raise RuntimeError("this tape already records a run")
         self.run = (grids, start, steps)
 
-    def record_layer(self, layer, **data):
+    def record_layer(self, layer, hard, x, out_c, s_prev, spikes, handed, **data):
         """One layer step: its input ``x``; the conv output, ``current`` rows
         at ``out_c``, and whether the conv ran at ``every_site``; the spikes
-        before the step ``s_prev`` and the emitted ``spikes``, both sparse
-        tensors; the pool's ``winners`` (``None`` without a pool); and the
-        potentials before the step ``v_prev``.
+        before the step ``s_prev``, the emitted ``spikes`` and the tensor
+        ``handed`` on (the spikes, or with a pool the pooled spikes), all
+        sparse tensors, 0/1 when the step is ``hard``; the pool's ``winners``
+        (``None`` without a pool); and the potentials before the step
+        ``v_prev``.
 
-        The entry keeps ``v_prev`` only at the first step of a segment of
+        The entry keeps ``out_c`` as its flat keys and each tensor as a
+        :class:`_Kept` record, once: ``s_prev`` is the record of the layer's
+        spikes at the step before (only step 0's, which can be carried over
+        from an earlier run, is recorded here, with its values as they are),
+        and above layer 0 ``x`` is the record of what the layer below handed
+        on.  It keeps ``v_prev`` only at the first step of a segment of
         ``_SEGMENT`` steps; backward replays the rest.  At layer 0, the
         first entry of each step, it keeps no ``x`` (``None``), which
         backward slices from the grids."""
-        if layer.index == 0:
+        i = layer.index
+        if i == 0:
             self._step += 1
-            data["x"] = None
         if self._step % _SEGMENT:
             data["v_prev"] = None
-        self.entries.append(_Entry("layer", layer=layer, **data))
+        last = self._spikes.get(i)
+        kept = _keep(spikes, hard)
+        self.entries.append(_Entry(
+            "layer", layer=layer, x=None if i == 0 else self._kept(x),
+            out_c=_keys(out_c, *kept.grid), spikes=kept,
+            s_prev=last[1] if last and last[0] is s_prev else _keep(s_prev), **data))
+        self._spikes[i] = spikes, kept
+        self._handed = handed, kept if handed is spikes else _keep(handed, hard)
+
+    def _kept(self, x):
+        """The record of ``x``: the one of what the last layer step handed
+        on when ``x`` is that tensor, its keys with ``x``'s values when ``x``
+        is on its sites (the dropout's output), else ``x``'s own."""
+        tensor, kept = self._handed or (None, None)
+        if x is tensor:
+            return kept
+        if tensor is not None and x.coords is tensor.coords:
+            return kept._replace(values=x.values)
+        return _keep(x)
 
     def record_dropout(self, mask, p):
         self.entries.append(_Entry("dropout", mask=mask, p=p))
 
     def record_readout(self, readout, x):
-        self.entries.append(_Entry("readout", readout=readout, x=x))
+        self.entries.append(_Entry("readout", readout=readout, x=self._kept(x)))
 
     def record_loss(self, probs, labels, mean):
+        self._spikes, self._handed = {}, None
         self.entries.append(_Entry("loss", probs=probs, labels=labels))
 
 
@@ -207,11 +297,10 @@ class _LayerReplay:
         self.w2e = layer.kernel.wnorm2 + EPSILON
         self.g_w2 = 0.0
         batch, self.channels, height, width = entries[0].data["v_prev"].shape
-        self.height, self.width = height, width
         n_sites = batch * height * width
         last = np.full(n_sites, -1, np.int64)
         for t, e in enumerate(entries):
-            last[e.data["spikes"].keys()] = t
+            last[e.data["spikes"].keys] = t
         # n[t]: the number of sites with last >= t
         self.n = np.cumsum(np.bincount(last + 1, minlength=len(entries) + 1)
                            [:0:-1])[::-1].tolist()
@@ -253,13 +342,13 @@ class _LayerReplay:
         b, x, y = self.sites[:n].T
         return dense[b, :, y, x]
 
-    def rows_of(self, coords, n):
-        """The row of each site ``(b, x, y)``, ``n`` for a site off the first
-        ``n`` rows; ``None`` when ``coords`` is every site and the rows are
-        canonical, so that values at ``coords`` are rows as they are."""
-        if self.canonical and len(coords) == len(self.rank):
+    def rows_of(self, keys, n):
+        """The row of each site key, ``n`` for a site off the first ``n``
+        rows; ``None`` when ``keys`` is every site and the rows are
+        canonical, so that values at ``keys`` are rows as they are."""
+        if self.canonical and len(keys) == len(self.rank):
             return None
-        r = self.rank[_site_keys(coords, self.height, self.width)]
+        r = self.rank[keys]
         return np.minimum(r, n, out=r)
 
     def _scatter(self, k, r, values, n):
@@ -284,7 +373,7 @@ class _LayerReplay:
         s = d["s_prev"]
         if t not in self._ranks:
             self._ranks[t] = (self.rows_of(d["out_c"], n),
-                              self.rows_of(s.coords, n))
+                              self.rows_of(s.keys, n))
         r_current, r_prev = self._ranks[t]
         return (self._scatter(0, r_current, d["current"], n),
                 self._scatter(1, r_prev, s.values, n))
@@ -364,11 +453,11 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
     """
     if tape.used:
         raise RuntimeError("backward already ran on this tape")
-    tape.used = True
     if not tape.entries or tape.entries[-1].kind != "loss":
         raise RuntimeError("tape has no recorded loss")
     if tape.run is None:
         raise RuntimeError("tape has no recorded run")
+    tape.used = True
     grids, start, steps = tape.run
 
     grads = ParamGrads()
@@ -391,7 +480,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             g_logits /= steps
 
         elif entry.kind == "readout":
-            readout, x = d["readout"], d["x"]
+            readout, x = d["readout"], d["x"].tensor()
             g = None
             if readout.bias is not None:
                 grads.add(readout.bias, g_logits.sum(axis=0))
@@ -410,7 +499,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
                  * (1.0 / (1.0 - d["p"])))
 
         elif entry.kind == "layer":
-            layer, x, out_c = d["layer"], d["x"], d["out_c"]
+            layer, x = d["layer"], d["x"]
             rep = replays.get(layer.index)
             if rep is None:   # met at the layer's last step
                 rep = replays[layer.index] = _LayerReplay(by_layer.pop(layer.index))
@@ -425,10 +514,10 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             g_s, spikes, winners = rep.g_s[:n], d["spikes"], d["winners"]
             g_s[carried:] = 0.0
             if winners is not None:   # the pooled scalars' adjoint
-                g = _pool_sites_grads(spikes, winners, np.zeros(winners.shape)
-                                      if g is None else g)
+                g = _pool_sites_grads(spikes.tensor(), winners,
+                                      np.zeros(winners.shape) if g is None else g)
             if g is not None:
-                r = rep.rows_of(spikes.coords, n)
+                r = rep.rows_of(spikes.keys, n)
                 if r is None:
                     g_s += g
                 else:   # spike coordinates are unique sites: += cannot collide
@@ -467,11 +556,13 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
             g_out = rep.gather(t, g_i)
             if not g_out.any():   # an empty support or a zero adjoint (below
                 continue          # silent layers): zero gradients
-            if x is None:   # the step's network input: slice the grids again
-                x = _batch_slice(grids, start + t)
+            # the step's network input sliced from the grids again, or the
+            # record of what the layer below handed on
+            x = _batch_slice(grids, start + t) if x is None else x.tensor()
             need_in = layer.index > 0
             xs, rows = (x, None) if d["every_site"] else _nonzero_rows(x)
-            g_w, g_in = _conv_sites_grads(xs, layer.kernel, out_c, g_out,
+            g_w, g_in = _conv_sites_grads(xs, layer.kernel,
+                                          _sites(d["out_c"], *spikes.grid), g_out,
                                           need_input_grad=need_in)
             if need_in and rows is not None:   # back onto all rows of x
                 g = np.zeros_like(x.values)

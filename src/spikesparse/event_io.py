@@ -387,6 +387,14 @@ def serialize_portable_events(stream: EventStream) -> str:
                    + [f"{t},{x},{y},{p}\n" for t, x, y, p in rows])
 
 
+def _check_bins(n_timesteps, dt_us):
+    """Refuse a bin count outside 1..2**63-1 and a bin width below 1 us."""
+    if not 1 <= n_timesteps < 1 << 63:
+        raise ValueError(f"bin count {n_timesteps} is not in 1..2**63-1")
+    if dt_us < 1:
+        raise ValueError(f"bin width {dt_us} us is below 1")
+
+
 class BinaryVoxelGrid:
     """Sparse binary ``C(=1) x T x H x W`` grid of event presence.
 
@@ -408,10 +416,7 @@ class BinaryVoxelGrid:
         v = np.asarray(values, dtype=np.int8)
         if not (len(t) == len(x) == len(y) == len(v)):
             raise ValueError("grid columns have mismatched lengths")
-        if not 1 <= n_timesteps < 1 << 63:
-            raise ValueError(f"bin count {n_timesteps} is not in 1..2**63-1")
-        if dt_us < 1:
-            raise ValueError(f"bin width {dt_us} us is below 1")
+        _check_bins(n_timesteps, dt_us)
         if len(t):
             if t.min() < 0 or t.max() >= n_timesteps:
                 raise ValueError("bin index out of range")
@@ -530,10 +535,9 @@ def build_voxel_grid(stream: EventStream, dt_us: int,
     many arrived; when both polarities land in one cell the most recent event
     wins (ties toward ON).
     """
-    if dt_us <= 0 or n_timesteps <= 0:
-        raise ValueError("dt_us and n_timesteps must be positive")
     if max(dt_us, n_timesteps) > np.iinfo(np.int64).max:   # bins are int64
         raise ValueError("dt_us and n_timesteps must fit int64")
+    _check_bins(n_timesteps, dt_us)   # the grid's refusals, before any division
     ts = stream.timestamps
     keep = ts < dt_us * n_timesteps
     ts = ts[keep]

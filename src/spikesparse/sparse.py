@@ -264,6 +264,15 @@ def _grid_sites(batch, height, width):
     return sites
 
 
+@lru_cache(maxsize=32)
+def _grid_keys(batch, height, width):
+    """The flat keys of ``_grid_sites``: one cached, read-only ``arange``
+    per geometry, shared by every-site records on a gradient tape."""
+    keys = np.arange(batch * height * width, dtype=np.int64)
+    keys.flags.writeable = False
+    return keys
+
+
 def out_coords(coords, stride):
     """Output coordinate set of a strided sparse convolution.
 
@@ -418,8 +427,11 @@ def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False,
             single = np.matmul(padded[rows_in[np.arange(k * k), first], None], w_taps)
             one = np.flatnonzero(matched == 1)
             prods[one, first[one]] = single[one, 0]
-    # NumPy sums a reduce to one element pairwise, not in tap order
-    total = (np.add.reduce(prods, axis=0, initial=0.0) if prods[0].size != 1
+    # NumPy sums a reduce over adjacent elements pairwise, not in tap order:
+    # the taps' products are adjacent for one output element, and for one
+    # live row of the channels-first products
+    total = (np.add.reduce(prods, axis=0, initial=0.0)
+             if prods.strides[0] != prods.itemsize
              else sum(prods, np.zeros(prods.shape[1:])))
     out_v[live] = total.T if one_channel else total
     return out_c, out_v, h_out, w_out

@@ -600,7 +600,8 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     one site index for its conv and :func:`_lif_step_lazy`, taped or not.
     Returns (next layer input, nonzero scalar count of the emitted spikes).
     A recorder gets the whole step as one entry, with the state before it
-    (``v_prev``, ``s_prev``) and after."""
+    (``v_prev``, ``s_prev``) and after, the tensor handed on, and whether the
+    step is hard (its spikes 0/1)."""
     state = layer.state
     kernel = layer.kernel
     w2 = kernel.wnorm2
@@ -620,16 +621,17 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
         spikes = _lif_step_lazy(state, out_c, current, params, w2, index=index)
     count = int(np.count_nonzero(spikes.values))
 
-    pooled = winners = None
+    out, winners = spikes, None
     if layer.pool:
         pc, pv, winners, ph, pw = _pool_sites(spikes)
-        pooled = SparseTensor2D._canonical(pc, pv, spikes.batch_size, ph, pw,
-                                           spikes.channels)
+        out = SparseTensor2D._canonical(pc, pv, spikes.batch_size, ph, pw,
+                                        spikes.channels)
     if recorder is not None:
         recorder.record_layer(
-            layer, x=x, out_c=out_c, current=current, every_site=every_site,
-            v_prev=v_prev, s_prev=s_prev, spikes=spikes, winners=winners)
-    return (spikes if pooled is None else pooled), count
+            layer, not soft, x=x, out_c=out_c, current=current,
+            every_site=every_site, v_prev=v_prev, s_prev=s_prev, spikes=spikes,
+            handed=out, winners=winners)
+    return out, count
 
 
 def run_timesteps(model: SpikingNet, grids, t_eval, start=0, training=False,

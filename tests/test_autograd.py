@@ -1,5 +1,6 @@
 import math
 import zlib
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -227,6 +228,28 @@ class TestTapeInvariants:
         with pytest.raises(RuntimeError, match="^tape has no recorded loss$"):
             backward(tape)
 
+    def test_a_refused_backward_leaves_the_tape_usable(self):
+        # backward checks the tape before it marks it used: after a refusal
+        # for a missing loss, recording the loss makes the tape usable, with
+        # the gradients of a tape that never was refused
+        rng = np.random.default_rng(9)
+        model = make_model(rng, (6, 6), [(2, "sparse", 3)], 4, b=0.05)
+        grid = random_grid(rng, 6, 6)
+        grads = []
+        for refuse in (True, False):
+            tape = GradientTape()
+            model.reset_state(1)
+            _, mean, _ = run_timesteps(model, [grid], 3, recorder=tape)
+            if refuse:
+                with pytest.raises(RuntimeError, match="^tape has no recorded loss$"):
+                    backward(tape)
+                assert not tape.used
+            _, probs = softmax_xent(mean, [1])
+            tape.record_loss(probs, np.array([1]), mean)
+            grads.append(backward(tape).to_list(model.parameters()))
+        for a, b in zip(*grads):
+            assert np.array_equal(a, b)
+
     def test_tape_without_a_run_is_refused(self):
         tape = GradientTape()
         tape.record_loss(np.full((1, 2), 0.5), np.array([0]), np.zeros((1, 2)))
@@ -253,7 +276,7 @@ class TestTapeInvariants:
         model.layers[1].b.value[...] = 1e6
         grid = random_grid(rng, 8, 8, t_bins=4, density=0.3)
         tape, _, _ = forward_with_tape(model, grid, 2)
-        handed = [sum(e.data["spikes"].n_sites for e in tape.entries
+        handed = [sum(len(e.data["spikes"].keys) for e in tape.entries
                       if e.kind == "layer" and e.data["layer"] is layer)
                   for layer in model.layers]
         assert handed[0] > 0 and handed[1] == 0
@@ -529,8 +552,8 @@ class TestSegmentReplay:
             assert len(entries) == t_eval
             potentials = 0
             for d in entries:
-                assert isinstance(d["s_prev"], SparseTensor2D)
-                assert isinstance(d["spikes"], SparseTensor2D)
+                assert isinstance(d["s_prev"], autograd._Kept)
+                assert isinstance(d["spikes"], autograd._Kept)
                 for key, value in d.items():
                     if (isinstance(value, np.ndarray)
                             and value.shape == layer.state.shape):
@@ -564,6 +587,163 @@ class TestSegmentReplay:
             for a, b in zip(was[:1] + was[2:5], now[:1] + now[2:5]):
                 assert np.array_equal(a, b)
         assert tape.entries == entries and tape.run == (grids, 0, 10)
+
+
+def _tape_bytes(entries):
+    """Bytes of the distinct arrays that ``entries`` hold, counted as
+    ``perfbench/spans.tape_bytes`` counts them (views count their base once)."""
+    seen = {}
+
+    def visit(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            seen[id(obj)] = obj.nbytes
+        elif isinstance(obj, SparseTensor2D):
+            visit(obj.coords)
+            visit(obj.values)
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                visit(item)
+
+    for entry in entries:
+        for value in entry.data.values():
+            visit(value)
+    return sum(seen.values())
+
+
+def _reachable(tape):
+    """Every array and sparse tensor the tape holds, through its attributes,
+    entries, dicts, lists, tuples and records, but not through the model's
+    layers and readout, which the entries name."""
+    found, stack = [], [vars(tape)]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, (np.ndarray, SparseTensor2D)):
+            found.append(obj)
+            if isinstance(obj, SparseTensor2D):
+                stack += [obj.coords, obj.values]
+        elif isinstance(obj, dict):
+            stack += list(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            stack += list(obj)
+        elif isinstance(obj, autograd._Entry):
+            stack.append(obj.data)
+    return found
+
+
+class TestCompactTape:
+    """The tape keeps each sparse tensor of a run once, as flat site keys and
+    values, ``bool`` for a hard step's spikes."""
+
+    def taped(self, modes, variant, dropout_p, monkeypatch, batch=2, size=12,
+              t_eval=20):
+        """A taped hard run with its loss; the forward's spike tensors and
+        the tensors its layers handed on."""
+        spikes, handed = [], []
+        lif_update, forward = spiking._lif_update, spiking._layer_forward
+
+        def spy_lif_update(*args, **kwargs):
+            spikes.append(lif_update(*args, **kwargs))
+            return spikes[-1]
+
+        def spy_forward(*args):
+            out = forward(*args)
+            handed.append(out[0])
+            return out
+
+        monkeypatch.setattr(spiking, "_lif_update", spy_lif_update)
+        monkeypatch.setattr(spiking, "_layer_forward", spy_forward)
+        rng = np.random.default_rng(41)
+        model = make_model(rng, (size, size), [(2, modes[0], 3), (3, modes[1], 3)],
+                           3, variant=variant, dropout_p=dropout_p, b=0.05,
+                           weight_scale=0.8)
+        grids = [random_grid(rng, size, size, t_bins=t_eval, density=0.2)
+                 for _ in range(batch)]
+        labels = np.arange(batch) % 3
+        model.reset_state(batch)
+        tape = GradientTape()
+        _, mean, counts = run_timesteps(model, grids, t_eval, training=True,
+                                        rng=np.random.default_rng(0),
+                                        recorder=tape)
+        _, probs = softmax_xent(mean, labels)
+        tape.record_loss(probs, labels, mean)
+        assert np.all(counts > 0)
+        return tape, spikes, handed
+
+    @pytest.mark.parametrize("modes, variant, dropout_p", [
+        (("sparse", "sparse"), "stride", 0.0), (("sparse", "sparse"), "pool", 0.5),
+        (("dense", "sparse"), "stride", 0.5), (("sparse", "dense"), "pool", 0.0)],
+        ids=["sc-sc", "sc-sc-pool-dropout", "c-sc-dropout", "sc-c-pool"])
+    def test_hard_records_hold_int64_keys_and_bool_values(self, monkeypatch, modes,
+                                                         variant, dropout_p):
+        tape, _, _ = self.taped(modes, variant, dropout_p, monkeypatch)
+        layers = [[e.data for e in tape.entries
+                   if e.kind == "layer" and e.data["layer"].index == li]
+                  for li in range(2)]
+        readouts = [e.data["x"] for e in tape.entries if e.kind == "readout"]
+        for li, entries in enumerate(layers):
+            for t, d in enumerate(entries):
+                for kept in (d["spikes"], d["s_prev"]) + ((d["x"],) if li else ()):
+                    assert isinstance(kept, autograd._Kept)
+                    assert kept.keys.dtype == np.int64 and kept.keys.ndim == 1
+                    assert kept.values.shape == (len(kept.keys), kept.values.shape[1])
+                assert d["out_c"].dtype == np.int64 and d["out_c"].ndim == 1
+                assert np.all(np.diff(d["out_c"]) > 0)
+                assert d["spikes"].values.dtype == bool
+                # one record per tensor: step t's s_prev is step t-1's spikes;
+                # only step 0's, carried over from before the run, is its own
+                if t:
+                    assert d["s_prev"] is entries[t - 1]["spikes"]
+                else:
+                    assert d["s_prev"].values.dtype == np.float64
+                if li:
+                    x = d["x"]
+                    assert x.values.dtype == bool
+                    below = layers[0][t]["spikes"]
+                    assert (x is below) == (variant == "stride")
+        for t, x in enumerate(readouts):
+            top = layers[1][t]
+            if dropout_p:   # the dropout's output: float64 on the top's sites
+                assert x.values.dtype == np.float64
+            elif variant == "stride":
+                assert x is top["spikes"]
+            else:
+                assert x.values.dtype == bool
+
+    @pytest.mark.parametrize("variant, dropout_p", [("stride", 0.0), ("pool", 0.5)])
+    def test_no_float64_hard_spikes_are_reachable(self, monkeypatch, variant,
+                                                  dropout_p):
+        tape, spikes, handed = self.taped(("sparse", "sparse"), variant, dropout_p,
+                                          monkeypatch)
+        found = _reachable(tape)
+        assert not any(isinstance(x, SparseTensor2D) for x in found)
+        floats = [a for a in found if a.dtype == np.float64 and a.size]
+        hard = [x.values for x in spikes + handed if x.n_sites]
+        assert floats and len(hard) > 40
+        for a in floats:
+            assert not any(np.shares_memory(a, v) for v in hard)
+
+    def test_tape_bytes_fall_by_a_third(self, monkeypatch):
+        # the bytes the same tape held when it kept each tensor as a
+        # SparseTensor2D, (b, x, y) rows and float64 values, and out_c as
+        # (b, x, y) rows, shared as the records are shared
+        tape, _, _ = self.taped(("sparse", "sparse"), "stride", 0.0, monkeypatch,
+                                size=32, t_eval=40)
+        as_tensors = {}
+
+        def old(value, grid=None):
+            if isinstance(value, autograd._Kept):
+                return as_tensors.setdefault(id(value), value.tensor())
+            if grid is not None:   # out_c
+                return as_tensors.setdefault(id(value), autograd._sites(value, *grid))
+            return value
+
+        old_entries = [SimpleNamespace(data={
+            k: old(v, e.data["spikes"].grid if k == "out_c" else None)
+            for k, v in e.data.items()}) for e in tape.entries]
+        compact, full = _tape_bytes(tape.entries), _tape_bytes(old_entries)
+        assert compact <= full * 2 / 3, (compact, full)
 
 
 _BPTT_CASES = [

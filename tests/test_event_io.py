@@ -785,9 +785,9 @@ def _labels_file(tmp_path, text):
     (lambda tmp: BinaryVoxelGrid.from_bytes(_vox_with_channels(2)), FormatError,
      "unsupported channel count 2", {"field": "channels"}),
     (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 0, 2), ValueError,
-     "dt_us and n_timesteps must be positive", {}),
+     "bin width 0 us is below 1", {}),
     (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 10, -1), ValueError,
-     "dt_us and n_timesteps must be positive", {}),
+     "bin count -1 is not in 1..2**63-1", {}),
     (lambda tmp: build_voxel_grid(EventStream.empty(4, 4), 10, 2 ** 63),
      ValueError, "dt_us and n_timesteps must fit int64", {}),
     (lambda tmp: event_io._read_gesture_labels(
@@ -805,6 +805,11 @@ def _labels_file(tmp_path, text):
      "voxel cache n_timesteps 0 is below 1", {"field": "n_timesteps"}),
     (lambda tmp: BinaryVoxelGrid.from_bytes(_vox_header(dt_us=0)), FormatError,
      "voxel cache dt_us 0 is below 1", {"field": "dt_us"}),
+    # both negative: a positive horizon keeps events, which are refused
+    # before they are binned by the negative width
+    *((lambda tmp, v=v: build_voxel_grid(
+        EventStream([0, 5], [0, 1], [0, 1], [1, 0], 4, 4), v, v), ValueError,
+       f"bin count {v} is not in 1..2**63-1", {}) for v in (-5, -2 ** 70)),
 ])
 def test_input_checks_name_what_they_refuse(tmp_path, call, error, message, attrs):
     with pytest.raises(error) as e:

@@ -553,12 +553,15 @@ class TestKernelMapMatchesTapLoop:
     @given(*_INPUT_FORMS)
     # layer 0 at one input channel: the desk geometry (B=16, 64x64, 2sc5), a
     # B=1 input, an every-site output over sparse events, k=1 at stride 2
-    # (an output row that no tap reaches) and one output row of one filter
+    # (an output row that no tap reaches), one output row of one filter, and
+    # one output row of two filters, whose channels-first products lie tap
+    # after tap
     @example(_events(16, 64, 0.03, 1), 5, 2, 2, False, False)
     @example(_events(1, 128, 0.02, 2), 5, 2, 4, False, False)
     @example(_events(2, 32, 0.02, 3), 5, 2, 2, False, True)
     @example(_events(2, 16, 0.2, 4, unreached=True), 1, 2, 3, False, False)
     @example(_events(1, 4, 0.0, 5, unreached=True), 5, 2, 1, False, False)
+    @example(_events(1, 2, 1.0, 7), 5, 2, 2, False, False)
     def test_conv_values_bit_identical(self, drawn, k, stride, c_out,
                                        every_site_in, every_site):
         # bytes, so that a -0.0 fails too

@@ -570,7 +570,7 @@ class TestNetworkForward:
     @pytest.mark.parametrize("mode, soft", [("dense", False), ("sparse", True)])
     def test_every_site_spikes_share_one_read_only_site_array(self, mode, soft):
         # a c layer or a soft step convolves and emits at every site; all its
-        # steps take their coordinates from one cached array per geometry
+        # steps' records on the tape share one cached key array per geometry
         rng = np.random.default_rng(33)
         model = make_model(rng, (8, 8), [(2, mode, 3), (3, mode, 3)], 3,
                            b=0.05, weight_scale=0.8)
@@ -587,9 +587,9 @@ class TestNetworkForward:
             assert len(first) == 2 * np.prod(layer.state.shape[2:])
             assert not first.flags.writeable
             for d in entries:
-                for coords in (d["out_c"], d["spikes"].coords):
-                    assert np.shares_memory(coords, first)
-                    assert not coords.flags.writeable
+                for keys in (d["out_c"], d["spikes"].keys):
+                    assert np.shares_memory(keys, first)
+                    assert not keys.flags.writeable
 
     def test_spiking_outputs_are_binary(self):
         rng = np.random.default_rng(14)
