@@ -19,24 +19,21 @@ is empty when backward returns.
 
 The tape is lean: a layer entry keeps the conv's current only at its output
 sites, its input only above layer 0, and the dense potentials only at the
-first step of each segment of ``_SEGMENT`` steps.  It keeps each sparse
-tensor of the run once, as a record of one flat int64 key per site (as
-:mod:`spikesparse.sparse` keys sites) and its values, ``bool`` for a hard
-step's 0/1 spikes, which round-trip exactly: a layer's spikes at step t
-are, by one record, its previous spikes at step t+1 and (pooled, with a
-pool) the next layer's input or the readout's.  Only real values stay
-``float64``: a soft run's spikes, the dropout's output, and step 0's
-previous spikes, which can be carried over from an earlier run.  The conv's
-output sites are keys too, and every-site records share one cached key
-array per geometry.  Backward indexes its rows by those keys and decodes a
-record into a ``SparseTensor2D`` only for the conv gradients, the pool
-adjoint and the readout.  It replays a segment's potentials once, from
-that stored start, with the forward's recurrence, and carries the
-recurrence adjoints of each layer from step t+1 to step t (checkpointing
-over time: Chen et al., "Training deep nets with sublinear memory cost",
-arXiv 1604.06174; Gruslys et al., "Memory-efficient backpropagation through
-time", NeurIPS 2016).  The gradients are bit-identical to storing every
-potential and every input.
+first step of each segment of ``_SEGMENT`` steps.  It copies no array: each
+sparse tensor is kept as the forward's own arrays of flat int64 site keys
+(see :mod:`spikesparse.sparse`) and values, ``bool`` for a hard step's 0/1
+spikes, so a layer's spikes at step t are, by the same arrays, its previous
+spikes at step t+1 and (pooled, with a pool) the next layer's input or the
+readout's.  The conv's output sites are kept as the step's keys too, one
+cached array per geometry at every site.  Backward indexes its rows by
+those keys and decodes a record into a ``SparseTensor2D`` only for the conv
+gradients, the pool adjoint and the readout.  It replays a segment's
+potentials once, from that stored start, with the forward's recurrence,
+and carries the recurrence adjoints of each layer from step t+1 to step t
+(checkpointing over time: Chen et al., "Training deep nets with sublinear
+memory cost", arXiv 1604.06174; Gruslys et al., "Memory-efficient
+backpropagation through time", NeurIPS 2016).  The gradients are
+bit-identical to storing every potential and every input.
 
 Backward runs each layer's LIF adjoint on its support only.  Adjoints enter
 a layer step at the sites it handed on (its spike tensor: the spiking sites
@@ -73,11 +70,9 @@ from .sparse import (
     SparseTensor2D,
     _conv_sites_grads,
     _flat_sites,
-    _grid_keys,
     _grid_sites,
     _nonzero_rows,
     _pool_sites_grads,
-    _site_keys,
 )
 from .spiking import (
     EPSILON,
@@ -128,14 +123,6 @@ class _Entry:
         self.data = data
 
 
-def _keys(coords, batch, height, width):
-    """The flat keys of the canonical ``(b, x, y)`` rows ``coords``; every
-    site's are the cached ``_grid_keys``."""
-    if len(coords) == batch * height * width:
-        return _grid_keys(batch, height, width)
-    return _site_keys(coords, height, width)
-
-
 def _sites(keys, batch, height, width):
     """The ``(b, x, y)`` rows of canonical flat ``keys``; every site's are
     the cached ``_grid_sites``."""
@@ -145,28 +132,24 @@ def _sites(keys, batch, height, width):
 
 
 class _Kept(NamedTuple):
-    """A sparse tensor as the tape keeps it: one flat key per site, its
-    ``[N, C]`` values, ``bool`` for the 0/1 spikes of a hard step, and its
-    grid ``(B, H, W)``."""
+    """A sparse tensor as the tape keeps it: the tensor's own arrays of flat
+    site keys and ``[N, C]`` values (``bool`` for a hard step's spikes), and
+    its grid ``(B, H, W)``."""
     keys: np.ndarray
     values: np.ndarray
     grid: tuple
 
     def tensor(self) -> SparseTensor2D:
-        """The tensor again, with ``float64`` values."""
+        """The tensor again, its keys stored."""
         batch, height, width = self.grid
         return SparseTensor2D._canonical(
-            _sites(self.keys, batch, height, width),
-            self.values.astype(np.float64, copy=False), batch, height, width,
-            self.values.shape[1])
+            _sites(self.keys, batch, height, width), self.values, batch, height,
+            width, self.values.shape[1], self.keys)
 
 
-def _keep(x: SparseTensor2D, hard=False):
-    """The record of ``x``: its site keys, and its values, as ``bool`` with
-    ``hard`` (exact for 0/1 values) and as they are otherwise."""
-    grid = x.batch_size, x.height, x.width
-    return _Kept(_keys(x.coords, *grid), x.values.astype(bool) if hard
-                 else x.values, grid)
+def _keep(x: SparseTensor2D):
+    """The record of ``x``: its own key and value arrays, no copy."""
+    return _Kept(x.keys(), x.values, (x.batch_size, x.height, x.width))
 
 
 # Steps per replay segment: a layer entry keeps its pre-step potentials only
@@ -190,10 +173,6 @@ class GradientTape:
     ``x``: backward slices it from the grids again.  The grids, like each
     layer's weights, leak and threshold, which backward reads from the
     layer, must therefore stay unchanged until :func:`backward` has run.
-
-    Every sparse tensor of a run is kept once, as a :class:`_Kept` record of
-    flat site keys and values, ``bool`` for a hard step's spikes; every
-    entry that reads the tensor again reads that record.
     """
 
     def __init__(self):
@@ -201,10 +180,6 @@ class GradientTape:
         self.used = False
         self.run = None   # (grids, first bin, step count) of the one run
         self._step = -1   # the step whose entries are being recorded
-        # the tensors that later entries read again, with their records, until
-        # the loss: each layer's last spikes, and what the last layer step
-        # handed on
-        self._spikes, self._handed = {}, None
 
     # --- recorder protocol -------------------------------------------------
     def record_run(self, grids, start, steps):
@@ -214,57 +189,34 @@ class GradientTape:
             raise RuntimeError("this tape already records a run")
         self.run = (grids, start, steps)
 
-    def record_layer(self, layer, hard, x, out_c, s_prev, spikes, handed, **data):
+    def record_layer(self, layer, x, out_c, s_prev, spikes, **data):
         """One layer step: its input ``x``; the conv output, ``current`` rows
-        at ``out_c``, and whether the conv ran at ``every_site``; the spikes
-        before the step ``s_prev``, the emitted ``spikes`` and the tensor
-        ``handed`` on (the spikes, or with a pool the pooled spikes), all
-        sparse tensors, 0/1 when the step is ``hard``; the pool's ``winners``
-        (``None`` without a pool); and the potentials before the step
-        ``v_prev``.
+        at the flat site keys ``out_c``, and whether the conv ran at
+        ``every_site``; the spikes before the step ``s_prev`` and the emitted
+        ``spikes``, all sparse tensors; the pool's ``winners`` (``None``
+        without a pool); and the potentials before the step ``v_prev``.
 
-        The entry keeps ``out_c`` as its flat keys and each tensor as a
-        :class:`_Kept` record, once: ``s_prev`` is the record of the layer's
-        spikes at the step before (only step 0's, which can be carried over
-        from an earlier run, is recorded here, with its values as they are),
-        and above layer 0 ``x`` is the record of what the layer below handed
-        on.  It keeps ``v_prev`` only at the first step of a segment of
-        ``_SEGMENT`` steps; backward replays the rest.  At layer 0, the
-        first entry of each step, it keeps no ``x`` (``None``), which
+        The entry keeps ``out_c`` and each tensor's own arrays, as a
+        :class:`_Kept` record, and ``v_prev`` only at the first step of a
+        segment of ``_SEGMENT`` steps; backward replays the rest.  At layer
+        0, the first entry of each step, it keeps no ``x`` (``None``), which
         backward slices from the grids."""
         i = layer.index
         if i == 0:
             self._step += 1
         if self._step % _SEGMENT:
             data["v_prev"] = None
-        last = self._spikes.get(i)
-        kept = _keep(spikes, hard)
         self.entries.append(_Entry(
-            "layer", layer=layer, x=None if i == 0 else self._kept(x),
-            out_c=_keys(out_c, *kept.grid), spikes=kept,
-            s_prev=last[1] if last and last[0] is s_prev else _keep(s_prev), **data))
-        self._spikes[i] = spikes, kept
-        self._handed = handed, kept if handed is spikes else _keep(handed, hard)
-
-    def _kept(self, x):
-        """The record of ``x``: the one of what the last layer step handed
-        on when ``x`` is that tensor, its keys with ``x``'s values when ``x``
-        is on its sites (the dropout's output), else ``x``'s own."""
-        tensor, kept = self._handed or (None, None)
-        if x is tensor:
-            return kept
-        if tensor is not None and x.coords is tensor.coords:
-            return kept._replace(values=x.values)
-        return _keep(x)
+            "layer", layer=layer, x=None if i == 0 else _keep(x), out_c=out_c,
+            s_prev=_keep(s_prev), spikes=_keep(spikes), **data))
 
     def record_dropout(self, mask, p):
         self.entries.append(_Entry("dropout", mask=mask, p=p))
 
     def record_readout(self, readout, x):
-        self.entries.append(_Entry("readout", readout=readout, x=self._kept(x)))
+        self.entries.append(_Entry("readout", readout=readout, x=_keep(x)))
 
     def record_loss(self, probs, labels, mean):
-        self._spikes, self._handed = {}, None
         self.entries.append(_Entry("loss", probs=probs, labels=labels))
 
 
@@ -415,12 +367,6 @@ class _LayerReplay:
         return self.v[k, :n], self.v[k + 1, :n], i, s
 
 
-def _one_hot(labels, n):
-    out = np.zeros((len(labels), n))
-    out[np.arange(len(labels)), labels] = 1.0
-    return out
-
-
 def softmax_xent(logits, labels):
     """Softmax cross-entropy, averaged over the batch.
 
@@ -475,7 +421,8 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
         d = entry.data
         if entry.kind == "loss":   # through the mean over the run's steps
             probs, labels = d["probs"], d["labels"]
-            g_logits = (probs - _one_hot(labels, probs.shape[1]))
+            g_logits = np.array(probs, dtype=np.float64)   # probs - one-hot
+            g_logits[np.arange(len(labels)), labels] -= 1.0
             g_logits *= 1.0 / len(labels)
             g_logits /= steps
 
@@ -565,7 +512,7 @@ def backward(tape: GradientTape, truncate=0) -> ParamGrads:
                                           _sites(d["out_c"], *spikes.grid), g_out,
                                           need_input_grad=need_in)
             if need_in and rows is not None:   # back onto all rows of x
-                g = np.zeros_like(x.values)
+                g = np.zeros(x.values.shape)
                 g[rows] = g_in
             else:
                 g = g_in   # None at layer 0

@@ -1,9 +1,13 @@
 """COO sparse 2D tensors and the strided sparse convolution built on them.
 
 A :class:`SparseTensor2D` stores, for a batch of 2D grids, the set of
-occupied sites ``(b, x, y)`` together with one channel vector per site.
+occupied sites ``(b, x, y)`` together with one channel vector per site,
+``float64``, or ``bool`` for a hard step's 0/1 spikes and their pooling.
 A site's flat key is ``(b * H + y) * W + x``, ascending in canonical order;
-``_site_keys`` and ``_flat_sites`` alone encode and decode it.
+``_site_keys`` and ``_flat_sites`` alone encode and decode it.  A tensor
+stores its keys, handed on by what built its site list from keys (the step
+index, the LIF update, the pool) or encoded once by :meth:`~SparseTensor2D.keys`,
+beside its coordinates, which the potentials and kernel maps read.
 Convolution over such a tensor is evaluated only at the output coordinates
 induced by the occupied input coordinates (the *coordinate map*): for a
 stride ``s``, site ``(b, x, y)`` contributes the output site
@@ -80,20 +84,27 @@ class SparseTensor2D:
         rows of another width raise :class:`ShapeError`.  All-zero vectors
         are pruned.
     batch_size, height, width : int
-        Extent of the dense equivalent ``[B, C, H, W]``.
+        Extent of the dense equivalent ``[B, C, H, W]``, each a positive
+        whole number.
     channels : int, optional
         Required when ``values`` is empty and C cannot be inferred.
 
     Entries are kept in a canonical order sorted by ``(b, y, x)``, so two
     traversals of the same tensor always visit sites identically.  This
-    constructor always prunes, range-checks, sorts and rejects duplicates; the
-    library wraps what it built through :meth:`_canonical`, which checks nothing.
+    constructor always refuses coordinates and extents that are not whole
+    numbers and extents below 1, prunes, range-checks, sorts, rejects duplicates and
+    stores ``float64`` values and the site keys; the library wraps what it
+    built through :meth:`_canonical`, which checks nothing.
     """
 
-    __slots__ = ("coords", "values", "batch_size", "height", "width", "channels")
+    __slots__ = ("coords", "values", "batch_size", "height", "width", "channels",
+                 "_keys")
 
     def __init__(self, coords, values, batch_size, height, width, channels=None):
-        coords = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
+        coords = np.asarray(coords)
+        if coords.dtype.kind == "f" and not np.all(np.mod(coords, 1) == 0):
+            raise ShapeError("site coordinates must be whole numbers")
+        coords = coords.astype(np.int64).reshape(-1, 3)
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1 and channels in (None, 1):
             values = values.reshape(-1, 1)
@@ -101,6 +112,10 @@ class SparseTensor2D:
             if values.size == 0 and values.shape[-1] == 0:
                 raise ShapeError("channel count cannot be inferred from empty values")
             channels = values.shape[-1]
+        for name, n in (("batch_size", batch_size), ("height", height),
+                        ("width", width), ("channels", channels)):
+            if not (n >= 1 and float(n).is_integer()):
+                raise ShapeError(f"{name} must be a positive whole number, got {n}")
         if values.size == 0:
             values = values.reshape(0, channels)
         elif values.ndim != 2 or values.shape[1] != channels:
@@ -121,19 +136,22 @@ class SparseTensor2D:
         self.coords, self.values = coords[order], values[order]
         self.batch_size, self.channels = int(batch_size), int(channels)
         self.height, self.width = int(height), int(width)
-        keys = self.keys()
+        self._keys = keys = _site_keys(self.coords, self.height, self.width)
         if np.any(keys[1:] == keys[:-1]):
             raise ShapeError("duplicate site coordinates")
 
     @classmethod
-    def _canonical(cls, coords, values, batch_size, height, width, channels):
+    def _canonical(cls, coords, values, batch_size, height, width, channels,
+                   keys=None):
         """Wrap arrays the library built, as they are, checking nothing.  The
         caller holds them to the contract: ``coords`` unique int64 ``(N, 3)``
-        rows in canonical order and in range, ``values`` C-contiguous float64
-        ``[N, C]`` (zero rows kept as given), and int extents."""
+        rows in canonical order and in range, ``values`` C-contiguous ``[N, C]``
+        (zero rows kept as given), ``bool`` for 0/1 spikes and ``float64``
+        otherwise, int extents, and ``keys`` the rows' flat keys or ``None``."""
         self = cls.__new__(cls)
         self.coords, self.values, self.channels = coords, values, channels
         self.batch_size, self.height, self.width = batch_size, height, width
+        self._keys = keys
         return self
 
     @classmethod
@@ -150,8 +168,11 @@ class SparseTensor2D:
         return self.batch_size * self.channels * self.height * self.width
 
     def keys(self):
-        """Canonical site keys ``(b*H + y)*W + x``; ascending for canonical order."""
-        return _site_keys(self.coords, self.height, self.width)
+        """The stored site keys ``(b*H + y)*W + x``, ascending; the first call
+        encodes them when the tensor's builder did not hand them on."""
+        if self._keys is None:
+            self._keys = _site_keys(self.coords, self.height, self.width)
+        return self._keys
 
     def equals(self, other) -> bool:
         return (self.batch_size == other.batch_size
@@ -267,7 +288,7 @@ def _grid_sites(batch, height, width):
 @lru_cache(maxsize=32)
 def _grid_keys(batch, height, width):
     """The flat keys of ``_grid_sites``: one cached, read-only ``arange``
-    per geometry, shared by every-site records on a gradient tape."""
+    per geometry, shared by every-site tensors."""
     keys = np.arange(batch * height * width, dtype=np.int64)
     keys.flags.writeable = False
     return keys
@@ -325,6 +346,7 @@ class _StepIndex(NamedTuple):
     out_c: np.ndarray         # the conv's output sites, canonical (b, x, y) rows
     kmap: np.ndarray | None   # their [k * k, len(out_c)] kernel map
     sites: np.ndarray         # the LIF site list, canonical (b, x, y) rows
+    keys: np.ndarray          # the flat key of each row of `sites`
     out_rows: np.ndarray      # the row in `sites` of each output site
     reset_rows: np.ndarray    # the row in `sites` of each pending reset
 
@@ -335,29 +357,32 @@ def _step_index(x: SparseTensor2D, k=None, stride=1, resets=None, every_site=Fal
     conv (:func:`_conv_sites`) and LIF update.
 
     The output sites are the coordinate map of ``x`` at ``stride``.  The LIF
-    site list is the output sites plus ``resets``, the ``(b, x, y)`` rows of
-    the pending resets on the output grid, or with ``every_site`` (a layer
-    at ``b <= 0``) every output site.  One occupancy map over the output
-    grid marks the output sites with bit 1 and the resets with bit 2: its
-    nonzero sites are the site list in canonical order, and the flags of
-    the list give the row of each output site and of each reset in it.
-    With a kernel size ``k`` the index holds the output sites' kernel map.
+    site list is the output sites plus ``resets``, the flat keys of the
+    pending resets on the output grid (the keys of the layer's last spikes),
+    or with ``every_site`` (a layer at ``b <= 0``) every output site.  One
+    occupancy map over the output grid marks the output sites with bit 1
+    and the resets with bit 2: its nonzero sites are the site list in
+    canonical order, with their flat keys, and the flags of the list give
+    the row of each output site and of each reset in it.  At stride 1 the
+    output sites are the sites of ``x``, read by their stored keys.  With a
+    kernel size ``k`` the index holds the output sites' kernel map.
     """
     batch = x.batch_size
     height, width = _ceil_div(x.height, stride), _ceil_div(x.width, stride)
-    keys = [_site_keys(x.coords, height, width, stride)]
+    keys = [x.keys() if stride == 1 else _site_keys(x.coords, height, width, stride)]
     if resets is not None:
-        keys.append(_site_keys(resets, height, width))
+        keys.append(resets)
     flat, flags = _occupancy(batch * height * width, *keys)
     out_rows, reset_rows = np.flatnonzero(flags & 1), np.flatnonzero(flags & 2)
     if every_site:   # the list is every site, so a site's row is its key
-        sites = _grid_sites(batch, height, width)
         out_rows, reset_rows = flat[out_rows], flat[reset_rows]
+        grid = batch, height, width
+        sites, flat = _grid_sites(*grid), _grid_keys(*grid)
     else:
         sites = _flat_sites(flat, height, width)
     out_c = np.take(sites, out_rows, axis=0)   # 3x faster than sites[out_rows]
     kmap = None if k is None else _kernel_map(out_c, x, k, stride)
-    return _StepIndex(out_c, kmap, sites, out_rows, reset_rows)
+    return _StepIndex(out_c, kmap, sites, flat, out_rows, reset_rows)
 
 
 def _conv_sites(x: SparseTensor2D, kernel: ConvKernel2D, every_site=False,
@@ -475,7 +500,7 @@ def _conv_sites_grads(x: SparseTensor2D, kernel: ConvKernel2D, out_c, g_out,
     w_taps = w.reshape(kernel.out_channels, c_in, k * k).transpose(2, 0, 1)
     g_rows = np.matmul(g_live, w_taps).reshape(-1, c_in)
     rows = rows_in.ravel().astype(np.intp)   # tap-major: each row's sum in tap order
-    g_in = np.empty_like(x.values)
+    g_in = np.empty(x.values.shape)
     for c in range(c_in):
         g_in[:, c] = np.bincount(rows, g_rows[:, c], n + 1)[:n]
     return g_w, g_in
@@ -497,22 +522,25 @@ def sparse_conv2d(x: SparseTensor2D, kernel: ConvKernel2D) -> SparseTensor2D:
                           kernel.out_channels)
 
 
-def _pool_sites(x: SparseTensor2D):
+def _pool(x: SparseTensor2D):
     """2x2/stride-2 max pooling over present entries, with argmax winners.
 
-    Returns (out coords, out values, winner row per output scalar, extents).
-    Winners index rows of ``x.values``; ties go to the canonically first row.
-    An every-site ``x`` pools onto every output site, whose coordinates come
-    from the cached ``_grid_sites``: its rows are the canonical grid, so each
-    window is a slice of their ``[B, H, W, C]`` view, padded with ``-inf`` at
-    an odd edge.
+    Returns the pooled tensor, its keys stored and ``bool`` values pooled into
+    ``bool``, and the winner row per output scalar.  Winners index rows of
+    ``x.values``; ties go to the canonically first row.  An every-site ``x``
+    pools onto every output site (the cached ``_grid_sites`` and
+    ``_grid_keys``): its rows are the canonical grid, so each window is a
+    slice of their ``[B, H, W, C]`` view, padded with ``False`` or ``-inf``
+    at an odd edge.
     """
     batch, height, width, channels = x.batch_size, x.height, x.width, x.channels
     h_out, w_out = _ceil_div(height, 2), _ceil_div(width, 2)
+    low = False if x.values.dtype == bool else -np.inf
     if x.n_sites == batch * height * width:
         grid = x.values.reshape(batch, height, width, channels)
         if height % 2 or width % 2:
-            grid = np.full((batch, 2 * h_out, 2 * w_out, channels), -np.inf)
+            grid = np.full((batch, 2 * h_out, 2 * w_out, channels), low,
+                           x.values.dtype)
             grid[:, :height, :width] = x.values.reshape(batch, height, width,
                                                         channels)
         # each window's four sites in canonical order: (dy, dx) row-major
@@ -522,23 +550,32 @@ def _pool_sites(x: SparseTensor2D):
         first = np.argmax(win == out_v[:, :, :, None], axis=3)
         b, oy, ox = np.indices((batch, h_out, w_out))[..., None]
         winners = (b * height + 2 * oy + first // 2) * width + 2 * ox + first % 2
-        return (_grid_sites(batch, h_out, w_out), out_v.reshape(-1, channels),
-                winners.reshape(-1, channels), h_out, w_out)
+        return SparseTensor2D._canonical(
+            _grid_sites(batch, h_out, w_out), out_v.reshape(-1, channels), batch,
+            h_out, w_out, channels, _grid_keys(batch, h_out, w_out)), \
+            winners.reshape(-1, channels)
     keys = _site_keys(x.coords, h_out, w_out, 2)
     flat, _ = _occupancy(batch * h_out * w_out, keys)
-    out_c, inv = _flat_sites(flat, h_out, w_out), np.searchsorted(flat, keys)
-    out_v = np.full((len(out_c), channels), -np.inf)
+    inv = np.searchsorted(flat, keys)
+    out_v = np.full((len(flat), channels), low, x.values.dtype)
     np.maximum.at(out_v, inv, x.values)
     winners = np.full(out_v.shape, x.n_sites, np.int64)
     rows, cols = np.nonzero(x.values == out_v[inv])
     np.minimum.at(winners, (inv[rows], cols), rows)
-    return out_c, out_v, winners, h_out, w_out
+    return SparseTensor2D._canonical(_flat_sites(flat, h_out, w_out), out_v, batch,
+                                     h_out, w_out, channels, flat), winners
+
+
+def _pool_sites(x: SparseTensor2D):
+    """:func:`_pool` as (out coords, out values, winners, extents)."""
+    out, winners = _pool(x)
+    return out.coords, out.values, winners, out.height, out.width
 
 
 def _pool_sites_grads(x: SparseTensor2D, winners, g_out):
     """Adjoint of `_pool_sites`: each pooled scalar's gradient goes to the
-    ``x`` row that won it, shaped like ``x.values``."""
-    g_in = np.zeros_like(x.values)
+    ``x`` row that won it, a float64 array shaped like ``x.values``."""
+    g_in = np.zeros(x.values.shape)
     np.add.at(g_in, (winners, np.arange(x.channels)), g_out)
     return g_in
 
@@ -579,7 +616,8 @@ def _nonzero_rows(x: SparseTensor2D):
         return x, None
     rows = np.flatnonzero(np.any(x.values != 0.0, axis=1))
     return SparseTensor2D._canonical(x.coords[rows], x.values[rows], x.batch_size,
-                                     x.height, x.width, x.channels), rows
+                                     x.height, x.width, x.channels,
+                                     x.keys()[rows]), rows
 
 
 def count_nonzero(x: SparseTensor2D):

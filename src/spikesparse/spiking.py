@@ -33,14 +33,16 @@ at ``I = 0``.  A silent neuron below a positive threshold never spikes while
 decaying, so this is exact; at ``b <= 0`` a neuron at rest spikes, so such a
 layer updates every site.  Each hard step builds one site index
 (:func:`spikesparse.sparse._step_index`): the conv takes its output sites
-and kernel map from it, and the LIF update its site list.
+and kernel map from it, and the LIF update its site list and their keys.
 
 Potentials are always dense, and the last spikes are kept only as the tensor
-the step handed on.  Taped (training) and untaped forwards take the same
-steps.  Backward replays the recurrence only on the sites a layer's adjoint
-can reach, those it hands on at the step or later (every site for ``c``
-layers and soft runs); non-spiking neurons of those sites still get
-gradients through the surrogate (see :mod:`spikesparse.autograd`).
+the step emitted: ``bool`` values on a hard step (``float64`` in a soft
+run) and their site keys, which the next step's index reads as its pending
+resets and a tape keeps as they are.  Taped (training) and untaped forwards
+take the same steps.  Backward replays the recurrence only on the sites a
+layer's adjoint can reach, those it hands on at the step or later (every
+site for ``c`` layers and soft runs); non-spiking neurons of those sites
+still get gradients through the surrogate (see :mod:`spikesparse.autograd`).
 """
 
 from __future__ import annotations
@@ -58,9 +60,10 @@ from .sparse import (
     SparseTensor2D,
     _ceil_div,
     _conv_sites,
+    _grid_keys,
     _grid_sites,
     _nonzero_rows,
-    _pool_sites,
+    _pool,
     _step_index,
     densify,
 )
@@ -164,8 +167,9 @@ class LIFLayerState:
     """Membrane potentials and last-step spikes for one layer.
 
     ``potentials`` is dense ``[B, C, H, W]``.  ``prev_spikes`` is the last
-    emitted spike tensor (real-valued in soft-forward mode), the only record
-    of the spikes whose reset is pending.  ``step`` is the index of the last
+    emitted spike tensor, ``bool`` after a hard step and real-valued in
+    soft-forward mode, with its site keys stored: the only record of the
+    spikes whose reset is pending.  ``step`` is the index of the last
     computed timestep, and ``last_touch[b, y, x]`` the last step whose site
     list held the site.
     """
@@ -193,19 +197,21 @@ def _lif_recurrence(v_prev, s_prev, current, beta, thr, out=None, tmp=None):
     return np.add(out, np.multiply(1.0 - beta, current, out=tmp), out=out)
 
 
-def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites, prev_rows,
+def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites, keys, prev_rows,
                 soft_alpha=None, every_site=False):
     """The one LIF update: recurrence, spike decision and state commit.
 
-    The canonical ``(b, x, y)`` ``sites`` get the full update, each from its
-    ``[C]`` row of ``current``; ``prev_rows`` is the row in ``sites`` of each
-    site of ``state.prev_spikes``.  Every other site must have neither input
-    nor a pending reset (``I = 0``, ``S_own = 0``), so its update is exactly
+    The canonical ``(b, x, y)`` ``sites``, whose flat site keys are ``keys``,
+    get the full update, each from its ``[C]`` row of ``current``;
+    ``prev_rows`` is the row in ``sites`` of each site of
+    ``state.prev_spikes``.  Every other site must have neither input nor a
+    pending reset (``I = 0``, ``S_own = 0``), so its update is exactly
     ``beta * V``, applied as one dense multiply.  ``soft_alpha`` replaces the
     hard step by ``sigmoid(soft_alpha * u)``.  Returns the spikes on all
-    ``sites`` with ``every_site``, else on those that spike.  Every step
-    leaves new ``potentials`` (never written in place, so a tape may keep
-    the old ones).
+    ``sites`` with ``every_site``, else on those that spike, with their keys
+    stored: ``bool`` values for the hard step, ``float64`` for the soft one.
+    Every step leaves new ``potentials`` (never written in place, so a tape
+    may keep the old ones).
     """
     bi, xs, ys = sites.T
     v_prev = state.potentials[bi, :, ys, xs]
@@ -214,14 +220,14 @@ def _lif_update(state: LIFLayerState, current, beta, b, w2e, sites, prev_rows,
     v_new = _lif_recurrence(v_prev, s_prev, current, beta, b * w2e)
     u = v_new / w2e - b
     if soft_alpha is None:
-        s_new = (u >= 0).astype(np.float64)
+        s_new = u >= 0
     else:
         s_new = _sigmoid(soft_alpha * u)
     state.step += 1
     batch, channels, height, width = state.shape
     keep = slice(None) if every_site else s_new.any(axis=1)   # hard: the spiking sites
     spikes = SparseTensor2D._canonical(sites[keep], s_new[keep], batch, height,
-                                       width, channels)
+                                       width, channels, keys[keep])
     state.potentials = state.potentials * beta
     state.potentials[bi, :, ys, xs] = v_new
     state.last_touch[bi, ys, xs] = state.step
@@ -235,7 +241,9 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     ``current`` is the synaptic input for this step, either a
     :class:`SparseTensor2D` (absent sites contribute 0) or a dense
     ``[B, C, H, W]`` array.  Returns ``(spikes, state)`` where ``spikes`` is a
-    pruned binary sparse tensor; the state is updated in place.
+    pruned binary sparse tensor with ``bool`` values (``densify`` and
+    ``np.array_equal`` read them as 0.0 and 1.0); the state is updated in
+    place.
     """
     i_dense = (densify(current) if isinstance(current, SparseTensor2D)
                else np.asarray(current, dtype=np.float64))
@@ -245,7 +253,7 @@ def lif_step(state: LIFLayerState, current, params: LIFParams, wnorm2):
     rows = i_dense.transpose(0, 2, 3, 1).reshape(-1, channels)
     spikes = _lif_update(state, rows, params.beta, params.b,
                          wnorm2 + EPSILON, _grid_sites(batch, height, width),
-                         state.prev_spikes.keys())
+                         _grid_keys(batch, height, width), state.prev_spikes.keys())
     return spikes, state
 
 
@@ -286,12 +294,12 @@ def _lif_step_lazy(state: LIFLayerState, cur_coords, cur_vals, params, wnorm2,
     if index is None:   # the output sites are those of the current
         cur = SparseTensor2D._canonical(cur_coords, cur_vals, batch, height,
                                         width, channels)
-        index = _step_index(cur, resets=state.prev_spikes.coords,
+        index = _step_index(cur, resets=state.prev_spikes.keys(),
                             every_site=params.b <= 0)
     current = np.zeros((len(index.sites), channels))
     current[index.out_rows] = cur_vals
     return _lif_update(state, current, params.beta, params.b,
-                       wnorm2 + EPSILON, index.sites, index.reset_rows)
+                       wnorm2 + EPSILON, index.sites, index.keys, index.reset_rows)
 
 
 class SpikingConvLayer:
@@ -600,37 +608,35 @@ def _layer_forward(layer: SpikingConvLayer, x: SparseTensor2D, soft, recorder):
     one site index for its conv and :func:`_lif_step_lazy`, taped or not.
     Returns (next layer input, nonzero scalar count of the emitted spikes).
     A recorder gets the whole step as one entry, with the state before it
-    (``v_prev``, ``s_prev``) and after, the tensor handed on, and whether the
-    step is hard (its spikes 0/1)."""
+    (``v_prev``, ``s_prev``) and after, and the conv's output sites as flat
+    keys."""
     state = layer.state
     kernel = layer.kernel
     w2 = kernel.wnorm2
     v_prev, s_prev = state.potentials, state.prev_spikes
     every_site = soft or layer.mode == "dense"
-    if every_site:
+    if every_site:   # the spikes' sites and keys are the output's
         out_c, current, _, _ = _conv_sites(x, kernel, every_site)
         spikes = _lif_update(state, current, layer.beta.item(), layer.b.item(),
-                             w2 + EPSILON, out_c, state.prev_spikes.keys(),
-                             layer.alpha if soft else None, every_site=True)
+                             w2 + EPSILON, out_c,
+                             _grid_keys(x.batch_size, *state.shape[2:]),
+                             s_prev.keys(), layer.alpha if soft else None,
+                             every_site=True)
     else:
         params = layer.lif_params()
         x_in = _nonzero_rows(x)[0]
-        index = _step_index(x_in, kernel.k, kernel.stride,
-                            state.prev_spikes.coords, params.b <= 0)
+        index = _step_index(x_in, kernel.k, kernel.stride, s_prev.keys(),
+                            params.b <= 0)
         out_c, current, _, _ = _conv_sites(x_in, kernel, every_site, index=index)
         spikes = _lif_step_lazy(state, out_c, current, params, w2, index=index)
     count = int(np.count_nonzero(spikes.values))
 
-    out, winners = spikes, None
-    if layer.pool:
-        pc, pv, winners, ph, pw = _pool_sites(spikes)
-        out = SparseTensor2D._canonical(pc, pv, spikes.batch_size, ph, pw,
-                                        spikes.channels)
+    out, winners = _pool(spikes) if layer.pool else (spikes, None)
     if recorder is not None:
         recorder.record_layer(
-            layer, not soft, x=x, out_c=out_c, current=current,
-            every_site=every_site, v_prev=v_prev, s_prev=s_prev, spikes=spikes,
-            handed=out, winners=winners)
+            layer, x, spikes.keys() if every_site else index.keys[index.out_rows],
+            s_prev, spikes, current=current, every_site=every_site,
+            v_prev=v_prev, winners=winners)
     return out, count
 
 
@@ -692,7 +698,8 @@ def _dropout_recorded(x, p, rng, recorder):
     when there is one."""
     mask = rng.random(x.values.shape) >= p
     out = SparseTensor2D._canonical(x.coords, x.values * mask * (1.0 / (1.0 - p)),
-                                    x.batch_size, x.height, x.width, x.channels)
+                                    x.batch_size, x.height, x.width, x.channels,
+                                    x.keys())
     if recorder is not None:
         recorder.record_dropout(mask, p)
     return out

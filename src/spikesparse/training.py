@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -375,9 +376,14 @@ def anytime_eval(model: SpikingNet, pairs, t_values, batch_size=32):
 
 
 def _check_horizons(pairs, t_values):
-    """Raise ValueError for a horizon outside 1..(bin count of the grids)."""
+    """Raise ValueError for a horizon that is not an integer (one that
+    ``operator.index`` refuses) or is outside 1..(bin count of the grids)."""
     bins = min((grid.n_timesteps for grid, _ in pairs), default=math.inf)
     for t in t_values:
+        try:
+            operator.index(t)
+        except TypeError:
+            raise ValueError(f"evaluation horizon {t!r} is not an integer") from None
         if not 1 <= t <= bins:
             raise ValueError(f"evaluation horizon {t} is not in 1..{bins}")
 

@@ -20,7 +20,7 @@ from spikesparse.autograd import (
 )
 from spikesparse import spiking
 from spikesparse.event_io import EventStream, build_voxel_grid, synth_dataset
-from spikesparse.sparse import SparseTensor2D, densify
+from spikesparse.sparse import SparseTensor2D, _site_keys, densify
 from spikesparse.spiking import build_model, run_timesteps
 
 
@@ -415,7 +415,9 @@ def _taped_step(model, grids, labels, t_eval, start=0, truncate=0, seed=0):
 
 class TestWrappedTensorContract:
     """``SparseTensor2D._canonical`` checks nothing, so every tensor the
-    forward and backward wrap through it is held here to its contract."""
+    forward and backward wrap through it is held here to its contract: the
+    keys it stores are its sites' keys, and its values are ``bool`` for the
+    0/1 spikes of a hard run, ``float64`` otherwise."""
 
     @pytest.mark.parametrize("arch, variant, soft, dropout_p", [
         ("2sc5-4sc3-4", "stride", False, 0.0),
@@ -426,12 +428,18 @@ class TestWrappedTensorContract:
     ], ids=["desk-stride", "desk-pool", "c-pool", "soft", "dropout"])
     def test_wrapped_tensors_hold_the_contract(self, monkeypatch, arch, variant,
                                                soft, dropout_p):
-        wrapped, hard_spikes = [], []
+        wrapped, hard_spikes, real = [], [], []
         wrap, lif_update = SparseTensor2D._canonical.__func__, spiking._lif_update
 
-        def spy_wrap(cls, *args):
-            wrapped.append(wrap(cls, *args))
+        def spy_wrap(cls, *args, **kwargs):
+            wrapped.append(wrap(cls, *args, **kwargs))
             return wrapped[-1]
+
+        def spy_real(fn):   # the tensors whose values are real: inputs, dropout
+            def spy(*args):
+                real.append(fn(*args))
+                return real[-1]
+            return spy
 
         def spy_lif_update(*args, every_site=False, **kwargs):
             spikes = lif_update(*args, every_site=every_site, **kwargs)
@@ -441,6 +449,9 @@ class TestWrappedTensorContract:
 
         monkeypatch.setattr(SparseTensor2D, "_canonical", classmethod(spy_wrap))
         monkeypatch.setattr(spiking, "_lif_update", spy_lif_update)
+        for module, name in ((spiking, "_batch_slice"), (autograd, "_batch_slice"),
+                             (spiking, "_dropout_recorded")):
+            monkeypatch.setattr(module, name, spy_real(getattr(module, name)))
         train, _ = synth_dataset(4, 1, 64, 64, 8, 10_000, 3)
         grids, labels = [g for g, _ in train], [label for _, label in train]
         model = build_model(arch, (64, 64), variant, dropout_p=dropout_p,
@@ -455,19 +466,28 @@ class TestWrappedTensorContract:
         backward(tape)
 
         assert wrapped and any(x.n_sites for x in wrapped)
+        # the inputs have one channel, the dropout's outputs the top's four
+        assert real and (dropout_p > 0) == any(x.values.shape[1] > 1 for x in real)
+        real = [x.values for x in real]
         for x in wrapped:
             c, v = x.coords, x.values
             assert c.dtype == np.int64 and c.flags.c_contiguous
             assert c.ndim == 2 and c.shape[1] == 3
-            assert np.all(np.diff(x.keys()) > 0)
+            keys = x.keys()
+            assert keys.dtype == np.int64 and keys.shape == (x.n_sites,)
+            assert np.array_equal(keys, _site_keys(c, x.height, x.width))
+            assert np.all(np.diff(keys) > 0)
             assert np.all((c >= 0) & (c < [x.batch_size, x.width, x.height]))
-            assert v.dtype == np.float64 and v.flags.c_contiguous
-            assert v.shape == (x.n_sites, x.channels)
+            assert v.flags.c_contiguous and v.shape == (x.n_sites, x.channels)
+            if x.n_sites:   # an empty tensor's values may be either
+                spikes = not soft and not any(np.may_share_memory(v, r) for r in real)
+                assert v.dtype == (bool if spikes else np.float64)
             assert all(type(n) is int for n in
                        (x.batch_size, x.height, x.width, x.channels))
         assert bool(hard_spikes) == (not soft and "sc" in arch)
         for spikes in hard_spikes:
             assert any(spikes is x for x in wrapped)
+            assert spikes.values.dtype == bool
             assert spikes.values.any(axis=1).all()
 
 
@@ -633,8 +653,9 @@ def _reachable(tape):
 
 
 class TestCompactTape:
-    """The tape keeps each sparse tensor of a run once, as flat site keys and
-    values, ``bool`` for a hard step's spikes."""
+    """The tape keeps each sparse tensor of a run as the forward made it: a
+    record of the tensor's own flat site keys and values, ``bool`` for a
+    hard step's spikes, with no copy."""
 
     def taped(self, modes, variant, dropout_p, monkeypatch, batch=2, size=12,
               t_eval=20):
@@ -671,10 +692,17 @@ class TestCompactTape:
         assert np.all(counts > 0)
         return tape, spikes, handed
 
-    @pytest.mark.parametrize("modes, variant, dropout_p", [
+    _CASES = pytest.mark.parametrize("modes, variant, dropout_p", [
         (("sparse", "sparse"), "stride", 0.0), (("sparse", "sparse"), "pool", 0.5),
         (("dense", "sparse"), "stride", 0.5), (("sparse", "dense"), "pool", 0.0)],
         ids=["sc-sc", "sc-sc-pool-dropout", "c-sc-dropout", "sc-c-pool"])
+
+    @staticmethod
+    def same(a, b):
+        """Whether records ``a`` and ``b`` hold the very same arrays."""
+        return a.keys is b.keys and a.values is b.values
+
+    @_CASES
     def test_hard_records_hold_int64_keys_and_bool_values(self, monkeypatch, modes,
                                                          variant, dropout_p):
         tape, _, _ = self.taped(modes, variant, dropout_p, monkeypatch)
@@ -691,25 +719,40 @@ class TestCompactTape:
                 assert d["out_c"].dtype == np.int64 and d["out_c"].ndim == 1
                 assert np.all(np.diff(d["out_c"]) > 0)
                 assert d["spikes"].values.dtype == bool
-                # one record per tensor: step t's s_prev is step t-1's spikes;
-                # only step 0's, carried over from before the run, is its own
+                # one tensor's arrays: step t's s_prev is step t-1's spikes;
+                # only step 0's, from before the run, is its own
                 if t:
-                    assert d["s_prev"] is entries[t - 1]["spikes"]
+                    assert self.same(d["s_prev"], entries[t - 1]["spikes"])
                 else:
                     assert d["s_prev"].values.dtype == np.float64
                 if li:
                     x = d["x"]
                     assert x.values.dtype == bool
                     below = layers[0][t]["spikes"]
-                    assert (x is below) == (variant == "stride")
+                    assert self.same(x, below) == (variant == "stride")
         for t, x in enumerate(readouts):
-            top = layers[1][t]
-            if dropout_p:   # the dropout's output: float64 on the top's sites
+            top = layers[1][t]["spikes"]
+            if dropout_p:   # the dropout's output: float64 on its input's keys
                 assert x.values.dtype == np.float64
+                assert (x.keys is top.keys) == (variant == "stride")
             elif variant == "stride":
-                assert x is top["spikes"]
+                assert self.same(x, top)
             else:
                 assert x.values.dtype == bool
+
+    @_CASES
+    def test_the_tape_copies_no_array(self, monkeypatch, modes, variant, dropout_p):
+        # each layer record holds the very key and value arrays of the spikes
+        # that the LIF update returned, and each input record those of the
+        # tensor the layer below handed on
+        tape, spikes, handed = self.taped(modes, variant, dropout_p, monkeypatch)
+        layers = [e.data for e in tape.entries if e.kind == "layer"]
+        assert len(layers) == len(spikes) == len(handed) == 40
+        for d, s, out, below in zip(layers, spikes, handed, [None] + handed):
+            assert d["spikes"].keys is s.keys() and d["spikes"].values is s.values
+            assert (out is s) == (variant == "stride")
+            if d["layer"].index:
+                assert d["x"].keys is below.keys() and d["x"].values is below.values
 
     @pytest.mark.parametrize("variant, dropout_p", [("stride", 0.0), ("pool", 0.5)])
     def test_no_float64_hard_spikes_are_reachable(self, monkeypatch, variant,
@@ -727,14 +770,20 @@ class TestCompactTape:
     def test_tape_bytes_fall_by_a_third(self, monkeypatch):
         # the bytes the same tape held when it kept each tensor as a
         # SparseTensor2D, (b, x, y) rows and float64 values, and out_c as
-        # (b, x, y) rows, shared as the records are shared
+        # (b, x, y) rows, shared as the records' arrays are shared
         tape, _, _ = self.taped(("sparse", "sparse"), "stride", 0.0, monkeypatch,
                                 size=32, t_eval=40)
         as_tensors = {}
 
         def old(value, grid=None):
             if isinstance(value, autograd._Kept):
-                return as_tensors.setdefault(id(value), value.tensor())
+                key = id(value.keys), id(value.values)
+                if key not in as_tensors:
+                    x = value.tensor()
+                    as_tensors[key] = SparseTensor2D._canonical(
+                        x.coords, x.values.astype(np.float64), x.batch_size,
+                        x.height, x.width, x.channels)
+                return as_tensors[key]
             if grid is not None:   # out_c
                 return as_tensors.setdefault(id(value), autograd._sites(value, *grid))
             return value

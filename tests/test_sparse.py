@@ -161,10 +161,11 @@ class TestStepIndex:
             lists.append(_grid_sites(*shape))
         sites, rows = _separate_site_index(shape, *lists)
 
-        index = _step_index(x, k, stride, lists[1] if marks is not None else None,
-                            every_site)
+        resets = None if marks is None else _site_keys(lists[1], *shape[1:])
+        index = _step_index(x, k, stride, resets, every_site)
         assert np.array_equal(index.out_c, out_c)
         assert np.array_equal(index.sites, sites)
+        assert np.array_equal(index.keys, _site_keys(sites, *shape[1:]))
         assert np.array_equal(index.out_rows, rows[0])
         assert np.array_equal(index.reset_rows,
                               rows[1] if marks is not None else np.empty(0))
@@ -377,6 +378,13 @@ class TestTensorInvariants:
             SparseTensor2D(np.array([[0, 1, 1], [0, 1, 1]]),
                            np.ones((2, 1)), 1, 4, 4, 1)
 
+    def test_whole_float_coordinates_are_sites(self):
+        x = SparseTensor2D([[1.0, 3.0, 0.0], [0.0, 1.0, 2.0]], [1.0, 2.0], 2, 4, 4)
+        assert x.coords.dtype == np.int64
+        assert x.coords.tolist() == [[0, 1, 2], [1, 3, 0]]
+        assert x.keys() is x.keys()
+        assert x.keys().tolist() == [9, 19]
+
     def test_dump_format(self):
         x = SparseTensor2D(np.array([[0, 2, 1]]), np.array([[1.5, -2.0]]), 1, 4, 4, 2)
         assert x.dump() == "(0,2,1): [1.5, -2.0]"
@@ -394,6 +402,23 @@ class TestTensorInvariants:
      "values of shape (4, 2) do not hold 4-channel rows"),
     (lambda: SparseTensor2D([[0, 0, 0]], [1.0, 2.0], 1, 2, 2, channels=2),
      "values of shape (2,) do not hold 2-channel rows"),
+    (lambda: SparseTensor2D([[0, 1.7, 2]], [1.0], 1, 4, 4),
+     "site coordinates must be whole numbers"),
+    (lambda: SparseTensor2D([[0, np.nan, 2]], [1.0], 1, 4, 4),
+     "site coordinates must be whole numbers"),
+    (lambda: SparseTensor2D([[0, 0, 0]], [1.0], 0, 4, 4),
+     "batch_size must be a positive whole number, got 0"),
+    (lambda: SparseTensor2D([[0, 0, 0]], [1.0], -1, 4, 4),
+     "batch_size must be a positive whole number, got -1"),
+    (lambda: SparseTensor2D([[0, 0, 0]], [1.0], 1, 0, 4),
+     "height must be a positive whole number, got 0"),
+    (lambda: SparseTensor2D([[0, 0, 0]], [1.0], 1, 4, 0),
+     "width must be a positive whole number, got 0"),
+    # row 4 is below 4.5 but outside a grid of 4 rows
+    (lambda: SparseTensor2D([[0, 3, 4]], [1.0], 1, 4.5, 4),
+     "height must be a positive whole number, got 4.5"),
+    (lambda: SparseTensor2D(np.zeros((0, 3)), np.zeros((0, 1)), 1, 4, 4, channels=0),
+     "channels must be a positive whole number, got 0"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3))), "kernel weights must be [out][in][k][k]"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3, 5))), "kernel weights must be [out][in][k][k]"),
     (lambda: ConvKernel2D(np.ones((1, 1, 3, 3))).set_weights(np.ones((1, 1, 5, 5))),

@@ -469,6 +469,18 @@ class TestAnytime:
         with pytest.raises(ValueError, match="horizon 7 "):
             anytime_eval(model, test, [2, 7])
 
+    def test_rejects_fractional_horizons(self, monkeypatch):
+        # a horizon that operator.index refuses is refused by name, before
+        # any evaluation, rather than rounded down to a row of its own
+        rng = np.random.default_rng(9)
+        model = make_model(rng, (16, 16), [(2, "sparse", 3)], 3)
+        test = tiny_dataset()[1]
+        monkeypatch.setattr("spikesparse.training.evaluate", None)
+        for horizons, bad in (([2.5, 3.9], "2.5"), ([2, 3.0], "3.0")):
+            with pytest.raises(ValueError,
+                               match=f"^evaluation horizon {bad} is not an integer$"):
+                anytime_eval(model, test, horizons)
+
     def test_curve_shape(self):
         rng = np.random.default_rng(10)
         model = make_model(rng, (16, 16), [(2, "sparse", 3)], 3, b=0.1,
